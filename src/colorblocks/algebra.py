@@ -1,10 +1,15 @@
-"""Exact sparse arithmetic in two variables over arbitrary-precision rationals.
+"""Exact sparse arithmetic in two variables over the integers (and rationals).
 
 A polynomial is a dict mapping exponent pairs ``(i, j)`` -- the powers of
-``x`` and ``y`` -- to nonzero ``Fraction`` coefficients.  ``x`` exponents are
-always >= 0; ``y`` exponents may be negative (several transfer-matrix entries
-need ``1/y`` and ``1/y**2``).  The zero polynomial is the empty dict.  No
-floating point is used anywhere.
+``x`` and ``y`` -- to nonzero coefficients.  Every block count is an integer,
+so coefficients are plain Python ``int``s; a ``Fraction`` appears only when a
+genuinely rational value enters (a parsed ``y/2``, ``scale_to_unit_constant``).
+Values entering through constructors, scalar factors and exact quotients are
+normalized, so an integral value enters as an ``int``; sums and products of
+``Fraction`` coefficients stay ``Fraction`` and compare and print like their
+values.  ``x`` exponents are always >= 0; ``y`` exponents may be negative
+(several transfer-matrix entries need ``1/y`` and ``1/y**2``).  The zero
+polynomial is the empty dict.  No floating point is used anywhere.
 
 On top of that the module provides rational generating functions (numerator /
 denominator pairs), power-series coefficient extraction, cross-multiplication
@@ -21,15 +26,19 @@ from typing import Mapping, Sequence
 from .errors import DimensionLimitError, SingularSystemError
 
 Key = tuple[int, int]
+Coeff = int | Fraction
 
 _MAX_DIV_STEPS = 200_000  # backstop against a non-exact division looping
 
 
-def _coerce(value: int | Fraction) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce(value: Coeff) -> Coeff:
+    """An ``int`` for every integral value, else the ``Fraction`` itself."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
@@ -38,8 +47,8 @@ class LaurentPoly2:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Key, int | Fraction] | None = None):
-        clean: dict[Key, Fraction] = {}
+    def __init__(self, terms: Mapping[Key, Coeff] | None = None):
+        clean: dict[Key, Coeff] = {}
         if terms:
             for (i, j), c in terms.items():
                 if i < 0:
@@ -50,7 +59,7 @@ class LaurentPoly2:
         self._terms = clean
 
     @classmethod
-    def _raw(cls, terms: dict[Key, Fraction]) -> "LaurentPoly2":
+    def _raw(cls, terms: dict[Key, Coeff]) -> "LaurentPoly2":
         obj = object.__new__(cls)
         obj._terms = terms
         return obj
@@ -64,7 +73,7 @@ class LaurentPoly2:
         return _ONE
 
     @classmethod
-    def const(cls, c: int | Fraction) -> "LaurentPoly2":
+    def const(cls, c: Coeff) -> "LaurentPoly2":
         c = _coerce(c)
         return cls._raw({(0, 0): c}) if c else _ZERO
 
@@ -77,19 +86,19 @@ class LaurentPoly2:
         return _Y
 
     @classmethod
-    def monomial(cls, i: int, j: int, c: int | Fraction = 1) -> "LaurentPoly2":
+    def monomial(cls, i: int, j: int, c: Coeff = 1) -> "LaurentPoly2":
         if i < 0:
             raise ValueError(f"x exponent must be >= 0, got {i}")
         c = _coerce(c)
         return cls._raw({(i, j): c}) if c else _ZERO
 
     @property
-    def terms(self) -> dict[Key, Fraction]:
+    def terms(self) -> dict[Key, Coeff]:
         """Copy of the term map."""
         return dict(self._terms)
 
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
+    def coefficient(self, i: int, j: int) -> Coeff:
+        return self._terms.get((i, j), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -153,13 +162,13 @@ class LaurentPoly2:
             c = _coerce(other)
             if not c:
                 return _ZERO
-            return LaurentPoly2._raw({k: v * c for k, v in self._terms.items()})
+            return LaurentPoly2._raw({k: _coerce(v * c) for k, v in self._terms.items()})
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, Coeff] = {}
         for (i1, j1), c1 in a.items():
             for (i2, j2), c2 in b.items():
                 key = (i1 + i2, j1 + j2)
@@ -176,7 +185,7 @@ class LaurentPoly2:
     def _square(self) -> "LaurentPoly2":
         # symmetric product: half the multiplications of a general multiply
         items = list(self._terms.items())
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, Coeff] = {}
         get = out.get
         for idx, ((i1, j1), c1) in enumerate(items):
             key = (i1 + i1, j1 + j1)
@@ -226,10 +235,10 @@ class LaurentPoly2:
                 out[(i, j - 1)] = c * j
         return LaurentPoly2._raw(out)
 
-    def evaluate(self, x_value: int | Fraction, y_value: int | Fraction) -> Fraction:
+    def evaluate(self, x_value: Coeff, y_value: Coeff) -> Fraction:
         """Exact evaluation; rejects y=0 when negative y exponents are present."""
-        x0 = _coerce(x_value)
-        y0 = _coerce(y_value)
+        x0 = Fraction(_coerce(x_value))
+        y0 = Fraction(_coerce(y_value))
         total = Fraction(0)
         for (i, j), c in self._terms.items():
             if j < 0 and y0 == 0:
@@ -263,9 +272,9 @@ class LaurentPoly2:
 
 
 _ZERO = LaurentPoly2._raw({})
-_ONE = LaurentPoly2._raw({(0, 0): Fraction(1)})
-_X = LaurentPoly2._raw({(1, 0): Fraction(1)})
-_Y = LaurentPoly2._raw({(0, 1): Fraction(1)})
+_ONE = LaurentPoly2._raw({(0, 0): 1})
+_X = LaurentPoly2._raw({(1, 0): 1})
+_Y = LaurentPoly2._raw({(0, 1): 1})
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +327,7 @@ def scale_to_unit_constant(gf: RationalGF) -> RationalGF:
     terms = c0._terms
     if list(terms) != [(0, 0)]:
         raise ValueError("[x^0] den is not a nonzero constant")
-    inv = 1 / terms[(0, 0)]
+    inv = Fraction(1, terms[(0, 0)])
     return RationalGF(gf.num * inv, gf.den * inv)
 
 
@@ -331,6 +340,9 @@ def _div_exact(a: LaurentPoly2, b: LaurentPoly2) -> LaurentPoly2:
     Leading terms are taken in lexicographic (x, y) order, which is
     compatible with multiplication, so for an exact division every emitted
     quotient term is a term of the true quotient and the loop terminates.
+    When every coefficient of a and b is an ``int`` the division is exact over
+    the integers: each leading coefficient divides with zero remainder, or
+    the division raises.  Otherwise it runs over the rationals.
     """
     if b is _ONE or b == _ONE:
         return a
@@ -339,10 +351,13 @@ def _div_exact(a: LaurentPoly2, b: LaurentPoly2) -> LaurentPoly2:
     bt = b._terms
     if not bt:
         raise ZeroDivisionError("polynomial division by zero")
+    integral = Fraction not in map(type, bt.values()) and Fraction not in map(
+        type, a._terms.values()
+    )
     blead = max(bt)
     bcoeff = bt[blead]
     rem = dict(a._terms)
-    quot: dict[Key, Fraction] = {}
+    quot: dict[Key, Coeff] = {}
     steps = 0
     while rem:
         steps += 1
@@ -353,11 +368,16 @@ def _div_exact(a: LaurentPoly2, b: LaurentPoly2) -> LaurentPoly2:
         qj = rlead[1] - blead[1]
         if qi < 0:
             raise ArithmeticError("polynomial division is not exact")
-        qc = rem[rlead] / bcoeff
+        if integral:
+            qc, r = divmod(rem[rlead], bcoeff)
+            if r:
+                raise ArithmeticError("polynomial division is not exact over the integers")
+        else:
+            qc = _coerce(Fraction(rem[rlead]) / bcoeff)
         quot[(qi, qj)] = qc
         for (bi, bj), bc in bt.items():
             key = (bi + qi, bj + qj)
-            s = rem.get(key, Fraction(0)) - qc * bc
+            s = rem.get(key, 0) - qc * bc
             if s:
                 rem[key] = s
             else:
@@ -370,29 +390,46 @@ def _pivot_key(p: LaurentPoly2):
     return (p.total_degree(), tuple(sorted(p._terms.items())))
 
 
-def _bareiss_det(matrix: list[list[LaurentPoly2]]) -> LaurentPoly2:
-    """Determinant by fraction-free one-step elimination with pivoting."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
+def _eliminate(m: list[list[LaurentPoly2]]) -> int:
+    """Fraction-free one-step (Bareiss) elimination, in place.
+
+    Eliminates below the diagonal of the leading n x n block of the n-row
+    matrix m, carrying any further columns along.  Afterwards m[i][i] is the
+    i-th pivot, and m[n-1][n-1] is the determinant of the row-permuted block.
+    Returns the sign of the row permutation, or 0 if a column has no nonzero
+    pivot (the block is singular).
+    """
+    n = len(m)
+    width = len(m[0])
     sign = 1
     prev = _ONE
     for col in range(n - 1):
         candidates = [r for r in range(col, n) if m[r][col]]
         if not candidates:
-            return _ZERO
+            return 0
         pivot_row = min(candidates, key=lambda r: _pivot_key(m[r][col]))
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             sign = -sign
-        pivot = m[col][col]
+        pivot_line = m[col]
+        pivot = pivot_line[col]
         for r in range(col + 1, n):
             mr = m[r]
             mrc = mr[col]
-            for c in range(col + 1, n):
-                mr[c] = _div_exact(pivot * mr[c] - mrc * m[col][c], prev)
+            for c in range(col + 1, width):
+                mr[c] = _div_exact(pivot * mr[c] - mrc * pivot_line[c], prev)
             mr[col] = _ZERO
         prev = pivot
-    d = m[n - 1][n - 1]
+    return sign
+
+
+def _bareiss_det(matrix: list[list[LaurentPoly2]]) -> LaurentPoly2:
+    """Determinant by fraction-free one-step elimination with pivoting."""
+    m = [row[:] for row in matrix]
+    sign = _eliminate(m)
+    if not sign:
+        return _ZERO
+    d = m[-1][-1]
     return -d if sign < 0 else d
 
 
@@ -407,6 +444,12 @@ def bareiss_solve(
     exponents are cleared by a power of y first (this rescales every Cramer
     determinant identically, so the solutions are unchanged).  Each entry of
     the result shares the common denominator det(I - x*M) up to that y-power.
+
+    One Bareiss elimination of the augmented matrix [A | b] and fraction-free
+    back substitution give d * t_i = x'_i, with d the last pivot, through
+    x'_i = (d*U[i][n] - sum_{j>i} U[i][j]*x'_j) / U[i][i]; every division is
+    exact.  Up to the sign of the row swaps, d and x'_i are the Cramer
+    determinants det(A) and det(A with column i replaced by b).
     """
     n = len(matrix)
     if n == 0:
@@ -419,28 +462,26 @@ def bareiss_solve(
         for entry in row:
             if entry.has_x():
                 raise ValueError("matrix entries must be polynomials in y alone")
-    x = _X
-    a = [
-        [
-            (LaurentPoly2.const(1 if i == j else 0)) - x * matrix[i][j]
-            for j in range(n)
-        ]
+    aug = [
+        [(_ONE if i == j else _ZERO) - _X * matrix[i][j] for j in range(n)] + [rhs[i]]
         for i in range(n)
     ]
-    b = [rhs[i] for i in range(n)]
-    for i in range(n):
-        exps = [p.min_y_exponent() for p in a[i] + [b[i]]]
-        low = min((e for e in exps if e is not None), default=0)
+    for i, row in enumerate(aug):
+        low = min((p.min_y_exponent() for p in row if p), default=0)
         if low < 0:
-            a[i] = [p.shift_y(-low) for p in a[i]]
-            b[i] = b[i].shift_y(-low)
-    den = _bareiss_det(a)
-    if den.is_zero():
+            aug[i] = [p.shift_y(-low) for p in row]
+    sign = _eliminate(aug)
+    d = aug[-1][n - 1]
+    if not sign or d.is_zero():
         raise SingularSystemError("I - x*M is singular")
-    solutions = []
-    for j in range(n):
-        aj = [row[:] for row in a]
-        for i in range(n):
-            aj[i][j] = b[i]
-        solutions.append(RationalGF(_bareiss_det(aj), den))
-    return solutions
+    xs = [_ZERO] * n
+    xs[-1] = aug[-1][n]  # d * U[n-1][n] / U[n-1][n-1], and U[n-1][n-1] is d
+    for i in range(n - 2, -1, -1):
+        row = aug[i]
+        acc = d * row[n]
+        for j in range(i + 1, n):
+            acc = acc - row[j] * xs[j]
+        xs[i] = _div_exact(acc, row[i])
+    if sign < 0:
+        d, xs = -d, [-p for p in xs]
+    return [RationalGF(p, d) for p in xs]

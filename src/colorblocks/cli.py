@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from decimal import Decimal, localcontext
@@ -29,7 +30,7 @@ from .oracle import (
     BlockDistribution,
     distribution_bruteforce,
 )
-from .polytext import format_poly, poly_to_json
+from .polytext import format_poly, format_rational, poly_to_json
 from .transfer import (
     DEFAULT_STATE_CAP,
     color_classes,
@@ -57,9 +58,9 @@ def _distribution_doc(args, dist: BlockDistribution, elapsed_ms: int) -> dict:
         "k": args.k,
         "method": args.method,
         "vertices": dist.vertex_count,
-        "distribution": {str(j): str(c) for j, c in coeffs.items()},
-        "total": str(dist.total()),
-        "expected": str(dist.expected()),
+        "distribution": {str(j): format_rational(c) for j, c in coeffs.items()},
+        "total": format_rational(dist.total()),
+        "expected": format_rational(dist.expected()),
         "elapsed_ms": elapsed_ms,
     }
     if args.decimals is not None:
@@ -78,7 +79,7 @@ def _emit(doc: dict, fmt: str, csv_rows=None, csv_header=None):
 
 
 def _dist_csv_rows(dist: BlockDistribution):
-    return [(0, j, str(c)) for j, c in dist.coefficients().items()]
+    return [(0, j, format_rational(c)) for j, c in dist.coefficients().items()]
 
 
 def _closed_form_distribution(spec: str, k: int) -> BlockDistribution:
@@ -142,7 +143,9 @@ def _compute_distribution(args) -> BlockDistribution:
     if args.method == "brute":
         g = parse_graph_spec(args.graph)
         cap = args.cap if args.cap else DEFAULT_ENUMERATION_CAP
-        return distribution_bruteforce(g, args.k, cap=cap, threads=args.threads)
+        # never more worker threads than cores
+        threads = min(args.threads, os.cpu_count() or 1)
+        return distribution_bruteforce(g, args.k, cap=cap, threads=threads)
     if args.method == "transfer":
         if args.n is not None:
             slice_graph = parse_graph_spec(args.graph)
@@ -182,7 +185,7 @@ def cmd_expect(args) -> int:
         "k": args.k,
         "method": args.method,
         "vertices": vertices,
-        "expected": str(expected),
+        "expected": format_rational(expected),
         "elapsed_ms": elapsed_ms,
     }
     if args.decimals is not None:
@@ -204,14 +207,14 @@ def cmd_series(args) -> int:
         "k": fixture_k(args.fixture, args.k),
         "N": args.N,
         "series": {
-            str(n): {str(j): str(c) for j, c in sorted(
+            str(n): {str(j): format_rational(c) for j, c in sorted(
                 (jj, cc) for (_, jj), cc in coeffs[n].terms.items())}
             for n in range(args.N + 1)
         },
         "elapsed_ms": elapsed_ms,
     }
     rows = [
-        (n, j, str(c))
+        (n, j, format_rational(c))
         for n in range(args.N + 1)
         for (_, j), c in sorted(coeffs[n].terms.items())
     ]
@@ -239,8 +242,8 @@ def cmd_gf(args) -> int:
         "num_terms": poly_to_json(gf.num),
         "den_terms": poly_to_json(gf.den),
     }
-    rows = [("num", i, j, str(c)) for (i, j), c in sorted(gf.num.terms.items())]
-    rows += [("den", i, j, str(c)) for (i, j), c in sorted(gf.den.terms.items())]
+    rows = [("num", i, j, format_rational(c)) for (i, j), c in sorted(gf.num.terms.items())]
+    rows += [("den", i, j, format_rational(c)) for (i, j), c in sorted(gf.den.terms.items())]
     _emit(doc, args.format, rows, ("part", "x_exp", "y_exp", "coefficient"))
     return 0
 
@@ -251,14 +254,14 @@ def cmd_classes(args) -> int:
         "m": args.m,
         "k": args.k,
         "count": len(classes),
-        "total": str(args.k**args.m),
+        "total": format_rational(args.k**args.m),
         "classes": [
-            {"parts": list(c.parts), "size": str(c.size), "support": c.support}
+            {"parts": list(c.parts), "size": format_rational(c.size), "support": c.support}
             for c in classes
         ],
     }
     rows = [
-        ("+".join(map(str, c.parts)), str(c.size), c.support) for c in classes
+        ("+".join(map(str, c.parts)), format_rational(c.size), c.support) for c in classes
     ]
     _emit(doc, args.format, rows, ("parts", "size", "support"))
     return 0
@@ -266,6 +269,28 @@ def cmd_classes(args) -> int:
 
 def cmd_verify(args) -> int:
     return verify_mod.run_suite(args.suite)
+
+
+def _int_in_range(low: int, high: int | None = None):
+    """argparse type: an int with low <= value (and value <= high)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
+_THREADS = _int_in_range(1)
+_DECIMALS = _int_in_range(0)
+# the enumeration indexes colorings in int64 arithmetic
+_CAP = _int_in_range(1, 2**63 - 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -287,9 +312,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method", choices=("brute", "transfer", "closed"), default="brute"
     )
     p_dist.add_argument("--n", type=int, help="path length for --method transfer")
-    p_dist.add_argument("--cap", type=int, help="enumeration / state cap override")
-    p_dist.add_argument("--threads", type=int, default=1)
-    p_dist.add_argument("--decimals", type=int, help="add a rounded decimal rendering")
+    p_dist.add_argument("--cap", type=_CAP, help="enumeration / state cap override")
+    p_dist.add_argument(
+        "--threads", type=_THREADS, default=1, help="worker threads, at most the core count"
+    )
+    p_dist.add_argument("--decimals", type=_DECIMALS, help="add a rounded decimal rendering")
     p_dist.set_defaults(handler=cmd_dist)
 
     p_exp = sub.add_parser("expect", help="expected block count")
@@ -299,9 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method", choices=("brute", "transfer", "closed"), default="closed"
     )
     p_exp.add_argument("--n", type=int)
-    p_exp.add_argument("--cap", type=int)
-    p_exp.add_argument("--threads", type=int, default=1)
-    p_exp.add_argument("--decimals", type=int)
+    p_exp.add_argument("--cap", type=_CAP)
+    p_exp.add_argument("--threads", type=_THREADS, default=1)
+    p_exp.add_argument("--decimals", type=_DECIMALS)
     p_exp.set_defaults(handler=cmd_expect)
 
     p_series = sub.add_parser("series", help="series coefficients of a fixture")

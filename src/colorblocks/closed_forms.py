@@ -26,12 +26,24 @@ def _require(condition: bool, message: str):
 # -- trees --------------------------------------------------------------------
 
 
+def _tree_poly(n: int, k: int) -> LaurentPoly2:
+    """k*y*((k-1)*y + 1)^(n-1), term by term: [y^j] = k*C(n-1, j-1)*(k-1)^(j-1)."""
+    terms = {}
+    c = k
+    for j in range(1, n + 1):
+        if not c:
+            break
+        terms[(0, j)] = c
+        # C(n-1, j) = C(n-1, j-1) * (n-j) / j, so the division is exact
+        c = c * (n - j) * (k - 1) // j
+    return LaurentPoly2(terms)
+
+
 def tree_distribution(n: int, k: int) -> BlockDistribution:
     """k*y*((k-1)*y + 1)^(n-1); the same for every tree on n vertices."""
     _require(n >= 1, "n must be >= 1")
     _require(k >= 1, "k must be >= 1")
-    poly = (k * _Y) * ((k - 1) * _Y + 1) ** (n - 1)
-    return BlockDistribution(poly, n, k)
+    return BlockDistribution(_tree_poly(n, k), n, k)
 
 
 def tree_expected(n: int, k: int) -> Fraction:
@@ -45,8 +57,7 @@ def pbt_distribution(h: int, k: int) -> BlockDistribution:
     _require(h >= 0, "height must be >= 0")
     _require(k >= 1, "k must be >= 1")
     n = 2 ** (h + 1) - 1
-    poly = (k * _Y) * ((k - 1) * _Y + 1) ** (2 ** (h + 1) - 2)
-    return BlockDistribution(poly, n, k)
+    return BlockDistribution(_tree_poly(n, k), n, k)
 
 
 def pbt_expected(h: int, k: int) -> Fraction:

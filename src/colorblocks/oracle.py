@@ -38,11 +38,11 @@ class BlockDistribution:
         if self.poly.x_degree() > 0:
             raise ValueError("distribution polynomials live in y alone")
 
-    def coefficients(self) -> dict[int, Fraction]:
+    def coefficients(self) -> dict[int, int]:
         """Map y-exponent -> coefficient."""
         return {j: c for (_, j), c in sorted(self.poly.terms.items())}
 
-    def coefficient(self, blocks: int) -> Fraction:
+    def coefficient(self, blocks: int) -> int:
         return self.poly.coefficient(0, blocks)
 
     def total(self) -> Fraction:

@@ -6,22 +6,32 @@ constant or a power of y (as in ``(3*y^2+2*y+1)/y``).  No whitespace, no
 implicit multiplication.
 
 JSON form: an object mapping ``"i,j"`` exponent keys to coefficient strings
-in decimal ``num/den`` form, exact and locale-independent.
+in decimal ``num/den`` form (just ``num`` for an integer), exact and
+locale-independent.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .algebra import LaurentPoly2
 from .errors import PolyParseError
 
 
-def format_rational(c: Fraction) -> str:
-    return str(c)  # "5" or "-3/2"
+def format_rational(c: int | Fraction) -> str:
+    """Exact decimal form, "5" or "-3/2", for numbers of any size."""
+    try:
+        return str(c)
+    except ValueError:
+        # past the interpreter's int -> str digit limit; Decimal converts an
+        # int of any size without consulting that limit, which stays as set
+        c = Fraction(c)
+        text = str(Decimal(c.numerator))
+        return text if c.denominator == 1 else f"{text}/{Decimal(c.denominator)}"
 
 
-def _format_term(i: int, j: int, c: Fraction) -> str:
+def _format_term(i: int, j: int, c: int | Fraction) -> str:
     parts = []
     if i == 1:
         parts.append("x")
@@ -107,7 +117,7 @@ class _Parser:
         ((i, j), c) = next(iter(terms.items()))
         if i != 0:
             raise self.error("divisor must not contain x")
-        return value.shift_y(-j) * (1 / c)
+        return value.shift_y(-j) * Fraction(1, c)
 
     def parse_factor(self) -> LaurentPoly2:
         if self.peek() == "-":

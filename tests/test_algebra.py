@@ -8,10 +8,11 @@ from colorblocks.algebra import (
     RationalGF,
     bareiss_solve,
     gf_equal,
+    scale_to_unit_constant,
     series_expand,
 )
-from colorblocks.algebra import _div_exact
-from colorblocks.errors import DimensionLimitError
+from colorblocks.algebra import _bareiss_det, _div_exact
+from colorblocks.errors import DimensionLimitError, SingularSystemError
 from colorblocks.polytext import parse_poly
 
 ONE = LaurentPoly2.one()
@@ -210,3 +211,92 @@ class TestBareissSolve:
         m = [[Y, ONE], [ONE, Y]]
         sols = bareiss_solve(m, [Y, LaurentPoly2.zero()])
         assert sols[0].den == sols[1].den
+
+
+def _cramer_solve(matrix, rhs):
+    """Reference route: n+1 Bareiss determinants by Cramer's rule."""
+    n = len(matrix)
+    zero = LaurentPoly2.zero()
+    a = [[(ONE if i == j else zero) - X * matrix[i][j] for j in range(n)] for i in range(n)]
+    b = list(rhs)
+    for i in range(n):
+        low = min((p.min_y_exponent() for p in a[i] + [b[i]] if p), default=0)
+        if low < 0:
+            a[i] = [p.shift_y(-low) for p in a[i]]
+            b[i] = b[i].shift_y(-low)
+    den = _bareiss_det(a)
+    nums = []
+    for j in range(n):
+        aj = [row[:] for row in a]
+        for i in range(n):
+            aj[i][j] = b[i]
+        nums.append(_bareiss_det(aj))
+    return nums, den
+
+
+y_polys = st.dictionaries(
+    st.tuples(st.just(0), st.integers(min_value=-2, max_value=3)),
+    st.integers(min_value=-3, max_value=3),
+    max_size=3,
+).map(LaurentPoly2)
+
+
+@st.composite
+def y_systems(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    matrix = [[draw(y_polys) for _ in range(n)] for _ in range(n)]
+    rhs = [draw(y_polys) for _ in range(n)]
+    return matrix, rhs
+
+
+class TestSingleEliminationSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(y_systems())
+    def test_matches_cramer_term_for_term(self, system):
+        matrix, rhs = system
+        nums, den = _cramer_solve(matrix, rhs)
+        if den.is_zero():
+            with pytest.raises(SingularSystemError):
+                bareiss_solve(matrix, rhs)
+            return
+        sols = bareiss_solve(matrix, rhs)
+        assert [s.den.terms for s in sols] == [den.terms] * len(matrix)
+        assert [s.num.terms for s in sols] == [p.terms for p in nums]
+
+
+class TestCoefficientTypes:
+    def test_parsed_division_is_rational_not_float(self):
+        p = P("(3*y)/2")
+        assert p.coefficient(0, 1) == Fraction(3, 2)
+        assert type(p.coefficient(0, 1)) is Fraction
+        assert type(P("(4*y)/2").coefficient(0, 1)) is int
+
+    def test_scale_to_unit_constant_is_exact(self):
+        gf = scale_to_unit_constant(RationalGF(P("3*x*y+2"), P("2-x")))
+        coeffs = list(gf.num.terms.values()) + list(gf.den.terms.values())
+        assert not any(isinstance(c, float) for c in coeffs)
+        assert gf.num.terms == {(1, 1): Fraction(3, 2), (0, 0): 1}
+        assert type(gf.den.coefficient(0, 0)) is int
+
+    def test_evaluate_at_negative_y_exponent_is_a_fraction(self):
+        value = P("3*y^-2+x").evaluate(1, 2)
+        assert value == Fraction(7, 4)
+        assert type(value) is Fraction
+        with pytest.raises(TypeError):
+            P("y").evaluate(1, 0.5)
+
+    def test_integer_arithmetic_stays_int(self):
+        p = (P("2*y-y^-1+3*x") ** 3) * 4 + P("x*y")
+        assert p.coefficient(5, 5) == 0
+        assert all(type(c) is int for c in p.terms.values())
+        assert all(type(c) is int for c in (P("6*y") * Fraction(1, 3)).terms.values())
+
+    def test_div_exact_rejects_an_integer_remainder(self):
+        with pytest.raises(ArithmeticError):
+            _div_exact(P("3*y+1"), P("2"))
+        with pytest.raises(ArithmeticError):
+            _div_exact(P("x*y+3"), P("2*y+1"))
+
+    def test_div_exact_over_the_rationals(self):
+        quotient = _div_exact(P("y+1/2"), P("2*y+1"))
+        assert quotient == LaurentPoly2.const(Fraction(1, 2))

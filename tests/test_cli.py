@@ -1,6 +1,15 @@
 import csv
 import io
 import json
+import os
+import sys
+from decimal import Decimal
+from fractions import Fraction
+
+import pytest
+
+from colorblocks import cli
+from colorblocks import closed_forms as cf
 
 from colorblocks.algebra import LaurentPoly2, RationalGF, series_expand
 from colorblocks.cli import main
@@ -126,6 +135,51 @@ class TestDist:
         assert doc["total"] == str(2**8)
 
 
+class TestOptionValidation:
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--threads", "0"),
+            ("--threads", "-2"),
+            ("--threads", "two"),
+            ("--decimals", "-3"),
+            ("--cap", "-5"),
+            ("--cap", "0"),
+            ("--cap", str(2**63)),
+            ("--cap", str(2**70)),
+        ],
+    )
+    def test_bad_value_is_a_usage_error(self, capsys, monkeypatch, option, value):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumeration started despite a bad option")
+
+        monkeypatch.setattr(cli, "distribution_bruteforce", no_enumeration)
+        for command in ("dist", "expect"):
+            code, out, err = run(
+                capsys, command, "--graph", "complete:3", "--k", "2",
+                "--method", "brute", option, value,
+            )
+            assert code == 2, (command, option, value)
+            assert option in err and out == ""
+
+    def test_largest_cap_is_accepted(self, capsys):
+        doc = run_json(capsys, "dist", "--graph", "complete:3", "--k", "2", "--cap", str(2**63 - 1))
+        assert doc["total"] == "8"
+
+    def test_threads_above_core_count_are_not_started(self, capsys, monkeypatch):
+        asked = []
+
+        def record(g, k, cap, threads):
+            asked.append(threads)
+            raise cli.UsageError("recorded")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "distribution_bruteforce", record)
+        for threads in ("1", "2", "3", "100000"):
+            run(capsys, "dist", "--graph", "complete:3", "--k", "2", "--threads", threads)
+        assert asked == [1, 2, 2, 2]
+
+
 class TestExpect:
     def test_closed_bipartite(self, capsys):
         doc = run_json(
@@ -145,6 +199,16 @@ class TestExpect:
             capsys, "expect", "--graph", "cycle:6", "--k", "2", "--method", "brute"
         )
         assert closed["expected"] == brute["expected"]
+
+    def test_number_beyond_the_int_str_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        doc = run_json(capsys, "expect", "--graph", "complete:1000", "--k", "1000000")
+        assert sys.get_int_max_str_digits() == limit
+        num, den = doc["expected"].split("/")
+        assert len(num) > 4300
+        want = cf.complete_expected(1000, 1000000)
+        # Decimal parses and converts digits without the int/str limit
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == want
 
     def test_unknown_closed_form(self, capsys):
         code, _, err = run(capsys, "expect", "--graph", "product(star:3,path:3)", "--k", "2")

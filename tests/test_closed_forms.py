@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from colorblocks import closed_forms as cf
-from colorblocks.algebra import gf_equal, series_expand
+from colorblocks.algebra import LaurentPoly2, gf_equal, series_expand
 from colorblocks.combinatorics import binomial
 from colorblocks.graphs import (
     cartesian_product,
@@ -36,6 +36,14 @@ class TestTrees:
                 for k in (2, 3):
                     got = distribution_bruteforce(random_tree(n, seed), k).poly
                     assert got == cf.tree_distribution(n, k).poly
+
+    def test_binomial_terms_match_repeated_squaring(self):
+        y = LaurentPoly2.y()
+        for k in (1, 2, 3, 7):
+            for n in (1, 2, 3, 10, 33, 64):
+                got = cf.tree_distribution(n, k).poly
+                assert got.terms == ((k * y) * ((k - 1) * y + 1) ** (n - 1)).terms
+        assert cf.tree_distribution(50, 1).poly.terms == {(0, 1): 1}
 
     def test_expected(self):
         assert cf.tree_expected(1, 5) == 1

@@ -259,3 +259,27 @@ class TestReducedSystem:
         for m, k in [(2, 2), (3, 2), (4, 2), (3, 3)]:
             gf = km_prism_gf(m, k)
             assert gf.den.x_coefficient(0) == ONE
+
+
+class TestIntegerCoefficients:
+    """Every coefficient the engine produces counts colorings: plain ints."""
+
+    @staticmethod
+    def _all_int(*polys):
+        return all(type(c) is int for p in polys for c in p.terms.values())
+
+    def test_symbolic_solutions(self):
+        gf = km_prism_gf(4, 3)
+        assert self._all_int(gf.num, gf.den)
+        star = fixture_gf("STAR13_matrix")
+        assert self._all_int(star.num, star.den)
+        assert self._all_int(*series_expand(km_prism_gf(3, 2), 6))
+
+    def test_profile_dp(self):
+        assert self._all_int(prism_distribution(path(4), 3, 3).poly)
+        assert self._all_int(prism_distribution(cycle(4), 2, 4).poly)
+
+    def test_tree_polynomials(self):
+        assert self._all_int(cf.tree_distribution(40, 3).poly)
+        assert self._all_int(cf.pbt_distribution(4, 2).poly)
+        assert all(type(c) is int for c in cf.tree_distribution(9, 2).coefficients().values())
