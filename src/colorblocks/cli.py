@@ -44,9 +44,11 @@ class UsageError(ValueError):
 
 
 def _decimal_string(value: Fraction, places: int) -> str:
-    quantum = Decimal(1).scaleb(-places)
     with localcontext() as ctx:
         ctx.prec = places + 30
+        # the default exponent range ends near 10^-10^6, short of large places
+        ctx.Emin = min(ctx.Emin, -places)
+        quantum = Decimal(1).scaleb(-places)
         d = Decimal(value.numerator) / Decimal(value.denominator)
         return str(d.quantize(quantum))
 

@@ -217,6 +217,14 @@ def k3_prism_gf(k: int) -> RationalGF:
 
 def star_profile_count(m: int) -> int:
     """Reduced boundary-state count for (star with m leaves) x path:
-    sum of p(0) .. p(m)."""
+    sum of p(0) .. p(m).
+
+    This counts the orbits, under color swaps and leaf permutations, of every
+    valid k=2 boundary state: center color fixed, i leaves of the other color
+    partitioned in any way into linked groups.  The profile DP reaches only
+    1 + m(m+1)/2 of them (7, 11, 16 for m = 3, 4, 5 against 7, 12, 19): two
+    linked groups of the other color would have merged at the later of the
+    center slices that linked them, so at most one group has several leaves.
+    """
     _require(m >= 0, "m must be >= 0")
     return sum(partition_count(i) for i in range(m + 1))

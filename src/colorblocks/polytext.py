@@ -12,11 +12,14 @@ locale-independent.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 from .algebra import LaurentPoly2
 from .errors import PolyParseError
+
+_DECIMAL_INT = re.compile(r"[+-]?[0-9]+")
 
 
 def format_rational(c: int | Fraction) -> str:
@@ -29,6 +32,31 @@ def format_rational(c: int | Fraction) -> str:
         c = Fraction(c)
         text = str(Decimal(c.numerator))
         return text if c.denominator == 1 else f"{text}/{Decimal(c.denominator)}"
+
+
+def _decimal_int(text: str) -> int:
+    """``int(text)`` for a decimal integer of any length.
+
+    Past the interpreter's str -> int digit limit the digits are read through
+    ``Decimal``, which parses and converts them without consulting that limit.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        if not _DECIMAL_INT.fullmatch(text):
+            raise
+        return int(Decimal(text))
+
+
+def _parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, also for "num" and "num/den" of any length."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        num, slash, den = text.partition("/")
+        if not (_DECIMAL_INT.fullmatch(num) and (not slash or _DECIMAL_INT.fullmatch(den))):
+            raise
+        return Fraction(_decimal_int(num), _decimal_int(den) if slash else 1)
 
 
 def _format_term(i: int, j: int, c: int | Fraction) -> str:
@@ -87,7 +115,7 @@ class _Parser:
             raise self.error("expected an integer")
         while self.peek().isdigit():
             self.pos += 1
-        return int(self.text[start : self.pos])
+        return _decimal_int(self.text[start : self.pos])
 
     def parse_expr(self) -> LaurentPoly2:
         value = self.parse_term()
@@ -174,5 +202,5 @@ def poly_from_json(data: dict[str, str]) -> LaurentPoly2:
             exps = (int(i_str), int(j_str))
         except ValueError as exc:
             raise ValueError(f"bad exponent key {key!r}") from exc
-        terms[exps] = Fraction(value)
+        terms[exps] = _parse_rational(value)
     return LaurentPoly2(terms)

@@ -13,6 +13,22 @@ y per still-open class.  The alternative convention of paying at birth gives
 the same distribution for completed products; closure payment keeps the step
 operator independent of the total length.
 
+Orbit lumping: permuting the k colors (S_k) or the slice's vertices by an
+automorphism maps profiles to profiles, and the step commutes with both
+groups (permute an old profile and a new coloring alike, and the result is
+permuted alike with the same number of closures).  So when every profile in
+an orbit of S_k x Aut(slice) carries the same weight -- as initial_states
+gives and as step keeps -- the step is computed on orbits: the chain is
+lumpable (Kemeny & Snell, *Finite Markov Chains*, 1960).  One integer row per
+orbit the DP reaches is built from a representative the first time it is
+needed; its entries |O|*m/|O'| count the (profile, coloring) pairs of the
+source orbit O that land on any one profile of the target orbit O'.  The
+summed weight is then written back to every member profile, so step returns
+exactly the keys and values of the general path.  Any other input (one
+profile, unequal weights, a partly present orbit) takes the general path, one
+transition per (profile, coloring).  The operator of the last 32 (slice, k)
+pairs is kept, so later steps reuse its rows.
+
 For complete-graph slices the states can be reduced to color classes (colorings
 of the slice up to color permutation and same-size part swaps), giving a small
 linear system whose symbolic solution is the generating function in x and y.
@@ -51,12 +67,7 @@ StateWeights = dict[Profile, LaurentPoly2]
 
 def _canonical_rgs(labels) -> tuple[int, ...]:
     seen: dict = {}
-    out = []
-    for label in labels:
-        if label not in seen:
-            seen[label] = len(seen)
-        out.append(seen[label])
-    return tuple(out)
+    return tuple([seen.setdefault(label, len(seen)) for label in labels])
 
 
 @lru_cache(maxsize=32)
@@ -102,6 +113,248 @@ def initial_states(
     return {Profile(colors, rgs): _ONE for colors, rgs in _slice_table(g, k)}
 
 
+def _transition(
+    nv: int,
+    old_colors: tuple[int, ...],
+    old_link: tuple[int, ...],
+    new_colors: tuple[int, ...],
+    new_comp: tuple[int, ...],
+) -> tuple[tuple[int, ...], int]:
+    """One old profile followed by one slice coloring: the new linkage RGS and
+    the number of old classes that close.
+
+    Vertical edges at same-colored vertices merge old linkage classes with the
+    new slice's components; an old class with no surviving connection closes.
+    """
+    p = max(old_link) + 1
+    q = max(new_comp) + 1
+    parent = list(range(p + q))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for v in range(nv):
+        if old_colors[v] == new_colors[v]:
+            ra = find(old_link[v])
+            rb = find(p + new_comp[v])
+            if ra != rb:
+                parent[ra] = rb
+    surviving = {find(p + c) for c in range(q)}
+    closed = sum(1 for c in range(p) if find(c) not in surviving)
+    return _canonical_rgs(find(p + new_comp[v]) for v in range(nv)), closed
+
+
+def _general_step(nv: int, table, states: StateWeights) -> StateWeights:
+    """The step on arbitrary weights: every (profile, new coloring) pair."""
+    out: StateWeights = {}
+    for profile, weight in states.items():
+        old_colors = profile.colors
+        old_link = profile.linkage
+        for new_colors, new_comp in table:
+            new_link, closed = _transition(nv, old_colors, old_link, new_colors, new_comp)
+            key = Profile(new_colors, new_link)
+            shifted = weight.shift_y(closed) if closed else weight
+            acc = out.get(key)
+            out[key] = shifted if acc is None else acc + shifted
+    return out
+
+
+# -- orbit lumping ---------------------------------------------------------------
+
+
+def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of Aut(g), as vertex maps v -> perm[v].
+
+    Walks the stabiliser chain from its deepest level up: at level i the
+    automorphisms found so far fix 0..i-1, and for each image c of i outside
+    their orbit of i, one automorphism fixing 0..i-1 and sending i to c is
+    found by backtracking and added.  The result generates the whole group,
+    which is never enumerated.
+    """
+    n = g.n
+    adj = [set(nbrs) for nbrs in g.adj]
+    invariant = [
+        (len(g.adj[v]), sorted(len(g.adj[u]) for u in g.adj[v])) for v in range(n)
+    ]
+    image = list(range(n))
+    used = [False] * n
+
+    def fits(v: int, w: int) -> bool:
+        return invariant[v] == invariant[w] and all(
+            (u in adj[v]) == (image[u] in adj[w]) for u in range(v)
+        )
+
+    def extend(v: int) -> bool:
+        if v == n:
+            return True
+        for w in range(n):
+            if not used[w] and fits(v, w):
+                image[v], used[w] = w, True
+                if extend(v + 1):
+                    return True
+                used[w] = False
+        return False
+
+    generators: list[tuple[int, ...]] = []
+    for i in reversed(range(n)):
+        orbit = {i}
+        for c in range(i + 1, n):
+            if c in orbit:
+                continue
+            image[:] = range(n)
+            used[:] = [v < i or v == c for v in range(n)]
+            image[i] = c
+            if fits(i, c) and extend(i + 1):
+                generators.append(tuple(image))
+                orbit = _point_orbit(i, generators)
+    return generators
+
+
+def _point_orbit(v: int, perms) -> set[int]:
+    orbit = {v}
+    frontier = [v]
+    for u in frontier:
+        for perm in perms:
+            if perm[u] not in orbit:
+                orbit.add(perm[u])
+                frontier.append(perm[u])
+    return orbit
+
+
+class _LumpedOperator:
+    """The step operator of one (slice, k) on orbits of S_k x Aut(slice).
+
+    Orbits are registered as the DP meets them; a row is built from an
+    orbit's representative the first time that orbit carries weight.
+    """
+
+    def __init__(self, g: Graph, k: int):
+        self.nv = g.n
+        self.k = k
+        self.generators = _automorphism_generators(g)
+        self.orbit_of: dict[tuple, int] = {}  # (colors, linkage) of every member
+        self.reps: list[tuple] = []
+        self.sizes: list[int] = []
+        self.members: list[list[Profile]] = []
+        self.rows: list[list[tuple[int, int, int]] | None] = []
+
+    def orbit(self, colors: tuple[int, ...], linkage: tuple[int, ...]) -> int | None:
+        """Orbit id of a profile, or None if it is not a well-formed profile."""
+        found = self.orbit_of.get((colors, linkage))
+        if found is not None:
+            return found
+        nv, k = self.nv, self.k
+        if not (
+            len(colors) == nv == len(linkage)
+            and all(type(c) is int and 0 <= c < k for c in colors)
+            and _canonical_rgs(linkage) == linkage
+        ):
+            return None
+        return self._register((_canonical_rgs(colors), linkage))
+
+    def _register(self, canon: tuple) -> int:
+        # closure of one S_k-canonical profile under the automorphism
+        # generators (read as v <- perm[v]: the inverses generate the same group)
+        canonical = [canon]
+        seen = {canon}
+        for colors, linkage in canonical:
+            for perm in self.generators:
+                image = (
+                    _canonical_rgs([colors[u] for u in perm]),
+                    _canonical_rgs([linkage[u] for u in perm]),
+                )
+                if image not in seen:
+                    seen.add(image)
+                    canonical.append(image)
+        used = max(canon[0]) + 1
+        members = [
+            Profile(tuple(relabel[c] for c in colors), linkage)
+            for colors, linkage in canonical
+            for relabel in itertools.permutations(range(self.k), used)
+        ]
+        index = len(self.reps)
+        for profile in members:
+            self.orbit_of[(profile.colors, profile.linkage)] = index
+        self.reps.append(canon)
+        self.sizes.append(len(members))
+        self.members.append(members)
+        self.rows.append(None)
+        return index
+
+    def row(self, source: int, table) -> list[tuple[int, int, int]]:
+        """(target orbit, y shift, count): the count is the number of
+        (profile, coloring) pairs from the source orbit that land on any one
+        profile of the target orbit with that shift."""
+        row = self.rows[source]
+        if row is not None:
+            return row
+        colors, linkage = self.reps[source]
+        multiplicity: dict[tuple[int, int], int] = {}
+        for new_colors, new_comp in table:
+            new_link, closed = _transition(self.nv, colors, linkage, new_colors, new_comp)
+            target = self.orbit_of.get((new_colors, new_link))
+            if target is None:
+                target = self._register((_canonical_rgs(new_colors), new_link))
+            key = (target, closed)
+            multiplicity[key] = multiplicity.get(key, 0) + 1
+        row = []
+        for (target, closed), m in multiplicity.items():
+            count, remainder = divmod(self.sizes[source] * m, self.sizes[target])
+            if remainder:
+                raise ArithmeticError("orbit sums are not lumpable")
+            row.append((target, closed, count))
+        self.rows[source] = row
+        return row
+
+
+@lru_cache(maxsize=32)
+def _operator(g: Graph, k: int) -> _LumpedOperator:
+    """The operator of (g, k), kept so that later steps reuse its rows."""
+    return _LumpedOperator(g, k)
+
+
+def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeights | None:
+    """The step computed on orbits, or None unless the input is symmetric:
+    every orbit it touches fully present, with one weight on all members."""
+    weights: dict[int, LaurentPoly2] = {}
+    present: dict[int, int] = {}
+    for profile, weight in states.items():
+        orbit = op.orbit(profile.colors, profile.linkage)
+        if orbit is None:
+            return None
+        first = weights.get(orbit)
+        if first is None:
+            if not isinstance(weight, LaurentPoly2):
+                return None
+            weights[orbit] = weight
+            present[orbit] = 1
+        elif first is weight or (isinstance(weight, LaurentPoly2) and first == weight):
+            present[orbit] += 1
+        else:
+            return None
+    if any(count != op.sizes[orbit] for orbit, count in present.items()):
+        return None
+    sums: dict[int, dict] = {}
+    for orbit, weight in weights.items():
+        terms = weight._terms
+        for target, closed, count in op.row(orbit, table):
+            acc = sums.get(target)
+            if acc is None:
+                acc = sums[target] = {}
+            for (i, j), c in terms.items():
+                key = (i, j + closed)
+                acc[key] = acc.get(key, 0) + c * count
+    out: StateWeights = {}
+    for target, acc in sums.items():
+        poly = LaurentPoly2._raw({key: c for key, c in acc.items() if c})
+        for profile in op.members[target]:
+            out[profile] = poly
+    return out
+
+
 def step(
     g: Graph,
     k: int,
@@ -114,40 +367,13 @@ def step(
     For each (old profile, new coloring): vertical edges at same-colored
     vertices merge old linkage classes with the new slice's components; old
     classes with no surviving connection close and pay y each; the new
-    profile keeps only what the new slice can see.
+    profile keeps only what the new slice can see.  Symmetric input (one
+    weight per orbit, see the module docstring) is computed on orbits.
     """
     _check_caps(g, k, vertex_cap, state_cap)
     table = _slice_table(g, k)
-    nv = g.n
-    out: StateWeights = {}
-    for profile, weight in states.items():
-        old_colors = profile.colors
-        old_link = profile.linkage
-        p = max(old_link) + 1
-        for new_colors, new_comp in table:
-            q = max(new_comp) + 1
-            parent = list(range(p + q))
-
-            def find(a: int) -> int:
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            for v in range(nv):
-                if old_colors[v] == new_colors[v]:
-                    ra = find(old_link[v])
-                    rb = find(p + new_comp[v])
-                    if ra != rb:
-                        parent[ra] = rb
-            surviving = {find(p + c) for c in range(q)}
-            closed = sum(1 for c in range(p) if find(c) not in surviving)
-            new_link = _canonical_rgs(find(p + new_comp[v]) for v in range(nv))
-            key = Profile(new_colors, new_link)
-            shifted = weight.shift_y(closed) if closed else weight
-            acc = out.get(key)
-            out[key] = shifted if acc is None else acc + shifted
-    return out
+    out = _lumped_step(_operator(g, k), table, states)
+    return _general_step(g.n, table, states) if out is None else out
 
 
 def finalize(states: StateWeights) -> LaurentPoly2:

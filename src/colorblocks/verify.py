@@ -16,6 +16,7 @@ from typing import Callable
 
 from . import closed_forms as cf
 from . import fixtures as fx
+from . import transfer
 from .algebra import LaurentPoly2, RationalGF, gf_equal, series_expand
 from .combinatorics import (
     binomial,
@@ -266,6 +267,21 @@ def check_complete_slice_states():
         _expect_equal(len(states), k**m, f"reachable profiles K_{m} k={k}")
 
 
+def check_lumped_step():
+    """The orbit-lumped step equals the general path on symmetric input."""
+    for g, k in [(star(3), 2), (cycle(4), 3), (path(4), 2)]:
+        table = transfer._slice_table(g, k)
+        op = transfer._operator(g, k)
+        states = initial_states(g, k)
+        for t in range(1, 4):
+            lumped = transfer._lumped_step(op, table, states)
+            if lumped is None:
+                raise CheckFailure(f"step {t} on {g.n}-vertex slice k={k}: fast path not taken")
+            states = transfer._general_step(g.n, table, states)
+            differing = sum(1 for p in lumped.keys() | states.keys() if lumped.get(p) != states.get(p))
+            _expect_equal(differing, 0, f"profiles where the paths differ, step {t}, {g.n}-vertex slice k={k}")
+
+
 def check_color_classes():
     classes = color_classes(4, 2)
     _expect_equal([c.size for c in classes], [2, 8, 6], "class sizes (4,2)")
@@ -488,6 +504,7 @@ ALL_CHECKS: list[Check] = [
     Check("engine vs brute force, larger", ("full",), check_engine_against_bruteforce_full),
     Check("engine mass conservation", ("quick", "full"), check_engine_mass_conservation),
     Check("complete-slice state count", ("quick", "full"), check_complete_slice_states),
+    Check("orbit-lumped step vs general path", ("quick", "full"), check_lumped_step),
     Check("color classes", ("quick", "full"), check_color_classes),
     Check("reduced system, small slices", ("quick", "full"), check_km_system_small),
     Check("reduced-system series vs engine", ("quick", "full"), check_km_series_vs_engine),

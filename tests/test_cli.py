@@ -128,6 +128,19 @@ class TestDist:
         assert doc["expected_decimal"] == "1.875000"
         assert doc["decimal_places"] == 6
 
+    def test_decimals_beyond_the_default_exponent_range(self, capsys):
+        places = 1000100
+        doc = run_json(
+            capsys, "expect", "--graph", "complete:4", "--k", "3", "--decimals", str(places)
+        )
+        assert doc["expected"] == "65/27"
+        whole, _, fraction = doc["expected_decimal"].partition(".")
+        assert doc["decimal_places"] == places == len(fraction)
+        # 65/27 = 2.407407...: the last place shown is a 0 followed by 7, so it rounds to 1
+        assert whole == "2"
+        assert fraction[:-1] == ("407" * (places // 3 + 1))[: places - 1]
+        assert fraction[-1] == "1"
+
     def test_threads_flag(self, capsys):
         doc = run_json(
             capsys, "dist", "--graph", "path:8", "--k", "2", "--threads", "3"

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -62,3 +63,14 @@ def test_json_round_trip():
 def test_json_rejects_bad_keys():
     with pytest.raises(ValueError):
         poly_from_json({"nope": "1"})
+
+
+def test_round_trip_beyond_the_int_str_limit():
+    limit = sys.get_int_max_str_digits()
+    p = LaurentPoly2({(0, 1): 7**6000, (2, -1): -Fraction(3**9100, 2**15000 + 1), (1, 0): 5})
+    assert poly_from_json(poly_to_json(p)) == p
+    q = LaurentPoly2({(0, 1): 7**6000, (2, 0): -(5**7000), (0, 0): 3})
+    assert parse_poly(format_poly(q).replace(" ", "")) == q
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError):
+        poly_from_json({"0,0": "1" * 5000 + "x"})

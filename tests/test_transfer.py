@@ -1,8 +1,12 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorblocks import closed_forms as cf
+from colorblocks import transfer
 from colorblocks.algebra import LaurentPoly2, RationalGF, gf_equal, series_expand
 from colorblocks.errors import CapExceededError
 from colorblocks.fixtures import fixture_gf
@@ -283,3 +287,210 @@ class TestIntegerCoefficients:
         assert self._all_int(cf.tree_distribution(40, 3).poly)
         assert self._all_int(cf.pbt_distribution(4, 2).poly)
         assert all(type(c) is int for c in cf.tree_distribution(9, 2).coefficients().values())
+
+
+# -- orbit-lumped step -----------------------------------------------------------------
+
+
+GENERAL_STEP = transfer._general_step
+
+
+def _general(g, k, states):
+    """The general path on any input: the reference the fast path is checked against."""
+    return GENERAL_STEP(g.n, transfer._slice_table(g, k), states)
+
+
+def _step_and_general_outputs(g, k, states):
+    """step's result, and the result of each general-path call it made."""
+    outputs = []
+
+    def recorded(*args):
+        outputs.append(GENERAL_STEP(*args))
+        return outputs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_general_step", recorded)
+        return step(g, k, states), outputs
+
+
+@st.composite
+def connected_slices(draw, max_vertices=5):
+    """A connected graph: a random spanning tree plus random extra edges."""
+    n = draw(st.integers(1, max_vertices))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))) if pairs else set()
+    return Graph.from_edges(n, sorted(edges))
+
+
+# the smallest graphs with no automorphism but the identity have six vertices
+ASYMMETRIC6 = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 5)])
+
+
+@st.composite
+def slice_cases(draw, max_colorings, min_k=1):
+    """(slice, k, n), k in min_k..3, n in 1..4, with k^(|V|*n) <= max_colorings."""
+    k = draw(st.integers(min_k, 3))
+    max_vertices = 5
+    while k**max_vertices > max_colorings:
+        max_vertices -= 1
+    g = draw(connected_slices(max_vertices))
+    n_max = 4
+    while k ** (g.n * n_max) > max_colorings:
+        n_max -= 1
+    return g, k, draw(st.integers(1, n_max))
+
+
+def _orbit_invariant_weights(states):
+    """Fraction weights that are equal on every orbit but differ between them."""
+    out = {}
+    for profile, weight in states.items():
+        used = len(set(profile.colors))
+        classes = max(profile.linkage) + 1
+        scale = LaurentPoly2.monomial(0, classes, Fraction(used, 3)) + Fraction(1, 7)
+        out[profile] = weight * scale
+    return out
+
+
+class TestLumpedStep:
+    def test_automorphism_free_slice(self):
+        assert transfer._automorphism_generators(ASYMMETRIC6) == []
+        lumped = general = initial_states(ASYMMETRIC6, 2)
+        for _ in range(3):
+            lumped = step(ASYMMETRIC6, 2, lumped)
+            general = _general(ASYMMETRIC6, 2, general)
+            assert lumped == general
+
+    @settings(max_examples=50, deadline=None)
+    @given(connected_slices())
+    def test_generators_generate_the_group(self, g):
+        edges = set(g.edges())
+        automorphisms = {
+            perm
+            for perm in itertools.permutations(range(g.n))
+            if all(tuple(sorted((perm[u], perm[v]))) in edges for u, v in edges)
+        }
+        generators = transfer._automorphism_generators(g)
+        group = {tuple(range(g.n))}
+        frontier = list(group)
+        for perm in frontier:
+            for gen in generators:
+                image = tuple(gen[v] for v in perm)
+                if image not in group:
+                    group.add(image)
+                    frontier.append(image)
+        assert group == automorphisms
+
+    @settings(max_examples=40, deadline=None)
+    @given(slice_cases(3**8))
+    def test_chain_equals_general_path(self, case):
+        g, k, n = case
+        lumped = general = initial_states(g, k)
+        for _ in range(n):
+            lumped = step(g, k, lumped)
+            general = _general(g, k, general)
+            assert lumped == general
+
+    @settings(max_examples=40, deadline=None)
+    @given(slice_cases(1 << 14))
+    def test_prism_equals_bruteforce(self, case):
+        g, k, n = case
+        want = distribution_bruteforce(cartesian_product(g, path(n)), k).poly
+        assert prism_distribution(g, k, n).poly == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(slice_cases(81))
+    def test_fraction_weights_take_the_fast_path(self, case):
+        g, k, _ = case
+        states = _orbit_invariant_weights(step(g, k, initial_states(g, k)))
+        got, general_outputs = _step_and_general_outputs(g, k, states)
+        assert general_outputs == []
+        assert got == _general(g, k, states)
+        assert any(type(c) is Fraction for w in got.values() for c in w.terms.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(slice_cases(81, min_k=2), st.integers(0, 10**6))
+    def test_asymmetric_input_takes_the_general_path(self, case, pick):
+        g, k, _ = case
+        symmetric = step(g, k, initial_states(g, k))
+        profiles = list(symmetric)
+        chosen = profiles[pick % len(profiles)]
+        perturbed = dict(symmetric)
+        perturbed[chosen] = symmetric[chosen] + LaurentPoly2.monomial(0, 5)
+        missing = dict(symmetric)
+        del missing[chosen]
+        for states in ({chosen: symmetric[chosen]}, perturbed, missing):
+            got, general_outputs = _step_and_general_outputs(g, k, states)
+            assert len(general_outputs) == 1 and got is general_outputs[0]
+
+    def test_ill_formed_profiles_take_the_general_path(self):
+        # a non-RGS linkage leaves class 0 empty, so it always closes
+        odd = {Profile((0, 0), (1, 1)): ONE, Profile((1, 1), (1, 1)): ONE}
+        got, general_outputs = _step_and_general_outputs(path(2), 2, odd)
+        assert len(general_outputs) == 1 and got is general_outputs[0]
+
+    def test_output_shares_one_weight_per_orbit(self):
+        states = step(star(3), 2, initial_states(star(3), 2))
+        assert len({id(w) for w in states.values()}) == 7
+
+
+def _reachable_orbits(g, k):
+    """Orbits the DP reaches, expanded from the first slice until none is new."""
+    op = transfer._operator(g, k)
+    table = transfer._slice_table(g, k)
+    frontier = list(dict.fromkeys(op.orbit(p.colors, p.linkage) for p in initial_states(g, k)))
+    seen = set(frontier)
+    for orbit in frontier:
+        for target, _, _ in op.row(orbit, table):
+            if target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return seen
+
+
+def _valid_profiles(g, k):
+    """Every boundary state a coloring allows: linkage classes are unions of
+    the slice's monochromatic components, each of one color."""
+    partitions = [()]
+    for _ in range(g.n):
+        partitions = [rgs + (c,) for rgs in partitions for c in range(max(rgs, default=-1) + 2)]
+    for colors, comp in transfer._slice_table(g, k):
+        for linkage in partitions:
+            if all(
+                (comp[u] != comp[v] or linkage[u] == linkage[v])
+                and (linkage[u] != linkage[v] or colors[u] == colors[v])
+                for u in range(g.n)
+                for v in range(u)
+            ):
+                yield colors, linkage
+
+
+class TestOrbitCounts:
+    @pytest.mark.parametrize(
+        "g,k,orbits",
+        [
+            (star(3), 2, 7),
+            (complete(4), 2, 3),
+            (complete(4), 3, 4),
+            (cycle(4), 3, 8),
+            (path(6), 2, 59),
+            (star(4), 2, 11),
+            (star(5), 2, 16),
+        ],
+    )
+    def test_reachable_orbits(self, g, k, orbits):
+        assert len(_reachable_orbits(g, k)) == orbits
+
+    def test_complete_slice_orbits_are_color_classes(self):
+        for m, k in [(3, 2), (4, 3), (5, 2)]:
+            assert len(_reachable_orbits(complete(m), k)) == len(color_classes(m, k))
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_star_profile_count_counts_valid_states(self, m):
+        g = star(m)
+        op = transfer._operator(g, 2)
+        valid = {op.orbit(colors, linkage) for colors, linkage in _valid_profiles(g, 2)}
+        assert len(valid) == cf.star_profile_count(m)
+        reached = _reachable_orbits(g, 2)
+        assert reached <= valid
+        assert len(reached) == 1 + m * (m + 1) // 2
