@@ -5,14 +5,19 @@ partition: its blocks are the maximal monochromatic connected components.
 ``distribution_bruteforce`` tallies y^(number of blocks) over all colorings.
 
 Colorings are enumerated as mixed-radix counters over a fixed vertex order,
-range-partitioned into chunks; each chunk is processed as a numpy array
-(one row per coloring) with min-label propagation doing the per-coloring
-component count.  The per-chunk tallies are merged by addition, so chunking
-never affects the result.
+range-partitioned into chunks; each chunk is a column-major numpy table (one
+row per coloring, one column per vertex).  The blocks of every row are counted
+in one union pass in vertex order (incremental set union, as in Tarjan, J.
+ACM 22, 1975): vertices are added one at a time, each monochromatic edge to an
+earlier vertex merges two labels, and only the frontier, the added vertices
+that still have a neighbour to come, keeps its labels up to date.  The
+per-chunk tallies are merged by addition, so chunking never affects the
+result.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,43 +98,82 @@ def _check_cap(g: Graph, k: int, cap: int) -> int:
     return total
 
 
+def _narrowest_int(top: int) -> type:
+    """The narrowest signed numpy integer dtype that holds 0..top."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
 def _color_chunk(lo: int, hi: int, n: int, k: int) -> np.ndarray:
-    """Rows lo..hi-1 of the mixed-radix coloring table (vertex 0 most significant)."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    colors = np.empty((hi - lo, n), dtype=np.int32)
-    for v in range(n):
-        colors[:, v] = (idx // k ** (n - 1 - v)) % k
+    """Rows lo..hi-1 of the mixed-radix coloring table (vertex 0 most significant).
+
+    Column-major in the narrowest dtype that holds k-1, so each vertex's
+    colors are one contiguous column.  The digits come from a running
+    quotient, least significant digit first; numpy divides an integer array
+    by a scalar several times faster with ``//`` than with ``divmod``/``%``.
+    """
+    colors = np.empty((hi - lo, n), dtype=_narrowest_int(k - 1), order="F")
+    q = np.arange(lo, hi, dtype=np.int32 if max(hi, k) < 1 << 31 else np.int64)
+    for v in range(n - 1, -1, -1):
+        quotient = q // k
+        colors[:, v] = q - quotient * k
+        q = quotient
     return colors
 
 
 def _chunk_block_counts(colors: np.ndarray, edges: list[tuple[int, int]]) -> np.ndarray:
     """Per-row component counts of the monochromatic subgraph.
 
-    Min-label propagation: labels start as vertex indices and flow along
-    monochromatic edges until a fixpoint; each component then holds its
-    minimum vertex index exactly once.
+    One union pass in vertex order, over all rows at once.  Every row starts
+    with n blocks and each vertex labelled by its own index.  Edges are taken
+    by (later endpoint, earlier endpoint); where an edge is monochromatic and
+    joins two different labels, the larger label becomes the smaller one and
+    the row loses a block.  Labels stay exact only on the frontier: vertices
+    added so far that still have a neighbour at the current vertex or later,
+    the only ones a later edge reads.  The frontier changes once per vertex.
+    At the first edge into a vertex, that vertex is alone in its block and
+    holds the largest label, so only its own label changes.
     """
     rows, n = colors.shape
-    dtype = np.int16 if n > 127 else np.int8
-    labels = np.tile(np.arange(n, dtype=dtype), (rows, 1))
-    mono = [(u, v, colors[:, u] == colors[:, v]) for u, v in edges]
-    mono = [(u, v, mask) for u, v, mask in mono if mask.any()]
-    changed = True
-    while changed:
-        changed = False
-        for u, v, mask in mono:
-            lu = labels[:, u]
-            lv = labels[:, v]
-            mn = np.where(lu < lv, lu, lv)
-            um = mask & (lu > mn)
-            vm = mask & (lv > mn)
-            if um.any():
-                labels[um, u] = mn[um]
-                changed = True
-            if vm.any():
-                labels[vm, v] = mn[vm]
-                changed = True
-    return (labels == np.arange(n, dtype=dtype)).sum(axis=1)
+    edges = sorted(((min(e), max(e)) for e in edges), key=lambda e: (e[1], e[0]))
+    last = [-1] * n  # a vertex's latest later neighbour
+    for u, v in edges:
+        last[u] = v
+    blocks = np.full(rows, n, dtype=_narrowest_int(n))
+    labels = np.empty((rows, n), dtype=_narrowest_int(n - 1), order="F")
+    same = np.empty(rows, dtype=bool)
+    hit = np.empty(rows, dtype=bool)
+    frontier: list[int] = []
+    added = 0
+    current = -1
+    for u, v in edges:
+        lu, lv = labels[:, u], labels[:, v]
+        np.equal(colors[:, u], colors[:, v], out=same)
+        if v != current:
+            current = v
+            frontier = [w for w in frontier if last[w] >= v]
+            for w in range(added, v + 1):
+                if last[w] >= v or w == v:
+                    labels[:, w] = w
+                    frontier.append(w)
+            added = v + 1
+            blocks -= same
+            lv -= (v - lu) * same
+            continue
+        high = np.maximum(lu, lv)
+        drop = high - np.minimum(lu, lv)
+        drop *= same  # 0 where nothing merges
+        np.not_equal(drop, 0, out=hit)
+        if not hit.any():
+            continue
+        blocks -= hit
+        for w in frontier:
+            lw = labels[:, w]
+            np.equal(lw, high, out=hit)
+            lw -= hit * drop
+    return blocks
 
 
 def _tally_range(g: Graph, k: int, lo: int, hi: int) -> np.ndarray:
@@ -143,6 +187,29 @@ def _tally_range(g: Graph, k: int, lo: int, hi: int) -> np.ndarray:
     return counts
 
 
+def _tally_threads(g: Graph, k: int, total: int, threads: int) -> np.ndarray:
+    """``_tally_range(g, k, 0, total)`` split into equal ranges, one thread each."""
+    bounds = [total * i // threads for i in range(threads + 1)]
+    ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    partials: list = [None] * len(ranges)
+
+    def work(i: int, lo: int, hi: int):
+        try:
+            partials[i] = _tally_range(g, k, lo, hi)
+        except BaseException as exc:  # re-raised on the calling thread
+            partials[i] = exc
+
+    workers = [threading.Thread(target=work, args=(i, *r)) for i, r in enumerate(ranges)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    for partial in partials:
+        if isinstance(partial, BaseException):
+            raise partial
+    return sum(partials, np.zeros(g.n + 1, dtype=np.int64))
+
+
 def distribution_bruteforce(
     g: Graph,
     k: int,
@@ -152,17 +219,7 @@ def distribution_bruteforce(
     """Exact block distribution of (g, k) by full enumeration."""
     total = _check_cap(g, k, cap)
     if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = np.linspace(0, total, threads + 1, dtype=np.int64)
-        ranges = [
-            (int(bounds[i]), int(bounds[i + 1]))
-            for i in range(threads)
-            if bounds[i] < bounds[i + 1]
-        ]
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            partials = pool.map(lambda r: _tally_range(g, k, *r), ranges)
-            counts = sum(partials, np.zeros(g.n + 1, dtype=np.int64))
+        counts = _tally_threads(g, k, total, threads)
     else:
         counts = _tally_range(g, k, 0, total)
     poly = LaurentPoly2({(0, b): int(counts[b]) for b in range(1, g.n + 1)})

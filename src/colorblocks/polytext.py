@@ -2,8 +2,9 @@
 
 Text syntax: integer coefficients, ``x``, ``y``, ``^`` (integer exponents,
 negative allowed for y), ``*``, ``+``, ``-``, parentheses, and division by a
-constant or a power of y (as in ``(3*y^2+2*y+1)/y``).  No whitespace, no
-implicit multiplication.
+constant or a power of y (as in ``(3*y^2+2*y+1)/y``).  Whitespace may
+separate tokens, as ``format_poly`` writes it; there is no implicit
+multiplication, so ``2 3`` and ``x y`` are errors.
 
 JSON form: an object mapping ``"i,j"`` exponent keys to coefficient strings
 in decimal ``num/den`` form (just ``num`` for an integer), exact and
@@ -100,6 +101,9 @@ class _Parser:
         return PolyParseError(message, self.pos)
 
     def peek(self) -> str:
+        """The next character after any whitespace, or "" at the end."""
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def expect(self, ch: str):
@@ -108,14 +112,16 @@ class _Parser:
         self.pos += 1
 
     def parse_int(self) -> int:
-        start = self.pos
-        if self.peek() == "-":
+        negative = self.peek() == "-"
+        if negative:
             self.pos += 1
         if not self.peek().isdigit():
             raise self.error("expected an integer")
-        while self.peek().isdigit():
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        return _decimal_int(self.text[start : self.pos])
+        value = _decimal_int(self.text[start : self.pos])
+        return -value if negative else value
 
     def parse_expr(self) -> LaurentPoly2:
         value = self.parse_term()
@@ -185,7 +191,7 @@ class _Parser:
 def parse_poly(text: str) -> LaurentPoly2:
     parser = _Parser(text)
     value = parser.parse_expr()
-    if parser.pos != len(text):
+    if parser.peek():
         raise parser.error("trailing input")
     return value
 

@@ -9,6 +9,7 @@ enumerations).
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,7 @@ from .combinatorics import (
 )
 from .errors import CheckFailure
 from .graphs import (
+    Graph,
     cartesian_product,
     complete,
     complete_bipartite,
@@ -37,7 +39,7 @@ from .graphs import (
     random_tree,
     star,
 )
-from .oracle import distribution_bruteforce, proper_coloring_count
+from .oracle import block_count, distribution_bruteforce, proper_coloring_count
 from .polytext import format_poly, parse_poly
 from .transfer import (
     color_classes,
@@ -486,6 +488,25 @@ def check_distribution_properties():
                 raise CheckFailure(f"odd coefficients at exponents {odd} for |V|={g.n} k=2")
 
 
+def check_bruteforce_kernel():
+    pool = [
+        (cycle(5), 3), (grid(3, 3), 2), (complete(5), 2),
+        # vertex 3 joins two blocks, then reads a neighbour they relabelled
+        (Graph.from_edges(5, [(1, 2), (0, 3), (1, 3), (2, 3), (3, 4)]), 3),
+        (Graph.from_edges(4, []), 3),
+        (Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6)]), 2),
+        (path(6), 1),
+    ]
+    for g, k in pool:
+        want: dict[int, int] = {}
+        for coloring in itertools.product(range(k), repeat=g.n):
+            blocks = block_count(g, coloring)
+            want[blocks] = want.get(blocks, 0) + 1
+        for threads in (1, 2):
+            got = distribution_bruteforce(g, k, threads=threads).coefficients()
+            _expect_equal(got, want, f"brute force vs union-find |V|={g.n} k={k} threads={threads}")
+
+
 ALL_CHECKS: list[Check] = [
     Check("poly ring identities", ("quick", "full"), check_poly_ring_identities),
     Check("series of x/(1-x)", ("quick", "full"), check_series_geometric),
@@ -523,6 +544,7 @@ ALL_CHECKS: list[Check] = [
     Check("star boundary-state count", ("quick", "full"), check_star_profile_count),
     Check("graph builders and spec parser", ("quick", "full"), check_graph_builders),
     Check("distribution properties", ("quick", "full"), check_distribution_properties),
+    Check("brute-force kernel vs union-find", ("quick", "full"), check_bruteforce_kernel),
 ]
 
 

@@ -1,7 +1,12 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from colorblocks import oracle
 from colorblocks.errors import CapExceededError
 from colorblocks.graphs import (
     Graph,
@@ -173,3 +178,69 @@ class TestInvariants:
 def test_distribution_type_rejects_x_terms():
     with pytest.raises(ValueError):
         BlockDistribution(parse_poly("x*y"), 1, 2)
+
+
+def _enumerated(g, k):
+    """block_count over every coloring: the scalar reference for the kernel."""
+    return dict(Counter(block_count(g, c) for c in itertools.product(range(k), repeat=g.n)))
+
+
+@st.composite
+def any_graphs(draw, max_vertices=8):
+    """Any simple graph, edgeless and disconnected ones included."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+class TestKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(any_graphs(), st.integers(1, 3))
+    def test_equals_union_find_over_all_colorings(self, g, k):
+        want = _enumerated(g, k)
+        for threads in (1, 2, 3):
+            assert distribution_bruteforce(g, k, threads=threads).coefficients() == want
+
+    def test_chunks_split_a_shared_prefix(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_CHUNK_ROWS", 7)
+        pool = [
+            (cycle(5), 3), (grid(2, 3), 2),
+            (Graph.from_edges(6, [(0, 5), (1, 2), (2, 4)]), 2),
+        ]
+        for g, k in pool:
+            for threads in (1, 2):
+                assert distribution_bruteforce(g, k, threads=threads).coefficients() == _enumerated(g, k)
+
+    @pytest.mark.parametrize("k", [200, 300])
+    def test_colors_wider_than_int8(self, k):
+        assert distribution_bruteforce(path(2), k).coefficients() == {1: k, 2: k * (k - 1)}
+
+    def test_labels_wider_than_int16(self):
+        g = Graph.from_edges(40_000, [(0, 39_999), (39_998, 39_999)])
+        assert distribution_bruteforce(g, 1).coefficients() == {39_998: 1}
+
+    def test_long_path_one_color(self):
+        # one coloring, 2999 edges: each edge touches a frontier of two vertices
+        assert distribution_bruteforce(path(3000), 1).poly == parse_poly("y")
+
+    @pytest.mark.parametrize("lo,hi,n,k", [(37, 250, 5, 3), (2**40 - 3, 2**40 + 3, 45, 2), (5, 9, 1, 1000)])
+    def test_color_chunk_is_mixed_radix(self, lo, hi, n, k):
+        colors = oracle._color_chunk(lo, hi, n, k)
+        want = [[(i // k ** (n - 1 - v)) % k for v in range(n)] for i in range(lo, hi)]
+        assert colors.tolist() == want
+        assert colors.flags.f_contiguous and np.iinfo(colors.dtype).max >= k - 1
+
+    def test_kernel_rows_are_block_counts(self):
+        g = Graph.from_edges(5, [(3, 4), (0, 1), (1, 2), (0, 2)])
+        table = list(itertools.product(range(2), repeat=g.n))
+        blocks = oracle._chunk_block_counts(np.array(table), g.edges())
+        assert blocks.tolist() == [block_count(g, c) for c in table]
+
+    def test_worker_errors_reach_the_caller(self, monkeypatch):
+        def fail(colors, edges):
+            raise MemoryError("kernel")
+
+        monkeypatch.setattr(oracle, "_chunk_block_counts", fail)
+        with pytest.raises(MemoryError):
+            distribution_bruteforce(path(4), 2, threads=2)

@@ -53,6 +53,25 @@ def test_format_parse_round_trip():
         assert parse_poly(format_poly(p).replace(" ", "")) == p
 
 
+def test_parse_reads_format_output_with_spaces():
+    samples = [
+        LaurentPoly2({(2, 0): -5, (1, 1): 1, (0, 1): 3}),
+        LaurentPoly2({(3, -2): 2, (1, 1): -1, (0, 0): 7}),
+        LaurentPoly2({(0, 1): 7**6000, (2, 0): -(5**7000), (0, 0): 3}),
+        LaurentPoly2.const(-5),
+    ]
+    for p in samples:
+        assert parse_poly(format_poly(p)) == p
+    assert format_poly(samples[0]) == "-5*x^2 + x*y + 3*y"
+    assert parse_poly(" ( y + 1 ) * ( y - 1 ) ") == parse_poly("y^2-1")
+
+
+def test_whitespace_is_no_multiplication():
+    for text in ("2 3", "x y", "2 y", "y^2 3", "12 34"):
+        with pytest.raises(PolyParseError):
+            parse_poly(text)
+
+
 def test_json_round_trip():
     p = LaurentPoly2({(0, -2): Fraction(1, 2), (3, 4): -7, (1, 0): 5})
     data = poly_to_json(p)
