@@ -30,6 +30,10 @@ Coeff = int | Fraction
 
 _MAX_DIV_STEPS = 200_000  # backstop against a non-exact division looping
 
+# largest system bareiss_solve takes: the bivariate elimination grows steeply
+# with the dimension
+MAX_SYSTEM_DIM = 12
+
 
 def _coerce(value: Coeff) -> Coeff:
     """An ``int`` for every integral value, else the ``Fraction`` itself."""
@@ -183,31 +187,7 @@ class LaurentPoly2:
     __rmul__ = __mul__
 
     def _square(self) -> "LaurentPoly2":
-        # symmetric product: half the multiplications of a general multiply
-        items = list(self._terms.items())
-        out: dict[Key, Coeff] = {}
-        get = out.get
-        for idx, ((i1, j1), c1) in enumerate(items):
-            key = (i1 + i1, j1 + j1)
-            term = c1 * c1
-            s = get(key)
-            s = term if s is None else s + term
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-            for pos in range(idx + 1, len(items)):
-                (i2, j2), c2 = items[pos]
-                key = (i1 + i2, j1 + j2)
-                term = c1 * c2
-                term = term + term
-                s = get(key)
-                s = term if s is None else s + term
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return LaurentPoly2._raw(out)
+        return self * self
 
     def __pow__(self, e: int) -> "LaurentPoly2":
         if not isinstance(e, int) or e < 0:
@@ -436,7 +416,6 @@ def _bareiss_det(matrix: list[list[LaurentPoly2]]) -> LaurentPoly2:
 def bareiss_solve(
     matrix: Sequence[Sequence[LaurentPoly2]],
     rhs: Sequence[LaurentPoly2],
-    max_dim: int = 12,
 ) -> list[RationalGF]:
     """Solve t = b + x*M*t exactly, i.e. (I - x*M) t = b.
 
@@ -454,8 +433,8 @@ def bareiss_solve(
     n = len(matrix)
     if n == 0:
         return []
-    if n > max_dim:
-        raise DimensionLimitError(f"system dimension {n} exceeds limit {max_dim}")
+    if n > MAX_SYSTEM_DIM:
+        raise DimensionLimitError(f"system dimension {n} exceeds limit {MAX_SYSTEM_DIM}")
     if len(rhs) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square and match the rhs length")
     for row in matrix:

@@ -5,7 +5,8 @@ default (``--format csv`` for spreadsheet rows).  Every big number is emitted
 as a decimal string -- coefficients routinely exceed 2^53 -- and exact fields
 are never rounded; ``--decimals`` adds an explicitly rounded rendering.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap exceeded.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap exceeded
+(an enumeration or state cap, or the dimension limit of the symbolic solve).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from . import closed_forms as cf
 from . import verify as verify_mod
 from .algebra import series_expand
-from .errors import CapExceededError, GraphSpecError, PolyParseError
+from .errors import CapExceededError, DimensionLimitError, GraphSpecError, PolyParseError
 from .fixtures import FIXTURE_IDS, fixture_gf, fixture_k
 from .graphs import parse_graph_spec, split_prism_spec
 from .oracle import (
@@ -53,24 +54,6 @@ def _decimal_string(value: Fraction, places: int) -> str:
         return str(d.quantize(quantum))
 
 
-def _distribution_doc(args, dist: BlockDistribution, elapsed_ms: int) -> dict:
-    coeffs = dist.coefficients()
-    doc = {
-        "graph": args.graph,
-        "k": args.k,
-        "method": args.method,
-        "vertices": dist.vertex_count,
-        "distribution": {str(j): format_rational(c) for j, c in coeffs.items()},
-        "total": format_rational(dist.total()),
-        "expected": format_rational(dist.expected()),
-        "elapsed_ms": elapsed_ms,
-    }
-    if args.decimals is not None:
-        doc["expected_decimal"] = _decimal_string(dist.expected(), args.decimals)
-        doc["decimal_places"] = args.decimals
-    return doc
-
-
 def _emit(doc: dict, fmt: str, csv_rows=None, csv_header=None):
     if fmt == "json":
         print(json.dumps(doc, indent=2))
@@ -80,120 +63,57 @@ def _emit(doc: dict, fmt: str, csv_rows=None, csv_header=None):
         writer.writerows(csv_rows)
 
 
-def _dist_csv_rows(dist: BlockDistribution):
-    return [(0, j, format_rational(c)) for j, c in dist.coefficients().items()]
-
-
-def _closed_form_distribution(spec: str, k: int) -> BlockDistribution:
-    head, _, tail = spec.partition(":")
-    if head in ("path", "cycle", "complete", "star", "pbt") and tail.isdigit():
-        value = int(tail)
-        if head == "path":
-            return cf.tree_distribution(value, k)
-        if head == "star":
-            return cf.tree_distribution(value + 1, k)
-        if head == "pbt":
-            return cf.pbt_distribution(value, k)
-        if head == "cycle":
-            return cf.cycle_distribution(value, k)
-        return cf.complete_distribution(value, k)
-    prism = split_prism_spec(spec)
-    if prism is not None:
-        inner, n = prism
-        fam, _, size = inner.partition(":")
-        if fam == "complete" and size.isdigit():
-            coeff = series_expand(km_prism_gf(int(size), k), n)[n]
-            return BlockDistribution(coeff, int(size) * n, k)
-    raise UsageError(
-        f"no closed-form distribution for {spec!r}; recognized: path/cycle/"
-        "complete/star/pbt:<n> and product(complete:<m>,path:<n>)"
-    )
-
-
-def _closed_form_expectation(spec: str, k: int) -> tuple[Fraction, int]:
-    """Returns (expected value, vertex count)."""
-    head, _, tail = spec.partition(":")
-    if head in ("path", "cycle", "complete", "star", "pbt") and "," not in tail and tail.isdigit():
-        value = int(tail)
-        if head == "path":
-            return cf.tree_expected(value, k), value
-        if head == "star":
-            return cf.tree_expected(value + 1, k), value + 1
-        if head == "pbt":
-            return cf.pbt_expected(value, k), 2 ** (value + 1) - 1
-        if head == "cycle":
-            return cf.cycle_expected(value, k), value
-        return cf.complete_expected(value, k), value
-    if head == "bipartite":
-        parts = tail.split(",")
-        if len(parts) == 2 and all(p.isdigit() for p in parts):
-            n, m = int(parts[0]), int(parts[1])
-            return cf.bipartite_expected(n, m, k), n + m
-    prism = split_prism_spec(spec)
-    if prism is not None:
-        inner, n = prism
-        fam, _, size = inner.partition(":")
-        if fam == "complete" and size.isdigit():
-            return cf.complete_prism_expected(int(size), n, k), int(size) * n
-    raise UsageError(
-        f"no closed-form expectation for {spec!r}; recognized: path/cycle/"
-        "complete/star/pbt:<n>, bipartite:<n>,<m>, product(complete:<m>,path:<n>)"
-    )
-
-
-def _compute_distribution(args) -> BlockDistribution:
+def _compute(args) -> tuple[BlockDistribution | Fraction, int]:
+    """(distribution, vertex count); for ``expect --method closed`` the
+    expected value stands in for the distribution."""
+    if args.method == "closed":
+        kind = "expectation" if args.command == "expect" else "distribution"
+        found = cf.closed_form(args.graph, args.k, kind)
+        if found is None:
+            forms = ", ".join(f for f, entry in cf.CLOSED_FORMS.items() if getattr(entry, kind))
+            raise UsageError(f"no closed-form {kind} for {args.graph!r}; recognized: {forms}")
+        return found
     if args.method == "brute":
         g = parse_graph_spec(args.graph)
         cap = args.cap if args.cap else DEFAULT_ENUMERATION_CAP
         # never more worker threads than cores
         threads = min(args.threads, os.cpu_count() or 1)
-        return distribution_bruteforce(g, args.k, cap=cap, threads=threads)
-    if args.method == "transfer":
-        if args.n is not None:
-            slice_graph = parse_graph_spec(args.graph)
-            n = args.n
-        else:
-            prism = split_prism_spec(args.graph)
-            if prism is None:
-                raise UsageError(
-                    "--method transfer needs product(G,path:n) or --graph G with --n"
-                )
-            slice_graph = parse_graph_spec(prism[0])
-            n = prism[1]
-        state_cap = args.cap if args.cap else DEFAULT_STATE_CAP
-        return prism_distribution(slice_graph, args.k, n, state_cap=state_cap)
-    return _closed_form_distribution(args.graph, args.k)
-
-
-def cmd_dist(args) -> int:
-    t0 = time.perf_counter()
-    dist = _compute_distribution(args)
-    elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    doc = _distribution_doc(args, dist, elapsed_ms)
-    _emit(doc, args.format, _dist_csv_rows(dist), ("x_exp", "y_exp", "coefficient"))
-    return 0
-
-
-def cmd_expect(args) -> int:
-    t0 = time.perf_counter()
-    if args.method == "closed":
-        expected, vertices = _closed_form_expectation(args.graph, args.k)
+        dist = distribution_bruteforce(g, args.k, cap=cap, threads=threads)
+        return dist, dist.vertex_count
+    if args.n is not None:
+        slice_graph = parse_graph_spec(args.graph)
+        n = args.n
     else:
-        dist = _compute_distribution(args)
-        expected, vertices = dist.expected(), dist.vertex_count
+        prism = split_prism_spec(args.graph)
+        if prism is None:
+            raise UsageError("--method transfer needs product(G,path:n) or --graph G with --n")
+        slice_graph = parse_graph_spec(prism[0])
+        n = prism[1]
+    state_cap = args.cap if args.cap else DEFAULT_STATE_CAP
+    dist = prism_distribution(slice_graph, args.k, n, state_cap=state_cap)
+    return dist, dist.vertex_count
+
+
+def cmd_blocks(args) -> int:
+    """dist and expect: expect leaves out the distribution and its total."""
+    t0 = time.perf_counter()
+    value, vertices = _compute(args)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    doc = {
-        "graph": args.graph,
-        "k": args.k,
-        "method": args.method,
-        "vertices": vertices,
-        "expected": format_rational(expected),
-        "elapsed_ms": elapsed_ms,
-    }
+    expected = value.expected() if isinstance(value, BlockDistribution) else value
+    doc = {"graph": args.graph, "k": args.k, "method": args.method, "vertices": vertices}
+    if args.command == "dist":
+        doc["distribution"] = {str(j): format_rational(c) for j, c in value.coefficients().items()}
+        doc["total"] = format_rational(value.total())
+    doc["expected"] = format_rational(expected)
+    doc["elapsed_ms"] = elapsed_ms
     if args.decimals is not None:
         doc["expected_decimal"] = _decimal_string(expected, args.decimals)
         doc["decimal_places"] = args.decimals
-    _emit(doc, args.format, [(key, value) for key, value in doc.items()], ("field", "value"))
+    if args.command == "dist":
+        rows = [(0, j, c) for j, c in doc["distribution"].items()]
+        _emit(doc, args.format, rows, ("x_exp", "y_exp", "coefficient"))
+    else:
+        _emit(doc, args.format, list(doc.items()), ("field", "value"))
     return 0
 
 
@@ -302,36 +222,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, k_required=True):
+    def add_blocks(name, method, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--graph", required=True, help="graph spec, e.g. complete:4")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        if k_required:
-            p.add_argument("--k", type=int, required=True, help="number of colors")
+        p.add_argument("--k", type=int, required=True, help="number of colors")
+        p.add_argument("--method", choices=("brute", "transfer", "closed"), default=method)
+        p.add_argument("--n", type=int, help="path length for --method transfer")
+        p.add_argument("--cap", type=_CAP, help="enumeration / state cap override")
+        p.add_argument(
+            "--threads", type=_THREADS, default=1, help="worker threads, at most the core count"
+        )
+        p.add_argument("--decimals", type=_DECIMALS, help="add a rounded decimal rendering")
+        p.set_defaults(handler=cmd_blocks)
 
-    p_dist = sub.add_parser("dist", help="block distribution of a graph")
-    p_dist.add_argument("--graph", required=True, help="graph spec, e.g. complete:4")
-    add_common(p_dist)
-    p_dist.add_argument(
-        "--method", choices=("brute", "transfer", "closed"), default="brute"
-    )
-    p_dist.add_argument("--n", type=int, help="path length for --method transfer")
-    p_dist.add_argument("--cap", type=_CAP, help="enumeration / state cap override")
-    p_dist.add_argument(
-        "--threads", type=_THREADS, default=1, help="worker threads, at most the core count"
-    )
-    p_dist.add_argument("--decimals", type=_DECIMALS, help="add a rounded decimal rendering")
-    p_dist.set_defaults(handler=cmd_dist)
-
-    p_exp = sub.add_parser("expect", help="expected block count")
-    p_exp.add_argument("--graph", required=True)
-    add_common(p_exp)
-    p_exp.add_argument(
-        "--method", choices=("brute", "transfer", "closed"), default="closed"
-    )
-    p_exp.add_argument("--n", type=int)
-    p_exp.add_argument("--cap", type=_CAP)
-    p_exp.add_argument("--threads", type=_THREADS, default=1)
-    p_exp.add_argument("--decimals", type=_DECIMALS)
-    p_exp.set_defaults(handler=cmd_expect)
+    add_blocks("dist", "brute", "block distribution of a graph")
+    add_blocks("expect", "closed", "expected block count")
 
     p_series = sub.add_parser("series", help="series coefficients of a fixture")
     p_series.add_argument("--fixture", required=True, choices=FIXTURE_IDS)
@@ -368,7 +274,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except CapExceededError as exc:
+    except (CapExceededError, DimensionLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (UsageError, GraphSpecError, PolyParseError, ValueError) as exc:

@@ -2,17 +2,22 @@
 
 Each function constructs the exact polynomial or rational value directly from
 the family formula; the test suite cross-checks every one of them against
-brute-force enumeration and the transfer engine.
+brute-force enumeration and the transfer engine.  ``CLOSED_FORMS`` maps each
+graph-spec form these formulas cover to its vertex count and formulas, and
+``closed_form`` looks a spec up in it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .algebra import LaurentPoly2, RationalGF
+from .algebra import LaurentPoly2, RationalGF, series_expand
 from .combinatorics import binomial, partition_count, stirling2
+from .graphs import split_prism_spec
 from .oracle import BlockDistribution
+from .transfer import km_prism_gf
 
 _Y = LaurentPoly2.y()
 _X = LaurentPoly2.x()
@@ -167,6 +172,13 @@ def complete_prism_expected(num_levels: int, n: int, k: int) -> Fraction:
     return Fraction(numerator, k ** (2 * ell - 1))
 
 
+def complete_prism_distribution(num_levels: int, n: int, k: int) -> BlockDistribution:
+    """Block distribution of (complete graph on `num_levels` vertices) x path(n):
+    the x^n coefficient of the symbolic generating function."""
+    coeff = series_expand(km_prism_gf(num_levels, k), n)[n]
+    return BlockDistribution(coeff, num_levels * n, k)
+
+
 def k3_prism_gf(k: int) -> RationalGF:
     """The published generating function for (triangle x path) at a concrete k."""
     _require(k >= 1, "k must be >= 1")
@@ -228,3 +240,64 @@ def star_profile_count(m: int) -> int:
     """
     _require(m >= 0, "m must be >= 0")
     return sum(partition_count(i) for i in range(m + 1))
+
+
+# -- graph-spec lookup ------------------------------------------------------------
+
+
+class ClosedForm(NamedTuple):
+    """One spec form: ``sizes`` maps its integers to (vertex count, formula
+    arguments); the formulas, named here, take those arguments and then k."""
+
+    sizes: Callable[..., tuple[int, tuple[int, ...]]]
+    distribution: str | None
+    expectation: str
+
+
+# Formulas are named, not stored, and looked up when called: a formula rebound
+# on this module (say, wrapped by a tracer) is then the one that runs.
+CLOSED_FORMS = {
+    "path:<n>": ClosedForm(lambda n: (n, (n,)), "tree_distribution", "tree_expected"),
+    "cycle:<n>": ClosedForm(lambda n: (n, (n,)), "cycle_distribution", "cycle_expected"),
+    "complete:<n>": ClosedForm(lambda n: (n, (n,)), "complete_distribution", "complete_expected"),
+    "star:<n>": ClosedForm(lambda n: (n + 1, (n + 1,)), "tree_distribution", "tree_expected"),
+    "pbt:<n>": ClosedForm(lambda h: (2 ** (h + 1) - 1, (h,)), "pbt_distribution", "pbt_expected"),
+    "bipartite:<n>,<m>": ClosedForm(lambda n, m: (n + m, (n, m)), None, "bipartite_expected"),
+    "product(complete:<m>,path:<n>)": ClosedForm(
+        lambda m, n: (m * n, (m, n)), "complete_prism_distribution", "complete_prism_expected"
+    ),
+}
+
+
+def _spec_form(spec: str) -> tuple[str, tuple[int, ...]] | None:
+    """The CLOSED_FORMS key a graph spec has, with its integers."""
+    head, _, tail = spec.partition(":")
+    if head == "bipartite":
+        parts = tail.split(",")
+        if len(parts) == 2 and all(p.isdigit() for p in parts):
+            return "bipartite:<n>,<m>", (int(parts[0]), int(parts[1]))
+        return None
+    if f"{head}:<n>" in CLOSED_FORMS and tail.isdigit():
+        return f"{head}:<n>", (int(tail),)
+    prism = split_prism_spec(spec)
+    if prism is not None:
+        family, _, size = prism[0].partition(":")
+        if family == "complete" and size.isdigit():
+            return "product(complete:<m>,path:<n>)", (int(size), prism[1])
+    return None
+
+
+def closed_form(spec: str, k: int, kind: str) -> tuple[BlockDistribution | Fraction, int] | None:
+    """(value, vertex count) of a graph spec by its closed form, or None when no
+    closed form covers it.  ``kind`` is ``"distribution"`` (the value is a
+    BlockDistribution) or ``"expectation"`` (the expected block count)."""
+    found = _spec_form(spec)
+    if found is None:
+        return None
+    form, numbers = found
+    entry = CLOSED_FORMS[form]
+    name = getattr(entry, kind)
+    if name is None:
+        return None
+    vertices, arguments = entry.sizes(*numbers)
+    return globals()[name](*arguments, k), vertices

@@ -24,16 +24,6 @@ from .closed_forms import k3_prism_gf
 _X = LaurentPoly2.x()
 _Y = LaurentPoly2.y()
 
-FIXTURE_IDS = (
-    "K3_generic_k",
-    "K4_k2",
-    "K5_k2",
-    "K6_k2",
-    "K4_k3",
-    "STAR13_k2",
-    "STAR13_matrix",
-)
-
 
 def _ypoly(coeffs: dict[int, int]) -> LaurentPoly2:
     return LaurentPoly2({(0, j): c for j, c in coeffs.items()})
@@ -327,28 +317,34 @@ def _star13_from_matrix() -> RationalGF:
     return RationalGF(_X * num, solutions[0].den)
 
 
-def fixture_gf(fixture_id: str, k: int | None = None) -> RationalGF:
-    """Look up a fixture; k is required (and only used) for K3_generic_k."""
-    if fixture_id == "K3_generic_k":
-        if k is None:
-            raise ValueError("K3_generic_k needs a concrete k")
-        gf = k3_prism_gf(k)
-        assert gf.den.x_coefficient(0) == LaurentPoly2.one()
-        return gf
-    if k is not None:
-        raise ValueError(f"fixture {fixture_id!r} does not take a k")
-    builders = {
-        "K4_k2": _k4_k2,
-        "K5_k2": _k5_k2,
-        "K6_k2": _k6_k2,
-        "K4_k3": _k4_k3,
-        "STAR13_k2": _star13_k2,
-        "STAR13_matrix": _star13_from_matrix,
-    }
+# id -> (builder, vertices per slice, k); k None means the builder takes the
+# caller's k (only K3_generic_k)
+_FIXTURES = {
+    "K3_generic_k": (k3_prism_gf, 3, None),
+    "K4_k2": (_k4_k2, 4, 2),
+    "K5_k2": (_k5_k2, 5, 2),
+    "K6_k2": (_k6_k2, 6, 2),
+    "K4_k3": (_k4_k3, 4, 3),
+    "STAR13_k2": (_star13_k2, 4, 2),
+    "STAR13_matrix": (_star13_from_matrix, 4, 2),
+}
+
+FIXTURE_IDS = tuple(_FIXTURES)
+
+
+def _fixture(fixture_id: str) -> tuple:
     try:
-        gf = builders[fixture_id]()
+        return _FIXTURES[fixture_id]
     except KeyError:
         raise ValueError(f"unknown fixture {fixture_id!r}") from None
+
+
+def fixture_gf(fixture_id: str, k: int | None = None) -> RationalGF:
+    """Look up a fixture; k is required (and only used) for K3_generic_k."""
+    builder, _, fixed_k = _fixture(fixture_id)
+    if fixed_k is not None and k is not None:
+        raise ValueError(f"fixture {fixture_id!r} does not take a k")
+    gf = builder() if fixed_k is not None else builder(fixture_k(fixture_id, k))
     if fixture_id != "STAR13_matrix":
         # series expansion needs a unit constant term; the solved-system
         # variant carries a y-scaled determinant and is compared by gf_equal
@@ -358,14 +354,13 @@ def fixture_gf(fixture_id: str, k: int | None = None) -> RationalGF:
 
 def fixture_slice_size(fixture_id: str) -> int:
     """Vertices per slice, for normalization checks (value at y=1 is k^(size*n))."""
-    return {"K3_generic_k": 3, "K4_k2": 4, "K5_k2": 5, "K6_k2": 6, "K4_k3": 4,
-            "STAR13_k2": 4, "STAR13_matrix": 4}[fixture_id]
+    return _fixture(fixture_id)[1]
 
 
 def fixture_k(fixture_id: str, k: int | None = None) -> int:
-    if fixture_id == "K3_generic_k":
-        if k is None:
-            raise ValueError("K3_generic_k needs a concrete k")
-        return k
-    return {"K4_k2": 2, "K5_k2": 2, "K6_k2": 2, "K4_k3": 3,
-            "STAR13_k2": 2, "STAR13_matrix": 2}[fixture_id]
+    fixed_k = _fixture(fixture_id)[2]
+    if fixed_k is not None:
+        return fixed_k
+    if k is None:
+        raise ValueError(f"{fixture_id} needs a concrete k")
+    return k

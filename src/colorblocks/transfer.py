@@ -42,9 +42,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import LaurentPoly2, RationalGF, bareiss_solve
+from .algebra import MAX_SYSTEM_DIM, LaurentPoly2, RationalGF, bareiss_solve
 from .combinatorics import partitions_at_most_k_parts
-from .errors import CapExceededError
+from .errors import CapExceededError, DimensionLimitError
 from .graphs import Graph
 from .oracle import BlockDistribution, expected_blocks
 
@@ -93,23 +93,18 @@ def _slice_table(g: Graph, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ..
     return tuple(table)
 
 
-def _check_caps(g: Graph, k: int, vertex_cap: int, state_cap: int):
+def _check_caps(g: Graph, k: int, state_cap: int):
     if k < 1:
         raise ValueError("k must be >= 1")
-    if g.n > vertex_cap:
-        raise CapExceededError(f"slice has {g.n} vertices, cap is {vertex_cap}")
+    if g.n > DEFAULT_VERTEX_CAP:
+        raise CapExceededError(f"slice has {g.n} vertices, cap is {DEFAULT_VERTEX_CAP}")
     if k**g.n > state_cap:
         raise CapExceededError(f"{k}^{g.n} slice colorings exceed state cap {state_cap}")
 
 
-def initial_states(
-    g: Graph,
-    k: int,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> StateWeights:
+def initial_states(g: Graph, k: int, *, state_cap: int = DEFAULT_STATE_CAP) -> StateWeights:
     """One weight-1 state per coloring of the first slice."""
-    _check_caps(g, k, vertex_cap, state_cap)
+    _check_caps(g, k, state_cap)
     return {Profile(colors, rgs): _ONE for colors, rgs in _slice_table(g, k)}
 
 
@@ -356,11 +351,7 @@ def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeigh
 
 
 def step(
-    g: Graph,
-    k: int,
-    states: StateWeights,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
+    g: Graph, k: int, states: StateWeights, *, state_cap: int = DEFAULT_STATE_CAP
 ) -> StateWeights:
     """Extend every partial product by one slice.
 
@@ -370,7 +361,7 @@ def step(
     profile keeps only what the new slice can see.  Symmetric input (one
     weight per orbit, see the module docstring) is computed on orbits.
     """
-    _check_caps(g, k, vertex_cap, state_cap)
+    _check_caps(g, k, state_cap)
     table = _slice_table(g, k)
     out = _lumped_step(_operator(g, k), table, states)
     return _general_step(g.n, table, states) if out is None else out
@@ -386,18 +377,14 @@ def finalize(states: StateWeights) -> LaurentPoly2:
 
 
 def prism_distribution(
-    g: Graph,
-    k: int,
-    n: int,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
+    g: Graph, k: int, n: int, *, state_cap: int = DEFAULT_STATE_CAP
 ) -> BlockDistribution:
     """Block distribution of g x path(n) via the profile DP."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    states = initial_states(g, k, vertex_cap, state_cap)
+    states = initial_states(g, k, state_cap=state_cap)
     for _ in range(n - 1):
-        states = step(g, k, states, vertex_cap, state_cap)
+        states = step(g, k, states, state_cap=state_cap)
     return BlockDistribution(finalize(states), g.n * n, k)
 
 
@@ -492,10 +479,25 @@ def km_transfer_system(
     return poly_matrix, rhs, weights
 
 
-def km_prism_gf(m: int, k: int, max_dim: int = 12) -> RationalGF:
-    """Generating function of (complete graph on m vertices) x path, symbolically."""
+def km_prism_gf(m: int, k: int) -> RationalGF:
+    """Generating function of (complete graph on m vertices) x path, symbolically.
+
+    The system has one unknown per color class, and its size is checked against
+    the solver's limit before the k^m colorings are enumerated.
+    """
+    # (m - j, 1^j) for j < min(m, k) and, if k >= 2, (m - j, j) for j <= m/2
+    # are color classes: a lower bound that rejects large m or k before the
+    # partitions of m are listed
+    bound = max(min(m, k), m // 2 + 1 if k >= 2 else 0)
+    if bound > MAX_SYSTEM_DIM:
+        raise DimensionLimitError(
+            f"system dimension at least {bound} exceeds limit {MAX_SYSTEM_DIM}"
+        )
+    dim = len(color_classes(m, k))
+    if dim > MAX_SYSTEM_DIM:
+        raise DimensionLimitError(f"system dimension {dim} exceeds limit {MAX_SYSTEM_DIM}")
     matrix, rhs, weights = km_transfer_system(m, k)
-    solutions = bareiss_solve(matrix, rhs, max_dim=max_dim)
+    solutions = bareiss_solve(matrix, rhs)
     num = LaurentPoly2.zero()
     for weight, sol in zip(weights, solutions):
         num = num + weight * sol.num

@@ -10,11 +10,12 @@ import pytest
 
 from colorblocks import cli
 from colorblocks import closed_forms as cf
+from colorblocks import transfer
 
 from colorblocks.algebra import LaurentPoly2, RationalGF, series_expand
 from colorblocks.cli import main
 from colorblocks.fixtures import fixture_gf
-from colorblocks.verify import Check, _expect_poly_equal, run_suite
+from colorblocks.verify import ALL_CHECKS, Check, _expect_poly_equal, run_suite
 
 
 def run(capsys, *argv):
@@ -288,6 +289,31 @@ class TestGf:
         code, _, _ = run(capsys, "gf", "--k", "2")
         assert code == 2
 
+    def test_dimension_limit_exits_3(self, capsys):
+        code, out, err = run(capsys, "gf", "--m", "7", "--k", "7")
+        assert code == 3 and out == ""
+        assert "15" in err and "12" in err
+
+    def test_dimension_limit_precedes_enumeration(self, capsys, monkeypatch):
+        def no_enumeration(m, k):
+            raise AssertionError("colorings enumerated despite the dimension limit")
+
+        monkeypatch.setattr(transfer, "km_transfer_system", no_enumeration)
+        for argv in (
+            ["gf", "--m", "7", "--k", "7"],
+            ["dist", "--graph", "product(complete:9,path:2)", "--k", "9", "--method", "closed"],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 3 and "exceeds limit 12" in err, argv
+
+    def test_large_slice_rejected_before_listing_classes(self, capsys, monkeypatch):
+        def no_listing(m, k):
+            raise AssertionError("color classes listed for a slice past the bound")
+
+        monkeypatch.setattr(transfer, "color_classes", no_listing)
+        code, _, err = run(capsys, "gf", "--m", "200", "--k", "200")
+        assert code == 3 and "at least 200" in err
+
 
 class TestClasses:
     def test_example(self, capsys):
@@ -336,6 +362,10 @@ class TestVerify:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.name)
+    def test_check(self, check):
+        check.fn()
 
 
 def test_no_command_is_usage_error(capsys):

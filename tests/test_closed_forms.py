@@ -10,6 +10,7 @@ from colorblocks.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    parse_graph_spec,
     path,
     perfect_binary_tree,
     random_tree,
@@ -262,3 +263,41 @@ class TestStarProfileCount:
         assert cf.star_profile_count(3) == 7
         assert cf.star_profile_count(0) == 1
         assert cf.star_profile_count(5) == 19
+
+
+class TestSpecTable:
+    @pytest.mark.parametrize("spec", [
+        "path:5", "cycle:5", "complete:4", "star:3", "pbt:2", "bipartite:2,3",
+        "product(complete:3,path:3)",
+    ])
+    def test_every_form_matches_bruteforce(self, spec):
+        g = parse_graph_spec(spec)
+        brute = distribution_bruteforce(g, 2)
+        assert cf.closed_form(spec, 2, "expectation") == (brute.expected(), g.n)
+        found = cf.closed_form(spec, 2, "distribution")
+        if spec.startswith("bipartite"):
+            assert found is None
+        else:
+            dist, vertices = found
+            assert dist.poly == brute.poly and vertices == dist.vertex_count == g.n
+
+    @pytest.mark.parametrize("spec", [
+        "edges:2:[0-1]", "product(star:3,path:3)", "path:x", "path:", "bipartite:1,2,3",
+        "bipartite:1,", "grid:2,3", "product(complete:3,cycle:3)",
+    ])
+    def test_unrecognized_specs(self, spec):
+        assert cf.closed_form(spec, 2, "expectation") is None
+        assert cf.closed_form(spec, 2, "distribution") is None
+
+    def test_formulas_are_looked_up_when_called(self, monkeypatch):
+        # tracers rebind module attributes; the table must reach the rebound one
+        calls = []
+        original = cf.tree_distribution
+
+        def recorded(n, k):
+            calls.append((n, k))
+            return original(n, k)
+
+        monkeypatch.setattr(cf, "tree_distribution", recorded)
+        cf.closed_form("star:3", 2, "distribution")
+        assert calls == [(4, 2)]
