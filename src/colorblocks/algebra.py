@@ -464,3 +464,14 @@ def bareiss_solve(
     if sign < 0:
         d, xs = -d, [-p for p in xs]
     return [RationalGF(p, d) for p in xs]
+
+
+def weighted_solution_gf(matrix, rhs, weights: Sequence[int]) -> RationalGF:
+    """x * sum(w_i * t_i) for the solution t of bareiss_solve(matrix, rhs): the
+    generating function of a transfer system whose unknowns start with weights
+    w_i.  All t_i share one denominator, so only the numerators are summed."""
+    solutions = bareiss_solve(matrix, rhs)
+    num = _ZERO
+    for weight, sol in zip(weights, solutions):
+        num = num + weight * sol.num
+    return RationalGF(_X * num, solutions[0].den)

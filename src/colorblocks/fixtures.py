@@ -18,7 +18,7 @@ Available ids:
 
 from __future__ import annotations
 
-from .algebra import LaurentPoly2, RationalGF, bareiss_solve
+from .algebra import LaurentPoly2, RationalGF, weighted_solution_gf
 from .closed_forms import k3_prism_gf
 
 _X = LaurentPoly2.x()
@@ -309,12 +309,7 @@ def star_system() -> tuple[list[list[LaurentPoly2]], list[LaurentPoly2], list[in
 
 
 def _star13_from_matrix() -> RationalGF:
-    matrix, rhs, combo = star_system()
-    solutions = bareiss_solve(matrix, rhs)
-    num = LaurentPoly2.zero()
-    for c, sol in zip(combo, solutions):
-        num = num + c * sol.num
-    return RationalGF(_X * num, solutions[0].den)
+    return weighted_solution_gf(*star_system())
 
 
 # id -> (builder, vertices per slice, k); k None means the builder takes the

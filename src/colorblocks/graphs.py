@@ -15,6 +15,7 @@ Vertices are always 0..n-1.  Builders fix their numbering:
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import GraphSpecError
@@ -42,7 +43,9 @@ class Graph:
                     raise ValueError("loops are not allowed")
                 if not 0 <= v < self.n:
                     raise ValueError("neighbor index out of range")
-                if u not in self.adj[v]:
+                back = self.adj[v]
+                at = bisect_left(back, u)
+                if at == len(back) or back[at] != u:
                     raise ValueError("adjacency must be symmetric")
 
     @classmethod
@@ -139,8 +142,6 @@ def random_tree(n: int, seed: int) -> Graph:
         raise ValueError("tree needs n >= 1")
     if n == 1:
         return Graph.from_edges(1, [])
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
     rng = SplitMix64(seed)
     seq = [rng.next_below(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -180,24 +181,37 @@ def grid(m: int, n: int) -> Graph:
     return cartesian_product(path(m), path(n))
 
 
+def union_roots(size: int, pairs) -> list[int]:
+    """The root of each of 0..size-1 after every pair has been merged.
+
+    Union-find with path halving in the merges and in the final pass, which is
+    near-linear without union by rank (Tarjan and van Leeuwen, J. ACM 31, 1984).
+    """
+    parent = list(range(size))
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        parent[a] = b
+    roots = []
+    for v in range(size):
+        root = v
+        while parent[root] != root:
+            parent[root] = parent[parent[root]]
+            root = parent[root]
+        roots.append(root)
+    return roots
+
+
 def connected_components(g: Graph) -> list[list[int]]:
-    """Maximal connected vertex sets, via union-find, ordered by minimum vertex."""
-    parent = list(range(g.n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v in g.edges():
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
+    """Maximal connected vertex sets, ordered by minimum vertex."""
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    return [groups[r] for r in sorted(groups)]
+    for v, root in enumerate(union_roots(g.n, g.edges())):
+        groups.setdefault(root, []).append(v)
+    return list(groups.values())
 
 
 def is_connected(g: Graph) -> bool:
@@ -284,31 +298,26 @@ class _SpecParser:
                         break
                     self.pos += 1
             self.expect("]")
-            try:
-                return Graph.from_edges(n, edges)
-            except ValueError as exc:
-                self.pos = at
-                raise self.error(str(exc)) from exc
+            return self.build(at, Graph.from_edges, n, edges)
         self.expect(":")
         first = self.parse_int()
         builder = _UNARY_FAMILIES.get(name)
         if builder is not None:
-            try:
-                return builder(first)
-            except ValueError as exc:
-                self.pos = at
-                raise self.error(str(exc)) from exc
+            return self.build(at, builder, first)
         builder = _BINARY_FAMILIES.get(name)
         if builder is not None:
             self.expect(",")
-            second = self.parse_int()
-            try:
-                return builder(first, second)
-            except ValueError as exc:
-                self.pos = at
-                raise self.error(str(exc)) from exc
+            return self.build(at, builder, first, self.parse_int())
         self.pos = at
         raise self.error(f"unknown family {name!r}")
+
+    def build(self, at: int, builder, *args) -> Graph:
+        """builder(*args), with a ValueError reported at the spec's start `at`."""
+        try:
+            return builder(*args)
+        except ValueError as exc:
+            self.pos = at
+            raise self.error(str(exc)) from exc
 
 
 def parse_graph_spec(text: str) -> Graph:

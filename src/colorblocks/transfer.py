@@ -26,8 +26,9 @@ source orbit O that land on any one profile of the target orbit O'.  The
 summed weight is then written back to every member profile, so step returns
 exactly the keys and values of the general path.  Any other input (one
 profile, unequal weights, a partly present orbit) takes the general path, one
-transition per (profile, coloring).  The operator of the last 32 (slice, k)
-pairs is kept, so later steps reuse its rows.
+transition per (profile, coloring).  The slice table and every transition label
+their classes with ``graphs.union_roots``.  The operator of the last 32 (slice,
+k) pairs is kept, so later steps reuse its rows.
 
 For complete-graph slices the states can be reduced to color classes (colorings
 of the slice up to color permutation and same-size part swaps), giving a small
@@ -38,18 +39,21 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import MAX_SYSTEM_DIM, LaurentPoly2, RationalGF, bareiss_solve
+# bareiss_solve is not used here, but callers import it from this module
+from .algebra import MAX_SYSTEM_DIM, LaurentPoly2, RationalGF, bareiss_solve, weighted_solution_gf
 from .combinatorics import partitions_at_most_k_parts
 from .errors import CapExceededError, DimensionLimitError
-from .graphs import Graph
+from .graphs import Graph, union_roots
 from .oracle import BlockDistribution, expected_blocks
 
 DEFAULT_VERTEX_CAP = 8
 DEFAULT_STATE_CAP = 1 << 16
+_MAX_COMPLETE_SLICE = DEFAULT_STATE_CAP.bit_length() - 1
 
 _ONE = LaurentPoly2.one()
 
@@ -76,20 +80,8 @@ def _slice_table(g: Graph, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ..
     edges = g.edges()
     table = []
     for colors in itertools.product(range(k), repeat=g.n):
-        parent = list(range(g.n))
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for u, v in edges:
-            if colors[u] == colors[v]:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-        table.append((colors, _canonical_rgs(find(v) for v in range(g.n))))
+        same = [(u, v) for u, v in edges if colors[u] == colors[v]]
+        table.append((colors, _canonical_rgs(union_roots(g.n, same))))
     return tuple(table)
 
 
@@ -122,24 +114,13 @@ def _transition(
     new slice's components; an old class with no surviving connection closes.
     """
     p = max(old_link) + 1
-    q = max(new_comp) + 1
-    parent = list(range(p + q))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for v in range(nv):
-        if old_colors[v] == new_colors[v]:
-            ra = find(old_link[v])
-            rb = find(p + new_comp[v])
-            if ra != rb:
-                parent[ra] = rb
-    surviving = {find(p + c) for c in range(q)}
-    closed = sum(1 for c in range(p) if find(c) not in surviving)
-    return _canonical_rgs(find(p + new_comp[v]) for v in range(nv)), closed
+    roots = union_roots(
+        p + max(new_comp) + 1,
+        [(old_link[v], p + new_comp[v]) for v in range(nv) if old_colors[v] == new_colors[v]],
+    )
+    surviving = set(roots[p:])
+    closed = sum(1 for root in roots[:p] if root not in surviving)
+    return _canonical_rgs([roots[p + c] for c in new_comp]), closed
 
 
 def _general_step(nv: int, table, states: StateWeights) -> StateWeights:
@@ -419,13 +400,10 @@ def color_classes(m: int, k: int) -> list[ColorClass]:
             start += size
         rep.extend(frozenset() for _ in range(k - len(parts)))
         padded = list(parts) + [0] * (k - len(parts))
-        multiplicity: dict[int, int] = {}
-        for size in padded:
-            multiplicity[size] = multiplicity.get(size, 0) + 1
         class_size = math.factorial(m) * math.factorial(k)
         for size in padded:
             class_size //= math.factorial(size)
-        for count in multiplicity.values():
+        for count in Counter(padded).values():
             class_size //= math.factorial(count)
         classes.append(
             ColorClass(
@@ -482,9 +460,12 @@ def km_transfer_system(
 def km_prism_gf(m: int, k: int) -> RationalGF:
     """Generating function of (complete graph on m vertices) x path, symbolically.
 
-    The system has one unknown per color class, and its size is checked against
-    the solver's limit before the k^m colorings are enumerated.
+    The system has one unknown per color class.  Its size is checked against
+    the solver's limit, and m and k^m against the profile DP's state cap,
+    before any class is built or any of the k^m colorings is enumerated.
     """
+    if m < 1 or k < 1:
+        raise ValueError("m and k must be >= 1")
     # (m - j, 1^j) for j < min(m, k) and, if k >= 2, (m - j, j) for j <= m/2
     # are color classes: a lower bound that rejects large m or k before the
     # partitions of m are listed
@@ -493,12 +474,14 @@ def km_prism_gf(m: int, k: int) -> RationalGF:
         raise DimensionLimitError(
             f"system dimension at least {bound} exceeds limit {MAX_SYSTEM_DIM}"
         )
-    dim = len(color_classes(m, k))
+    if m > _MAX_COMPLETE_SLICE:
+        raise CapExceededError(
+            f"complete slice of {m} vertices exceeds {_MAX_COMPLETE_SLICE}, "
+            f"the largest m with 2^m within state cap {DEFAULT_STATE_CAP}"
+        )
+    dim = len(partitions_at_most_k_parts(m, k))  # one color class per partition
     if dim > MAX_SYSTEM_DIM:
         raise DimensionLimitError(f"system dimension {dim} exceeds limit {MAX_SYSTEM_DIM}")
-    matrix, rhs, weights = km_transfer_system(m, k)
-    solutions = bareiss_solve(matrix, rhs)
-    num = LaurentPoly2.zero()
-    for weight, sol in zip(weights, solutions):
-        num = num + weight * sol.num
-    return RationalGF(LaurentPoly2.x() * num, solutions[0].den)
+    if k**m > DEFAULT_STATE_CAP:
+        raise CapExceededError(f"{k}^{m} slice colorings exceed state cap {DEFAULT_STATE_CAP}")
+    return weighted_solution_gf(*km_transfer_system(m, k))

@@ -10,6 +10,7 @@ from colorblocks.algebra import (
     gf_equal,
     scale_to_unit_constant,
     series_expand,
+    weighted_solution_gf,
 )
 from colorblocks.algebra import _bareiss_det, _div_exact
 from colorblocks.errors import DimensionLimitError, SingularSystemError
@@ -211,6 +212,20 @@ class TestBareissSolve:
         m = [[Y, ONE], [ONE, Y]]
         sols = bareiss_solve(m, [Y, LaurentPoly2.zero()])
         assert sols[0].den == sols[1].den
+
+
+class TestWeightedSolutionGf:
+    def test_geometric_system(self):
+        gf = weighted_solution_gf([[ONE]], [Y], [3])
+        assert gf_equal(gf, RationalGF(3 * X * Y, ONE - X))
+
+    def test_combines_the_solutions_term_for_term(self):
+        m = [[Y, ONE], [ONE, P("y^2+1")]]
+        b, weights = [Y, P("2*y")], [2, 5]
+        sols = bareiss_solve(m, b)
+        gf = weighted_solution_gf(m, b, weights)
+        assert gf.den.terms == sols[0].den.terms
+        assert gf.num == X * (2 * sols[0].num + 5 * sols[1].num)
 
 
 def _cramer_solve(matrix, rhs):

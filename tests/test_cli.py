@@ -314,6 +314,44 @@ class TestGf:
         code, _, err = run(capsys, "gf", "--m", "200", "--k", "200")
         assert code == 3 and "at least 200" in err
 
+    def test_coloring_count_capped_before_enumeration(self, capsys, monkeypatch):
+        def no_enumeration(m, k):
+            raise AssertionError("colorings enumerated past the state cap")
+
+        monkeypatch.setattr(transfer, "km_transfer_system", no_enumeration)
+        code, out, err = run(capsys, "gf", "--m", "6", "--k", "100")
+        assert code == 3 and out == ""
+        assert "100^6" in err and str(transfer.DEFAULT_STATE_CAP) in err
+
+    def test_large_k_rejected_before_listing_classes(self, capsys, monkeypatch):
+        def no_listing(m, k):
+            raise AssertionError("color classes listed past the state cap")
+
+        monkeypatch.setattr(transfer, "color_classes", no_listing)
+        code, out, err = run(capsys, "gf", "--m", "1", "--k", "1000000000")
+        assert code == 3 and out == ""
+        assert "1000000000^1" in err
+
+    @pytest.mark.parametrize("m,k", [("0", "2"), ("2", "0"), ("-3", "5")])
+    def test_nonpositive_m_or_k_is_usage_error(self, capsys, m, k):
+        code, out, err = run(capsys, "gf", "--m", m, "--k", k)
+        assert code == 2 and out == ""
+        assert "m and k must be >= 1" in err
+
+    @pytest.mark.parametrize("m", ["17", "100000000", "1000000000000"])
+    def test_slice_size_capped_before_listing_classes(self, capsys, monkeypatch, m):
+        def no_listing(m, k):
+            raise AssertionError("color classes listed past the slice-size cap")
+
+        monkeypatch.setattr(transfer, "color_classes", no_listing)
+        code, out, err = run(capsys, "gf", "--m", m, "--k", "1")
+        assert code == 3 and out == ""
+        assert m in err and "16" in err and str(transfer.DEFAULT_STATE_CAP) in err
+
+    def test_slice_size_cap_is_inclusive(self, capsys):
+        doc = run_json(capsys, "gf", "--m", "16", "--k", "1")
+        assert doc["num"] == "x*y" and doc["den"] == "-x + 1"
+
 
 class TestClasses:
     def test_example(self, capsys):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from colorblocks.errors import GraphSpecError
 from colorblocks.graphs import (
@@ -17,7 +18,9 @@ from colorblocks.graphs import (
     random_tree,
     split_prism_spec,
     star,
+    union_roots,
 )
+from colorblocks.oracle import block_count
 
 
 def assert_well_formed(g: Graph):
@@ -153,6 +156,40 @@ class TestComponents:
         g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert connected_components(g) == [[0, 1, 2], [3, 4, 5]]
 
+    def test_groups_ordered_by_smallest_vertex(self):
+        g = Graph.from_edges(6, [(4, 0), (5, 1), (1, 3)])
+        assert connected_components(g) == [[0, 4], [1, 3, 5], [2]]
+
+    @pytest.mark.parametrize("build", [path, star])
+    def test_large_graph_is_one_component(self, build):
+        g = build(200000)
+        assert connected_components(g) == [list(range(g.n))]
+
+
+@st.composite
+def colored_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    colors = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return Graph.from_edges(n, edges), colors
+
+
+class TestUnionRoots:
+    @given(colored_graphs())
+    def test_roots_count_blocks(self, case):
+        g, colors = case
+        same = [(u, v) for u, v in g.edges() if colors[u] == colors[v]]
+        assert len(set(union_roots(g.n, same))) == block_count(g, colors)
+
+    def test_roots_name_the_merged_sets(self):
+        roots = union_roots(6, [(0, 5), (2, 3), (5, 3)])
+        assert roots[0] == roots[2] == roots[3] == roots[5]
+        assert len({roots[0], roots[1], roots[4]}) == 3
+
+    def test_no_pairs(self):
+        assert union_roots(3, []) == [0, 1, 2]
+
 
 class TestGraphValidation:
     def test_rejects_loop(self):
@@ -162,6 +199,13 @@ class TestGraphValidation:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
+
+    @pytest.mark.parametrize(
+        "adj", [((1,), ()), ((1,), (0,), (0,)), ((2,), (2,), (1,))]
+    )
+    def test_rejects_asymmetric_adjacency(self, adj):
+        with pytest.raises(ValueError, match="symmetric"):
+            Graph(len(adj), adj)
 
     def test_duplicate_edges_collapse(self):
         g = Graph.from_edges(2, [(0, 1), (1, 0)])

@@ -18,7 +18,7 @@ from colorblocks.graphs import (
     path,
     star,
 )
-from colorblocks.oracle import distribution_bruteforce, proper_coloring_count
+from colorblocks.oracle import block_count, distribution_bruteforce, proper_coloring_count
 from colorblocks.polytext import parse_poly
 from colorblocks.transfer import (
     Profile,
@@ -60,6 +60,17 @@ class TestInitialStates:
             initial_states(path(9), 2)  # vertex cap is 8
         with pytest.raises(CapExceededError):
             initial_states(path(8), 17)  # 17^8 states blow the default cap
+
+
+class TestSliceTable:
+    @pytest.mark.parametrize(
+        "g,k", [(path(4), 3), (cycle(5), 2), (star(3), 3), (complete(4), 2)]
+    )
+    def test_rows_count_blocks(self, g, k):
+        table = transfer._slice_table(g, k)
+        assert len(table) == k**g.n
+        for colors, comp in table:
+            assert max(comp) + 1 == block_count(g, colors)
 
 
 class TestStep:
