@@ -5,6 +5,9 @@ default (``--format csv`` for spreadsheet rows).  Every big number is emitted
 as a decimal string -- coefficients routinely exceed 2^53 -- and exact fields
 are never rounded; ``--decimals`` adds an explicitly rounded rendering.
 
+Each request builds the parser with every subcommand's name and help but
+only its own subcommand's options.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap exceeded
 (an enumeration or state cap, or the dimension limit of the symbolic solve).
 """
@@ -23,6 +26,7 @@ from fractions import Fraction
 from . import closed_forms as cf
 from . import verify as verify_mod
 from .algebra import series_expand
+from .combinatorics import partition_count_at_most_k_parts
 from .errors import CapExceededError, DimensionLimitError, GraphSpecError, PolyParseError
 from .fixtures import FIXTURE_IDS, fixture_gf, fixture_k
 from .graphs import parse_graph_spec, split_prism_spec
@@ -170,7 +174,29 @@ def cmd_gf(args) -> int:
     return 0
 
 
+def _check_class_listing(m: int, k: int) -> None:
+    """Exit 3 before ``color_classes`` lists more than ``DEFAULT_STATE_CAP``
+    entries, counting m + k per class (its parts and its k-part representative)."""
+    if m < 1 or k < 1:
+        raise ValueError("m and k must be >= 1")
+
+    def check(classes: int, qualifier: str) -> None:
+        entries = classes * (m + k)
+        if entries > DEFAULT_STATE_CAP:
+            raise CapExceededError(
+                f"listing {qualifier}{entries} entries ({classes} classes times m + k = {m + k}) "
+                f"exceeds state cap {DEFAULT_STATE_CAP}"
+            )
+
+    # partitions of m into at most k parts: 1 for k = 1, m//2 + 1 for k = 2, and
+    # for k >= 3 at least those into at most 3 parts, round((m + 3)^2 / 12) of
+    # them; a request this bound rejects never reaches the exact count
+    check(1 if k == 1 else m // 2 + 1 if k == 2 else ((m + 3) ** 2 + 6) // 12, "at least ")
+    check(partition_count_at_most_k_parts(m, k), "")
+
+
 def cmd_classes(args) -> int:
+    _check_class_listing(args.m, args.k)
     classes = color_classes(args.m, args.k)
     doc = {
         "m": args.m,
@@ -215,59 +241,75 @@ _DECIMALS = _int_in_range(0)
 _CAP = _int_in_range(1, 2**63 - 1)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _blocks_arguments(p: argparse.ArgumentParser, method: str) -> None:
+    p.add_argument("--graph", required=True, help="graph spec, e.g. complete:4")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--k", type=int, required=True, help="number of colors")
+    p.add_argument("--method", choices=("brute", "transfer", "closed"), default=method)
+    p.add_argument("--n", type=int, help="path length for --method transfer")
+    p.add_argument("--cap", type=_CAP, help="enumeration / state cap override")
+    p.add_argument(
+        "--threads", type=_THREADS, default=1, help="worker threads, at most the core count"
+    )
+    p.add_argument("--decimals", type=_DECIMALS, help="add a rounded decimal rendering")
+
+
+def _series_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fixture", required=True, choices=FIXTURE_IDS)
+    p.add_argument("--k", type=int, help="k for K3_generic_k")
+    p.add_argument("--N", type=int, required=True, help="highest x power (<= 64)")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _gf_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fixture", choices=FIXTURE_IDS)
+    p.add_argument("--m", type=int, help="complete-slice size for the reduced system")
+    p.add_argument("--k", type=int)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _classes_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--suite", choices=("quick", "full"), default="quick")
+
+
+# name -> (help, handler, adds the subcommand's arguments)
+_COMMANDS = {
+    "dist": ("block distribution of a graph", cmd_blocks, lambda p: _blocks_arguments(p, "brute")),
+    "expect": ("expected block count", cmd_blocks, lambda p: _blocks_arguments(p, "closed")),
+    "series": ("series coefficients of a fixture", cmd_series, _series_arguments),
+    "gf": ("print a generating function", cmd_gf, _gf_arguments),
+    "classes": ("color classes of a complete slice", cmd_classes, _classes_arguments),
+    "verify": ("run the built-in verification suite", cmd_verify, _verify_arguments),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand is registered with its help, so usage and error text
+    are the same either way; only ``command`` gets its arguments, or every
+    subcommand when ``command`` is None."""
     parser = argparse.ArgumentParser(
         prog="colorblocks",
         description="Exact block-count distributions of k-colorings of graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_blocks(name, method, summary):
+    for name, (summary, handler, add_arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--graph", required=True, help="graph spec, e.g. complete:4")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--k", type=int, required=True, help="number of colors")
-        p.add_argument("--method", choices=("brute", "transfer", "closed"), default=method)
-        p.add_argument("--n", type=int, help="path length for --method transfer")
-        p.add_argument("--cap", type=_CAP, help="enumeration / state cap override")
-        p.add_argument(
-            "--threads", type=_THREADS, default=1, help="worker threads, at most the core count"
-        )
-        p.add_argument("--decimals", type=_DECIMALS, help="add a rounded decimal rendering")
-        p.set_defaults(handler=cmd_blocks)
-
-    add_blocks("dist", "brute", "block distribution of a graph")
-    add_blocks("expect", "closed", "expected block count")
-
-    p_series = sub.add_parser("series", help="series coefficients of a fixture")
-    p_series.add_argument("--fixture", required=True, choices=FIXTURE_IDS)
-    p_series.add_argument("--k", type=int, help="k for K3_generic_k")
-    p_series.add_argument("--N", type=int, required=True, help="highest x power (<= 64)")
-    p_series.add_argument("--format", choices=("json", "csv"), default="json")
-    p_series.set_defaults(handler=cmd_series)
-
-    p_gf = sub.add_parser("gf", help="print a generating function")
-    p_gf.add_argument("--fixture", choices=FIXTURE_IDS)
-    p_gf.add_argument("--m", type=int, help="complete-slice size for the reduced system")
-    p_gf.add_argument("--k", type=int)
-    p_gf.add_argument("--format", choices=("json", "csv"), default="json")
-    p_gf.set_defaults(handler=cmd_gf)
-
-    p_classes = sub.add_parser("classes", help="color classes of a complete slice")
-    p_classes.add_argument("--m", type=int, required=True)
-    p_classes.add_argument("--k", type=int, required=True)
-    p_classes.add_argument("--format", choices=("json", "csv"), default="json")
-    p_classes.set_defaults(handler=cmd_classes)
-
-    p_verify = sub.add_parser("verify", help="run the built-in verification suite")
-    p_verify.add_argument("--suite", choices=("quick", "full"), default="quick")
-    p_verify.set_defaults(handler=cmd_verify)
-
+        if command is None or name == command:
+            add_arguments(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -34,15 +34,20 @@ def stirling2(n: int, i: int) -> int:
     return _stirling_rows(n)[n][i]
 
 
-@lru_cache(maxsize=None)
-def _partition_counts_upto(n: int) -> tuple[int, ...]:
-    # classic bounded DP: add parts 1..n one at a time
+def _partition_counts(n: int, largest: int) -> list[int]:
+    """Partitions of 0..n with every part at most ``largest``."""
+    # classic bounded DP: add parts 1..largest one at a time
     p = [0] * (n + 1)
     p[0] = 1
-    for part in range(1, n + 1):
+    for part in range(1, largest + 1):
         for s in range(part, n + 1):
             p[s] += p[s - part]
-    return tuple(p)
+    return p
+
+
+@lru_cache(maxsize=None)
+def _partition_counts_upto(n: int) -> tuple[int, ...]:
+    return tuple(_partition_counts(n, n))
 
 
 def partition_count(n: int) -> int:
@@ -50,6 +55,16 @@ def partition_count(n: int) -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     return _partition_counts_upto(n)[n]
+
+
+def partition_count_at_most_k_parts(m: int, k: int) -> int:
+    """len(partitions_at_most_k_parts(m, k)) without listing them: by
+    conjugation, the partitions of m with every part at most k."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return _partition_counts(m, min(k, m))[m]
 
 
 def partitions_at_most_k_parts(m: int, k: int) -> list[tuple[int, ...]]:

@@ -51,17 +51,19 @@ class BlockDistribution:
         return self.poly.coefficient(0, blocks)
 
     def total(self) -> Fraction:
-        """Value at y=1; equals k^vertex_count for genuine distributions."""
-        return self.poly.evaluate(1, 1)
+        """Value at y=1, the coefficient sum; equals k^vertex_count for genuine
+        distributions."""
+        return Fraction(sum(self.poly.terms.values()))
 
     def expected(self) -> Fraction:
         return expected_blocks(self)
 
 
 def expected_blocks(dist: BlockDistribution) -> Fraction:
-    """Mean block count under the uniform random coloring, exactly."""
-    weighted = dist.poly.derivative_y().evaluate(1, 1)
-    return weighted / Fraction(dist.k**dist.vertex_count)
+    """Mean block count under the uniform random coloring, exactly: the value
+    at x = y = 1 of d/dy, which is the sum of j*c over the terms c*x^i*y^j."""
+    weighted = sum(j * c for (_, j), c in dist.poly.terms.items())
+    return Fraction(weighted, dist.k**dist.vertex_count)
 
 
 def block_count(g: Graph, coloring) -> int:

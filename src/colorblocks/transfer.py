@@ -46,7 +46,7 @@ from functools import lru_cache
 
 # bareiss_solve is not used here, but callers import it from this module
 from .algebra import MAX_SYSTEM_DIM, LaurentPoly2, RationalGF, bareiss_solve, weighted_solution_gf
-from .combinatorics import partitions_at_most_k_parts
+from .combinatorics import partition_count_at_most_k_parts, partitions_at_most_k_parts
 from .errors import CapExceededError, DimensionLimitError
 from .graphs import Graph, union_roots
 from .oracle import BlockDistribution, expected_blocks
@@ -399,11 +399,12 @@ def color_classes(m: int, k: int) -> list[ColorClass]:
             rep.append(frozenset(range(start, start + size)))
             start += size
         rep.extend(frozenset() for _ in range(k - len(parts)))
-        padded = list(parts) + [0] * (k - len(parts))
-        class_size = math.factorial(m) * math.factorial(k)
-        for size in padded:
+        # set partitions of shape parts, times injective colorings of the
+        # parts, over the reorderings of equal parts
+        class_size = math.factorial(m) * math.perm(k, len(parts))
+        for size in parts:
             class_size //= math.factorial(size)
-        for count in Counter(padded).values():
+        for count in Counter(parts).values():
             class_size //= math.factorial(count)
         classes.append(
             ColorClass(
@@ -479,7 +480,7 @@ def km_prism_gf(m: int, k: int) -> RationalGF:
             f"complete slice of {m} vertices exceeds {_MAX_COMPLETE_SLICE}, "
             f"the largest m with 2^m within state cap {DEFAULT_STATE_CAP}"
         )
-    dim = len(partitions_at_most_k_parts(m, k))  # one color class per partition
+    dim = partition_count_at_most_k_parts(m, k)  # one color class per partition
     if dim > MAX_SYSTEM_DIM:
         raise DimensionLimitError(f"system dimension {dim} exceeds limit {MAX_SYSTEM_DIM}")
     if k**m > DEFAULT_STATE_CAP:

@@ -5,6 +5,7 @@ import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,13 @@ from colorblocks.algebra import LaurentPoly2, RationalGF, series_expand
 from colorblocks.cli import main
 from colorblocks.fixtures import fixture_gf
 from colorblocks.verify import ALL_CHECKS, Check, _expect_poly_equal, run_suite
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "cli_corpus.json"
+
+
+def corpus_requests():
+    return json.loads(CORPUS.read_text())["requests"]
 
 
 def run(capsys, *argv):
@@ -365,6 +373,95 @@ class TestClasses:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["parts", "size", "support"]
         assert ["3+1", "8", "2"] in rows
+
+
+    @pytest.mark.parametrize(
+        "m,k", [("1000000000", "1"), ("1000000000", "2"), ("1000000000", "3"), ("1", "100000")]
+    )
+    def test_listing_rejected_from_lower_bound(self, capsys, monkeypatch, m, k):
+        def no_count(m, k):
+            raise AssertionError("classes counted past the lower bound")
+
+        def no_listing(m, k):
+            raise AssertionError("classes listed past the state cap")
+
+        monkeypatch.setattr(cli, "partition_count_at_most_k_parts", no_count)
+        monkeypatch.setattr(cli, "color_classes", no_listing)
+        code, out, err = run(capsys, "classes", "--m", m, "--k", k)
+        assert code == 3 and out == ""
+        assert "at least" in err and str(transfer.DEFAULT_STATE_CAP) in err
+
+    def test_listing_rejected_from_exact_count(self, capsys, monkeypatch):
+        def no_listing(m, k):
+            raise AssertionError("classes listed past the state cap")
+
+        monkeypatch.setattr(cli, "color_classes", no_listing)
+        code, out, err = run(capsys, "classes", "--m", "40", "--k", "40")
+        # p(40) = 37338 classes of 40 + 40 entries
+        assert code == 3 and out == ""
+        assert "2987040 entries" in err and str(transfer.DEFAULT_STATE_CAP) in err
+
+    def test_listing_at_the_cap_is_accepted(self, capsys):
+        # one class of 1 + 65535 entries
+        doc = run_json(capsys, "classes", "--m", "1", "--k", "65535")
+        assert doc["count"] == 1 and doc["classes"][0]["size"] == "65535"
+
+    @pytest.mark.parametrize("m,k", [("0", "2"), ("2", "0"), ("-3", "5")])
+    def test_nonpositive_m_or_k_is_usage_error(self, capsys, m, k):
+        code, out, err = run(capsys, "classes", "--m", m, "--k", k)
+        assert code == 2 and out == ""
+        assert "m and k must be >= 1" in err
+
+
+EDGE_ARGVS = [
+    [],
+    ["-h"],
+    *([command, "-h"] for command in ("dist", "expect", "series", "gf", "classes", "verify")),
+    ["bogus"],
+    ["dist", "--graph", "complete:4", "--k", "2", "--bogus"],
+    ["dist", "--k", "2"],
+    ["dist", "--graph", "complete:4", "--k", "2", "--threads", "0"],
+]
+
+
+class TestParser:
+    def test_one_command_parser_parses_like_the_full_one(self):
+        for request in corpus_requests():
+            argv = request["argv"]
+            lean = cli._build_parser(argv[0]).parse_args(argv)
+            assert lean == cli._build_parser().parse_args(argv), argv
+
+    def test_other_commands_get_no_options(self, capsys):
+        with pytest.raises(SystemExit):
+            cli._build_parser("classes").parse_args(["dist", "--graph", "path:2", "--k", "2"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", EDGE_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_main_matches_full_parser(self, capsys, monkeypatch, argv):
+        lean = run(capsys, *argv)
+        build_full = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: build_full())
+        assert run(capsys, *argv) == lean
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["colorblocks", "classes", "--m", "4", "--k", "2"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 3
+
+
+def test_corpus_outputs_match_stored(capsys):
+    mismatched = []
+    for request in corpus_requests():
+        argv = request["argv"]
+        code, out, _ = run(capsys, *argv)
+        if "--format" in argv and argv[argv.index("--format") + 1] == "csv":
+            output = [row for row in csv.reader(io.StringIO(out)) if row[:1] != ["elapsed_ms"]]
+        else:
+            output = json.loads(out)
+            output.pop("elapsed_ms", None)
+        if (code, output) != (request["exit_code"], request["output"]):
+            mismatched.append(argv)
+    assert not mismatched
 
 
 class TestVerify:

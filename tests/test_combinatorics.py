@@ -3,6 +3,7 @@ import itertools
 from colorblocks.combinatorics import (
     binomial,
     partition_count,
+    partition_count_at_most_k_parts,
     partitions_at_most_k_parts,
     stirling2,
 )
@@ -86,6 +87,20 @@ def test_partitions_shape():
 def test_unrestricted_partitions_match_partition_count():
     for m in range(21):
         assert len(partitions_at_most_k_parts(m, max(m, 1))) == partition_count(m)
+
+
+def test_partition_count_at_most_k_parts_matches_listing():
+    for m in range(21):
+        for k in range(1, 23):
+            assert partition_count_at_most_k_parts(m, k) == len(partitions_at_most_k_parts(m, k))
+
+
+def test_partition_count_small_k_closed_forms():
+    # the bounds `colorblocks classes` rejects from before any exact count
+    for m in range(200):
+        assert partition_count_at_most_k_parts(m, 1) == 1
+        assert partition_count_at_most_k_parts(m, 2) == m // 2 + 1
+        assert partition_count_at_most_k_parts(m, 3) == ((m + 3) ** 2 + 6) // 12
 
 
 def test_gaussian_binomial_counts_classes():

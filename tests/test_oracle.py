@@ -1,12 +1,14 @@
 import itertools
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorblocks import oracle
+from colorblocks.algebra import LaurentPoly2
 from colorblocks.errors import CapExceededError
 from colorblocks.graphs import (
     Graph,
@@ -100,6 +102,28 @@ class TestExpectedBlocks:
         for k in (1, 2, 5):
             d = distribution_bruteforce(path(1), k)
             assert expected_blocks(d) == 1
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(-3, 8)),
+            st.integers(-(10**30), 10**30) | st.fractions(max_denominator=10**6),
+            max_size=12,
+        ),
+        st.integers(1, 5),
+        st.integers(0, 6),
+    )
+    def test_coefficient_sums_equal_evaluation_at_one(self, terms, k, n):
+        # x > 0 terms and Fraction coefficients are outside what a distribution
+        # holds, so the functions see a stand-in object rather than a
+        # BlockDistribution; evaluate(1, 1) is the reference
+        poly = LaurentPoly2(terms)
+        dist = SimpleNamespace(poly=poly, k=k, vertex_count=n)
+        assert BlockDistribution.total(dist) == poly.evaluate(1, 1)
+        want = poly.derivative_y().evaluate(1, 1) / Fraction(k**n)
+        got = expected_blocks(dist)
+        assert got == want and isinstance(got, Fraction)
 
 
 class TestProperColorings:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,24 @@ class TestColorClasses:
         for m in range(1, 7):
             for k in range(1, 5):
                 assert sum(c.size for c in color_classes(m, k)) == k**m
+
+    def test_sizes_match_padded_factorial_formula(self):
+        # reference: m! k! over the factorials of the k part sizes padded
+        # with zeros, and over the factorial of each size's multiplicity
+        for m in range(1, 9):
+            for k in range(1, 9):
+                for cls in color_classes(m, k):
+                    padded = list(cls.parts) + [0] * (k - len(cls.parts))
+                    size = math.factorial(m) * math.factorial(k)
+                    for part in padded:
+                        size //= math.factorial(part)
+                    for count in Counter(padded).values():
+                        size //= math.factorial(count)
+                    assert cls.size == size, (m, k, cls.parts)
+
+    def test_single_vertex_with_many_colors(self):
+        (cls,) = color_classes(1, 10**5)
+        assert cls.size == 10**5 and cls.support == 1
 
     def test_representative_partitions_ground_set(self):
         for m, k in [(4, 2), (5, 3), (3, 4)]:
