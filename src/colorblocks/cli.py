@@ -5,8 +5,11 @@ default (``--format csv`` for spreadsheet rows).  Every big number is emitted
 as a decimal string -- coefficients routinely exceed 2^53 -- and exact fields
 are never rounded; ``--decimals`` adds an explicitly rounded rendering.
 
-Each request builds the parser with every subcommand's name and help but
-only its own subcommand's options.
+Every subcommand's options live in one table, ``_COMMANDS``.  A well-formed
+request (a subcommand, then exact flag and value pairs) is read from that
+table without argparse; any other argv goes to an argparse parser built with
+every subcommand's name and help but only its own subcommand's options, so
+help, usage and error text all come from argparse.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap exceeded
 (an enumeration or state cap, or the dimension limit of the symbolic solve).
@@ -70,6 +73,8 @@ def _emit(doc: dict, fmt: str, csv_rows=None, csv_header=None):
 def _compute(args) -> tuple[BlockDistribution | Fraction, int]:
     """(distribution, vertex count); for ``expect --method closed`` the
     expected value stands in for the distribution."""
+    if args.n is not None and args.method != "transfer":
+        raise UsageError(f"--n applies only to --method transfer, not --method {args.method}")
     if args.method == "closed":
         kind = "expectation" if args.command == "expect" else "distribution"
         found = cf.closed_form(args.graph, args.k, kind)
@@ -149,8 +154,10 @@ def cmd_series(args) -> int:
 
 
 def cmd_gf(args) -> int:
+    if args.fixture is not None and args.m is not None:
+        raise UsageError("gf takes --fixture or --m, not both")
     if args.fixture is not None:
-        gf = fixture_gf(args.fixture, args.k if args.fixture == "K3_generic_k" else None)
+        gf = fixture_gf(args.fixture, args.k)
         label = {"fixture": args.fixture}
         if args.fixture == "K3_generic_k":
             label["k"] = args.k
@@ -241,51 +248,47 @@ _DECIMALS = _int_in_range(0)
 _CAP = _int_in_range(1, 2**63 - 1)
 
 
-def _blocks_arguments(p: argparse.ArgumentParser, method: str) -> None:
-    p.add_argument("--graph", required=True, help="graph spec, e.g. complete:4")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--k", type=int, required=True, help="number of colors")
-    p.add_argument("--method", choices=("brute", "transfer", "closed"), default=method)
-    p.add_argument("--n", type=int, help="path length for --method transfer")
-    p.add_argument("--cap", type=_CAP, help="enumeration / state cap override")
-    p.add_argument(
-        "--threads", type=_THREADS, default=1, help="worker threads, at most the core count"
+_FORMAT = ("--format", str, False, ("json", "csv"), "json", None)
+
+
+def _blocks_options(method: str) -> tuple:
+    return (
+        ("--graph", str, True, None, None, "graph spec, e.g. complete:4"),
+        _FORMAT,
+        ("--k", int, True, None, None, "number of colors"),
+        ("--method", str, False, ("brute", "transfer", "closed"), method, None),
+        ("--n", int, False, None, None, "path length for --method transfer"),
+        ("--cap", _CAP, False, None, None, "enumeration / state cap override"),
+        ("--threads", _THREADS, False, None, 1, "worker threads, at most the core count"),
+        ("--decimals", _DECIMALS, False, None, None, "add a rounded decimal rendering"),
     )
-    p.add_argument("--decimals", type=_DECIMALS, help="add a rounded decimal rendering")
 
 
-def _series_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fixture", required=True, choices=FIXTURE_IDS)
-    p.add_argument("--k", type=int, help="k for K3_generic_k")
-    p.add_argument("--N", type=int, required=True, help="highest x power (<= 64)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _gf_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fixture", choices=FIXTURE_IDS)
-    p.add_argument("--m", type=int, help="complete-slice size for the reduced system")
-    p.add_argument("--k", type=int)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _classes_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--suite", choices=("quick", "full"), default="quick")
-
-
-# name -> (help, handler, adds the subcommand's arguments)
+# name -> (help, handler, options); an option is (flag, type, required,
+# choices, default, help), in help order
 _COMMANDS = {
-    "dist": ("block distribution of a graph", cmd_blocks, lambda p: _blocks_arguments(p, "brute")),
-    "expect": ("expected block count", cmd_blocks, lambda p: _blocks_arguments(p, "closed")),
-    "series": ("series coefficients of a fixture", cmd_series, _series_arguments),
-    "gf": ("print a generating function", cmd_gf, _gf_arguments),
-    "classes": ("color classes of a complete slice", cmd_classes, _classes_arguments),
-    "verify": ("run the built-in verification suite", cmd_verify, _verify_arguments),
+    "dist": ("block distribution of a graph", cmd_blocks, _blocks_options("brute")),
+    "expect": ("expected block count", cmd_blocks, _blocks_options("closed")),
+    "series": ("series coefficients of a fixture", cmd_series, (
+        ("--fixture", str, True, FIXTURE_IDS, None, None),
+        ("--k", int, False, None, None, "k for K3_generic_k"),
+        ("--N", int, True, None, None, "highest x power (<= 64)"),
+        _FORMAT,
+    )),
+    "gf": ("print a generating function", cmd_gf, (
+        ("--fixture", str, False, FIXTURE_IDS, None, None),
+        ("--m", int, False, None, None, "complete-slice size for the reduced system"),
+        ("--k", int, False, None, None, None),
+        _FORMAT,
+    )),
+    "classes": ("color classes of a complete slice", cmd_classes, (
+        ("--m", int, True, None, None, None),
+        ("--k", int, True, None, None, None),
+        _FORMAT,
+    )),
+    "verify": ("run the built-in verification suite", cmd_verify, (
+        ("--suite", str, False, ("quick", "full"), "quick", None),
+    )),
 }
 
 
@@ -298,22 +301,54 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Exact block-count distributions of k-colorings of graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, handler, add_arguments) in _COMMANDS.items():
+    for name, (summary, handler, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         if command is None or name == command:
-            add_arguments(p)
+            for flag, kind, required, choices, default, text in options:
+                p.add_argument(
+                    flag, type=kind, required=required, choices=choices, default=default, help=text
+                )
             p.set_defaults(handler=handler)
     return parser
+
+
+def _parse_plain(argv) -> argparse.Namespace | None:
+    """``_build_parser().parse_args(argv)`` for argv of the plain shape: a
+    subcommand, then pairs of one of its exact flags and a value that does not
+    start with ``-``, converts through the option's type and lies in its
+    choices, with every required option given.  None for any other argv, which
+    is left to argparse, the only source of help, usage and error text."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    table = {option[0]: option for option in options}
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if flag not in table or text.startswith("-"):
+            return None
+        _, kind, _, choices, _, _ = table[flag]
+        try:
+            given[flag] = kind(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            return None
+        if choices is not None and given[flag] not in choices:
+            return None
+    if any(required and flag not in given for flag, _, required, *_ in options):
+        return None
+    values = {flag[2:]: given.get(flag, default) for flag, _, _, _, default, _ in options}
+    return argparse.Namespace(command=argv[0], handler=handler, **values)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _parse_plain(argv)
+    if args is None:
+        parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
     except (CapExceededError, DimensionLimitError) as exc:

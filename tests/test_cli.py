@@ -1,13 +1,16 @@
+import contextlib
 import csv
 import io
 import json
 import os
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorblocks import cli
 from colorblocks import closed_forms as cf
@@ -506,3 +509,127 @@ class TestVerify:
 def test_no_command_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2
+
+
+class TestUsageConflicts:
+    @pytest.mark.parametrize("command, method", [("dist", "brute"), ("dist", "closed"),
+                                                 ("expect", "brute"), ("expect", "closed")])
+    def test_n_needs_method_transfer(self, capsys, monkeypatch, command, method):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started despite --n")
+
+        monkeypatch.setattr(cli, "distribution_bruteforce", no_work)
+        monkeypatch.setattr(cf, "closed_form", no_work)
+        code, out, err = run(
+            capsys, command, "--graph", "complete:3", "--k", "2", "--method", method, "--n", "4"
+        )
+        assert code == 2 and out == ""
+        assert "--n" in err and "transfer" in err
+
+    @pytest.mark.parametrize("command", ["gf", "series"])
+    def test_fixed_k_fixture_rejects_k(self, capsys, command):
+        extra = ("--N", "2") if command == "series" else ()
+        code, out, err = run(capsys, command, "--fixture", "K4_k2", "--k", "5", *extra)
+        assert code == 2 and out == ""
+        assert "does not take a k" in err
+
+    def test_gf_generic_fixture_still_takes_k(self, capsys):
+        doc = run_json(capsys, "gf", "--fixture", "K3_generic_k", "--k", "3")
+        assert doc["fixture"] == "K3_generic_k" and doc["k"] == 3
+
+    @pytest.mark.parametrize("fixture", ["K4_k2", "K3_generic_k"])
+    def test_gf_fixture_and_m_conflict(self, capsys, monkeypatch, fixture):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started despite --fixture with --m")
+
+        monkeypatch.setattr(cli, "km_prism_gf", no_work)
+        monkeypatch.setattr(cli, "fixture_gf", no_work)
+        code, out, err = run(capsys, "gf", "--fixture", fixture, "--m", "3", "--k", "2")
+        assert code == 2 and out == ""
+        assert "--fixture" in err and "--m" in err
+
+
+_FLAGS = sorted({option[0] for _, _, options in cli._COMMANDS.values() for option in options})
+# values each flag accepts, for well-formed argv
+_GOOD = {
+    "--graph": ["complete:3", "path:2", "product(complete:2,path:2)", "bogus", ""],
+    "--k": ["1", "2", "3", " 2", "+2"],
+    "--method": ["brute", "transfer", "closed"],
+    "--n": ["1", "2"],
+    "--cap": ["1", "100", str(2**63 - 1)],
+    "--threads": ["1", "2"],
+    "--decimals": ["0", "3"],
+    "--format": ["json", "csv"],
+    "--fixture": ["K4_k2", "K3_generic_k"],
+    "--N": ["0", "2"],
+    "--m": ["1", "3"],
+    "--suite": ["quick", "full"],
+}
+_MALFORMED = ["--gra", "--g", "--for", "--graph=complete:3", "--k=2", "-h", "--help", "--",
+              "-k", "--bogus", "-", "-1", "-2", "x", "2.5", "", "xml", str(2**63)]
+_TOKENS = _FLAGS + _MALFORMED + sorted({value for values in _GOOD.values() for value in values})
+
+
+@st.composite
+def cli_argvs(draw, commands=tuple(cli._COMMANDS)):
+    """A well-formed request (a subcommand, then its required options and
+    some optional ones, in any order), then up to three edits: a token
+    inserted, deleted or replaced, or a flag repeated."""
+    command = draw(st.sampled_from(commands))
+    pairs = [
+        [flag, draw(st.sampled_from(_GOOD[flag]))]
+        for flag, _, required, *_ in cli._COMMANDS[command][2]
+        if required or draw(st.booleans())
+    ]
+    argv = [command] + [token for pair in draw(st.permutations(pairs)) for token in pair]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("insert", "delete", "replace", "repeat")))
+        position = draw(st.integers(0, len(argv)))
+        token = draw(st.sampled_from(_TOKENS))
+        if edit == "insert":
+            argv.insert(position, token)
+        elif edit == "delete" and position < len(argv):
+            del argv[position]
+        elif edit == "replace" and position < len(argv):
+            argv[position] = token
+        elif edit == "repeat" and pairs:
+            argv += draw(st.sampled_from(pairs))[:1] + [token]
+    return argv
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    masked = re.sub(r'("elapsed_ms": |elapsed_ms,)\d+', r"\1_", out.getvalue())
+    return code, masked, err.getvalue()
+
+
+class TestPlainParser:
+    @settings(max_examples=300, deadline=None)
+    @given(cli_argvs())
+    def test_plain_namespace_equals_argparse(self, argv):
+        plain = cli._parse_plain(argv)
+        if plain is not None:
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert plain == cli._build_parser().parse_args(argv), argv
+
+    # verify is left out: a well-formed verify request runs the whole suite
+    @settings(max_examples=150, deadline=None)
+    @given(cli_argvs(commands=("dist", "expect", "series", "gf", "classes")))
+    def test_main_output_is_the_same_without_the_plain_path(self, argv):
+        plain = _main_output(argv)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_parse_plain", lambda argv: None)
+            assert _main_output(argv) == plain, argv
+
+    def test_corpus_takes_the_plain_path(self):
+        for request in corpus_requests():
+            argv = request["argv"]
+            plain = cli._parse_plain(argv)
+            assert plain is not None, argv
+            assert plain == cli._build_parser().parse_args(argv), argv
+
+    @pytest.mark.parametrize("argv", EDGE_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_edge_argv_goes_to_argparse(self, argv):
+        assert cli._parse_plain(argv) is None
