@@ -183,7 +183,8 @@ def cmd_gf(args) -> int:
 
 def _check_class_listing(m: int, k: int) -> None:
     """Exit 3 before ``color_classes`` lists more than ``DEFAULT_STATE_CAP``
-    entries, counting m + k per class (its parts and its k-part representative)."""
+    entries, counting m + k per class: a bound on its parts (at most k) plus
+    its representative (the m vertices, split into the parts)."""
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
 

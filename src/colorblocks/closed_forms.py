@@ -133,6 +133,8 @@ def complete_block_count(n: int, i: int, k: int) -> int:
 
 
 def complete_distribution(n: int, k: int) -> BlockDistribution:
+    _require(n >= 1, "n must be >= 1")
+    _require(k >= 1, "k must be >= 1")
     poly = LaurentPoly2(
         {(0, i): complete_block_count(n, i, k) for i in range(1, min(n, k) + 1)}
     )
@@ -175,6 +177,7 @@ def complete_prism_expected(num_levels: int, n: int, k: int) -> Fraction:
 def complete_prism_distribution(num_levels: int, n: int, k: int) -> BlockDistribution:
     """Block distribution of (complete graph on `num_levels` vertices) x path(n):
     the x^n coefficient of the symbolic generating function."""
+    _require(n >= 1, "the path factor needs >= 1 vertices")
     coeff = series_expand(km_prism_gf(num_levels, k), n)[n]
     return BlockDistribution(coeff, num_levels * n, k)
 

@@ -44,8 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-# bareiss_solve is not used here, but callers import it from this module
-from .algebra import MAX_SYSTEM_DIM, LaurentPoly2, RationalGF, bareiss_solve, weighted_solution_gf
+from .algebra import MAX_SYSTEM_DIM, LaurentPoly2, RationalGF, weighted_solution_gf
 from .combinatorics import partition_count_at_most_k_parts, partitions_at_most_k_parts
 from .errors import CapExceededError, DimensionLimitError
 from .graphs import Graph, union_roots
@@ -379,7 +378,8 @@ def prism_expected(g: Graph, k: int, n: int) -> Fraction:
 @dataclass(frozen=True)
 class ColorClass:
     """An orbit of colorings of the complete graph on m vertices under color
-    permutation; identified by its weakly decreasing nonzero part sizes."""
+    permutation; identified by its weakly decreasing nonzero part sizes.  The
+    representative holds one vertex set per part: part i is colored i."""
 
     parts: tuple[int, ...]
     representative: tuple[frozenset, ...]
@@ -398,7 +398,6 @@ def color_classes(m: int, k: int) -> list[ColorClass]:
         for size in parts:
             rep.append(frozenset(range(start, start + size)))
             start += size
-        rep.extend(frozenset() for _ in range(k - len(parts)))
         # set partitions of shape parts, times injective colorings of the
         # parts, over the reorderings of equal parts
         class_size = math.factorial(m) * math.perm(k, len(parts))
@@ -424,10 +423,10 @@ def km_transfer_system(
 
     M[a][cb] sums y^(closed classes) over every coloring in target class cb:
     an old color part closes exactly when the new slice reuses none of its
-    vertices' color -- for complete slices, when part i is nonempty and meets
-    the new part i nowhere.  b[a] = y^support(a); the full generating function
-    weights each class solution by its class size (and one factor x per slice,
-    applied by km_prism_gf).
+    vertices' color -- for complete slices, when part i of a's representative
+    meets the new color-i vertices nowhere.  b[a] = y^support(a); the full
+    generating function weights each class solution by its class size (and one
+    factor x per slice, applied by km_prism_gf).
     """
     classes = color_classes(m, k)
     index_of_parts = {cls.parts: idx for idx, cls in enumerate(classes)}
@@ -440,13 +439,13 @@ def km_transfer_system(
         [dict() for _ in classes] for _ in classes
     ]  # exponent -> multiplicity, per (row, col)
     for target in itertools.product(range(k), repeat=m):
-        masks = [0] * k
+        masks = {}  # only the colors the target uses
         for v, color in enumerate(target):
-            masks[color] |= 1 << v
-        sizes = tuple(sorted((bin(mask).count("1") for mask in masks if mask), reverse=True))
+            masks[color] = masks.get(color, 0) | 1 << v
+        sizes = tuple(sorted((bin(mask).count("1") for mask in masks.values()), reverse=True))
         col = index_of_parts[sizes]
         for row, amasks in enumerate(rep_masks):
-            exp = sum(1 for i in range(k) if amasks[i] and not amasks[i] & masks[i])
+            exp = sum(1 for i, amask in enumerate(amasks) if not amask & masks.get(i, 0))
             cell = matrix[row][col]
             cell[exp] = cell.get(exp, 0) + 1
     poly_matrix = [

@@ -1,10 +1,14 @@
-"""Built-in verification suites for the CLI.
+"""The package's checks of the paper's results, one registry for the CLI and
+the tests.
 
 Each check is a small function that raises CheckFailure with the exact
-mismatch detail (down to the offending coefficient).  The ``quick`` suite
-stays under half a minute; ``full`` adds the heavy cross-validations
-(7x7 boundary-system solve, 5- and 6-vertex slice series, larger
-enumerations).
+mismatch detail (down to the offending coefficient).  ``ALL_CHECKS`` is the
+one home of every check that sets two routes (brute force, closed forms, the
+transfer engine, stored fixtures) against each other; ``colorblocks verify``
+runs it, and the test suite runs each check as its own case.  The ``quick``
+suite takes well under a second; ``full`` adds the heavier cross-validations
+(7x7 boundary-system solve, 5- and 6-vertex slice series, the 100+-instance
+property pool, larger enumerations).  Nothing is built at import time.
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ from .combinatorics import (
 from .errors import CheckFailure
 from .graphs import (
     Graph,
+    SplitMix64,
     cartesian_product,
     complete,
     complete_bipartite,
     cycle,
     grid,
+    is_connected,
     parse_graph_spec,
     path,
     perfect_binary_tree,
@@ -133,7 +139,7 @@ def check_partitions():
     _expect_equal(
         partitions_at_most_k_parts(4, 2), [(4,), (3, 1), (2, 2)], "partitions of 4 into <=2 parts"
     )
-    for m in range(13):
+    for m in range(21):
         _expect_equal(
             len(partitions_at_most_k_parts(m, max(m, 1))),
             partition_count(m),
@@ -145,21 +151,25 @@ def check_partitions():
 
 
 def check_tree_theorem_small():
-    for g, n in [(path(3), 3), (star(3), 4), (random_tree(7, 11), 7)]:
+    trees = [(path(3), 3), (star(3), 4), (random_tree(7, 11), 7)]
+    trees += [(random_tree(n, seed), n) for seed in range(3) for n in (5, 7)]
+    for g, n in trees:
         for k in (2, 3):
             got = distribution_bruteforce(g, k).poly
             _expect_poly_equal(got, cf.tree_distribution(n, k).poly, f"tree n={n} k={k}")
 
 
 def check_tree_theorem_many():
+    y = LaurentPoly2.y()
     for seed in range(50):
         n = 1 + seed % 9
         g = random_tree(n, seed)
         for k in (2, 3, 4):
             got = distribution_bruteforce(g, k).poly
-            _expect_poly_equal(
-                got, cf.tree_distribution(n, k).poly, f"tree seed={seed} n={n} k={k}"
-            )
+            label = f"tree seed={seed} n={n} k={k}"
+            _expect_poly_equal(got, cf.tree_distribution(n, k).poly, label)
+            # the closed form's own product, independent of its binomial terms
+            _expect_poly_equal(got, (k * y) * ((k - 1) * y + 1) ** (n - 1), f"{label} power form")
 
 
 def check_pbt_lemma():
@@ -178,7 +188,7 @@ def check_pbt_lemma_full():
 
 def check_cycle_theorem():
     _expect_equal(cf.cycle_block_count(5, 4, 2), 10, "cycle count n=5 i=4 k=2")
-    for n in range(3, 8):
+    for n in range(3, 11):
         for k in (2, 3):
             d = distribution_bruteforce(cycle(n), k)
             _expect_poly_equal(d.poly, cf.cycle_distribution(n, k).poly, f"cycle n={n} k={k}")
@@ -189,8 +199,8 @@ def check_walk_counts():
     _expect_equal(cf.closed_walks_complete(3, 3), Fraction(2), "closed walks K_3 len 3")
     _expect_equal(cf.open_walks_complete(3, 2), Fraction(1), "open walks K_3 len 2")
     _expect_equal(cf.open_walks_complete(2, 2), Fraction(0), "open walks K_2 len 2")
-    for n in range(3, 10):
-        for k in range(2, 5):
+    for n in range(3, 13):
+        for k in range(1, 6):
             for i in range(2, n + 1):
                 recombined = 2 * binomial(n - 1, i - 1) * binomial(k, 2) * cf.open_walks_complete(
                     k, i - 1
@@ -202,16 +212,18 @@ def check_walk_counts():
 
 def check_complete_theorem():
     _expect_equal(cf.complete_block_count(4, 2, 2), 14, "complete count n=4 i=2 k=2")
-    for n in range(1, 7):
+    for n in range(1, 9):
         for k in (2, 3):
             d = distribution_bruteforce(complete(n), k)
             _expect_poly_equal(d.poly, cf.complete_distribution(n, k).poly, f"complete n={n} k={k}")
-            _expect_equal(d.expected(), cf.complete_expected(n, k), f"complete mean n={n} k={k}")
+            want = k - Fraction((k - 1) ** n, k ** (n - 1))
+            _expect_equal(cf.complete_expected(n, k), want, f"complete mean formula n={n} k={k}")
+            _expect_equal(d.expected(), want, f"complete mean n={n} k={k}")
 
 
 def check_bipartite_expectation():
-    for n in range(1, 4):
-        for m in range(1, 4):
+    for n in range(1, 5):
+        for m in range(1, 5):
             for k in (2, 3):
                 got = distribution_bruteforce(complete_bipartite(n, m), k).expected()
                 _expect_equal(got, cf.bipartite_expected(n, m, k), f"bipartite {n},{m} k={k}")
@@ -225,48 +237,51 @@ def check_bipartite_expectation():
 # -- transfer engine ------------------------------------------------------------
 
 
-def check_engine_against_bruteforce():
-    cases = [
-        (complete(3), 2, 3),
-        (complete(3), 3, 2),
-        (star(3), 2, 2),
-        (path(2), 2, 2),
-        (path(3), 2, 3),
-    ]
+def _expect_engine_is_bruteforce(cases):
     for g, k, n in cases:
         eng = prism_distribution(g, k, n).poly
         bf = distribution_bruteforce(cartesian_product(g, path(n)), k).poly
         _expect_poly_equal(eng, bf, f"engine vs brute |slice|={g.n} k={k} n={n}")
 
 
+def _expect_series_is_engine(gf: RationalGF, g: Graph, k: int, nmax: int, label: str):
+    """The x^n coefficients of gf, n = 0..nmax, are the profile DP's
+    distributions of g x path(n) (none at n = 0)."""
+    coeffs = series_expand(gf, nmax)
+    _expect_poly_equal(coeffs[0], LaurentPoly2.zero(), f"{label} n=0")
+    for n in range(1, nmax + 1):
+        _expect_poly_equal(coeffs[n], prism_distribution(g, k, n).poly, f"{label} n={n}")
+    return coeffs
+
+
+def check_engine_against_bruteforce():
+    _expect_engine_is_bruteforce([
+        (complete(3), 2, 3), (complete(3), 3, 2), (star(3), 2, 2), (path(2), 2, 2), (path(3), 2, 3),
+    ])
+
+
 def check_engine_against_bruteforce_full():
-    for n in range(1, 7):
-        eng = prism_distribution(complete(3), 2, n).poly
-        bf = distribution_bruteforce(cartesian_product(complete(3), path(n)), 2).poly
-        _expect_poly_equal(eng, bf, f"triangle prism k=2 n={n}")
-    for n in range(1, 5):
-        eng = prism_distribution(complete(3), 3, n).poly
-        bf = distribution_bruteforce(cartesian_product(complete(3), path(n)), 3).poly
-        _expect_poly_equal(eng, bf, f"triangle prism k=3 n={n}")
-        eng = prism_distribution(star(3), 2, n).poly
-        bf = distribution_bruteforce(cartesian_product(star(3), path(n)), 2).poly
-        _expect_poly_equal(eng, bf, f"star prism k=2 n={n}")
+    _expect_engine_is_bruteforce(
+        [(complete(3), 2, n) for n in range(1, 7)]
+        + [(g, k, n) for g, k in [(complete(3), 3), (star(3), 2)] for n in range(1, 5)]
+    )
 
 
 def check_engine_mass_conservation():
-    for g, k in [(complete(3), 2), (star(3), 2), (path(3), 3)]:
+    for g, k in [(complete(3), 2), (star(3), 2), (cycle(4), 2), (path(3), 3)]:
         states = initial_states(g, k)
-        for t in range(3):
+        for t in range(4):
             mass = sum((w.evaluate(1, 1) for w in states.values()), Fraction(0))
             _expect_equal(mass, Fraction(k ** ((t + 1) * g.n)), f"mass |slice|={g.n} k={k} t={t}")
             states = step(g, k, states)
 
 
 def check_complete_slice_states():
-    for m, k in [(2, 2), (3, 2), (3, 3), (4, 2)]:
+    for m, k in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
         states = initial_states(complete(m), k)
-        states = step(complete(m), k, states)
-        _expect_equal(len(states), k**m, f"reachable profiles K_{m} k={k}")
+        for t in range(1, 4):
+            states = step(complete(m), k, states)
+            _expect_equal(len(states), k**m, f"reachable profiles K_{m} k={k} step {t}")
 
 
 def check_lumped_step():
@@ -297,40 +312,50 @@ def check_color_classes():
 def check_km_system_small():
     one = LaurentPoly2.one()
     x, y = LaurentPoly2.x(), LaurentPoly2.y()
-    for k in (2, 3):
+    for k in (2, 3, 5):
         got = km_prism_gf(1, k)
         want = RationalGF(k * x * y, one - x * (1 + (k - 1) * y))
         _expect_gf_equal(got, want, f"single-vertex slice k={k} is the path closed form")
-    _expect_gf_equal(km_prism_gf(3, 2), cf.k3_prism_gf(2), "reduced system m=3 k=2")
-    _expect_gf_equal(km_prism_gf(4, 2), fx.fixture_gf("K4_k2"), "reduced system m=4 k=2")
+    for k in (2, 3, 4):
+        _expect_gf_equal(km_prism_gf(3, k), cf.k3_prism_gf(k), f"reduced system m=3 k={k}")
+    for fid in ("K4_k2", "K5_k2", "K4_k3"):
+        m, k = fx.fixture_slice_size(fid), fx.fixture_k(fid, None)
+        _expect_gf_equal(km_prism_gf(m, k), fx.fixture_gf(fid), f"reduced system vs {fid}")
+    for m, k in [(3, 2), (4, 2), (3, 3)]:
+        matrix, rhs, weights = transfer.km_transfer_system(m, k)
+        for i, row in enumerate(matrix):
+            total = sum(cell.evaluate(1, 1) for cell in row)
+            _expect_equal(total, k**m, f"row {i} mass m={m} k={k}")
+        _expect_equal(sum(weights), k**m, f"class weights m={m} k={k}")
+        _expect_equal(len(rhs), len(matrix), f"base vector length m={m} k={k}")
+    for m, k in [(2, 2), (3, 2), (4, 2), (3, 3)]:
+        den = km_prism_gf(m, k).den
+        _expect_poly_equal(den.x_coefficient(0), one, f"denominator constant m={m} k={k}")
 
 
 def check_km_series_vs_engine():
-    for m, k, nmax in [(2, 2, 4), (3, 2, 4), (3, 3, 3), (4, 2, 3)]:
-        coeffs = series_expand(km_prism_gf(m, k), nmax)
-        for n in range(1, nmax + 1):
-            eng = prism_distribution(complete(m), k, n).poly
-            _expect_poly_equal(coeffs[n], eng, f"reduced-system series m={m} k={k} n={n}")
+    for m, k in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]:
+        label = f"reduced system m={m} k={k}"
+        _expect_series_is_engine(km_prism_gf(m, k), complete(m), k, 5, label)
 
 
 def check_triangle_prism_expectation():
     _expect_equal(prism_expected(complete(3), 2, 4), Fraction(113, 32), "triangle prism mean n=4")
-    for n in range(1, 8):
-        _expect_equal(
-            prism_expected(complete(3), 2, n),
-            Fraction(2) ** (3 * n - 5) * (37 + 19 * n) / Fraction(2) ** (3 * n),
-            f"triangle prism mean n={n}",
-        )
+    coeffs = series_expand(cf.k3_prism_gf(2), 10)
+    for n in range(1, 11):
+        want = Fraction(2) ** (3 * n - 5) * (37 + 19 * n) / Fraction(2) ** (3 * n)
+        _expect_equal(prism_expected(complete(3), 2, n), want, f"triangle prism mean n={n}")
+        _expect_equal(cf.complete_prism_expected(3, n, 2), want, f"triangle formula mean n={n}")
+        from_series = coeffs[n].derivative_y().evaluate(1, 1) / Fraction(2 ** (3 * n))
+        _expect_equal(from_series, want, f"triangle series mean n={n}")
 
 
 def check_k4_prism_expectation():
     _expect_equal(prism_expected(complete(4), 2, 3), Fraction(185, 64), "K4 prism mean n=3")
-    for n in range(1, 6):
-        _expect_equal(
-            prism_expected(complete(4), 2, n),
-            Fraction(2) ** (4 * n - 7) * (175 + 65 * n) / Fraction(2) ** (4 * n),
-            f"K4 prism mean n={n}",
-        )
+    for n in range(1, 11):
+        want = Fraction(2) ** (4 * n - 7) * (175 + 65 * n) / Fraction(2) ** (4 * n)
+        _expect_equal(prism_expected(complete(4), 2, n), want, f"K4 prism mean n={n}")
+        _expect_equal(cf.complete_prism_expected(4, n, 2), want, f"K4 formula mean n={n}")
 
 
 def check_general_prism_expectation():
@@ -349,6 +374,12 @@ def check_general_prism_expectation():
                     prism_expected(complete(ell), k, n),
                     f"prism formula vs engine ell={ell} k={k} n={n}",
                 )
+    for ell in range(1, 4):
+        for n in (1, 2):
+            bf = distribution_bruteforce(cartesian_product(complete(ell), path(n)), 2).expected()
+            _expect_equal(
+                cf.complete_prism_expected(ell, n, 2), bf, f"prism formula vs brute ell={ell} n={n}"
+            )
 
 
 def check_general_prism_expectation_full():
@@ -380,6 +411,7 @@ def check_k3_generic_against_display():
         parse_poly("1-x*(4+3*y+y^2)+x^2*(3-7*y+3*y^2+y^3)"),
     )
     _expect_gf_equal(cf.k3_prism_gf(2), display, "triangle slice k=2 display")
+    _expect_gf_equal(fx.fixture_gf("K3_generic_k", 2), display, "triangle fixture k=2 display")
 
 
 def check_fixture_normalization():
@@ -396,28 +428,28 @@ def check_fixture_normalization():
 
 def check_fixture_series_vs_engine_small():
     for k in (2, 3):
-        coeffs = series_expand(cf.k3_prism_gf(k), 4)
-        for n in range(1, 5):
-            eng = prism_distribution(complete(3), k, n).poly
-            _expect_poly_equal(coeffs[n], eng, f"triangle fixture k={k} n={n}")
-    coeffs = series_expand(fx.fixture_gf("STAR13_k2"), 4)
-    for n in range(1, 5):
-        eng = prism_distribution(star(3), 2, n).poly
-        _expect_poly_equal(coeffs[n], eng, f"star fixture n={n}")
+        _expect_series_is_engine(cf.k3_prism_gf(k), complete(3), k, 4, f"triangle fixture k={k}")
+    _expect_series_is_engine(fx.fixture_gf("STAR13_k2"), star(3), 2, 6, "star fixture")
 
 
 def check_fixture_series_vs_engine_full():
-    for fid, g, k in [
-        ("K5_k2", complete(5), 2),
-        ("K6_k2", complete(6), 2),
-        ("K4_k3", complete(4), 3),
-    ]:
-        coeffs = series_expand(fx.fixture_gf(fid), 5)
-        for n in range(1, 6):
-            eng = prism_distribution(g, k, n).poly
-            _expect_poly_equal(coeffs[n], eng, f"{fid} series n={n}")
-    # the circulated display under the K4_k3 label is the 3-vertex function
-    _expect_gf_equal(fx.k4_k3_source_display(), cf.k3_prism_gf(3), "K4_k3 display erratum")
+    for fid in ("K4_k2", "K5_k2", "K6_k2", "K4_k3"):
+        m, k = fx.fixture_slice_size(fid), fx.fixture_k(fid, None)
+        _expect_series_is_engine(fx.fixture_gf(fid), complete(m), k, 5, f"{fid} series")
+    for k in (2, 3, 4):
+        coeffs = _expect_series_is_engine(
+            fx.fixture_gf("K3_generic_k", k), complete(3), k, 8, f"K3_generic_k k={k} series"
+        )
+        for n in range(1, 9):
+            _expect_equal(coeffs[n].evaluate(1, 1), k ** (3 * n), f"K3_generic_k k={k} mass n={n}")
+    # the circulated display under the K4_k3 label is the 3-vertex function,
+    # so its first coefficient is not the 4-vertex slice's
+    display = fx.k4_k3_source_display()
+    _expect_gf_equal(display, cf.k3_prism_gf(3), "K4_k3 display erratum")
+    c1 = series_expand(display, 1)[1]
+    _expect_poly_equal(c1, parse_poly("3*y+18*y^2+6*y^3"), "K4_k3 display x^1")
+    if c1 == prism_distribution(complete(4), 3, 1).poly:
+        raise CheckFailure("K4_k3 display x^1 equals the 4-vertex slice's")
 
 
 def check_star_matrix_entries():
@@ -468,12 +500,7 @@ def check_graph_builders():
         _expect_equal(t.edge_count, n - 1, f"tree edges n={n}")
 
 
-def check_distribution_properties():
-    pool = [
-        (path(5), 2), (path(8), 2), (cycle(6), 2), (cycle(5), 3),
-        (complete(4), 2), (complete(4), 3), (complete_bipartite(2, 3), 2),
-        (grid(2, 3), 2), (random_tree(9, 5), 2), (star(4), 3),
-    ]
+def _check_properties(pool, rng: SplitMix64):
     for g, k in pool:
         d = distribution_bruteforce(g, k)
         _expect_equal(d.total(), Fraction(k**g.n), f"mass |V|={g.n} k={k}")
@@ -481,11 +508,63 @@ def check_distribution_properties():
             d.coefficient(g.n), Fraction(proper_coloring_count(g, k)),
             f"top coefficient |V|={g.n} k={k}",
         )
-        _expect_equal(d.coefficient(1), Fraction(k), f"monochromatic coefficient k={k}")
+        # one block only when every vertex shares one color and g is connected
+        _expect_equal(
+            d.coefficient(1), Fraction(k if is_connected(g) else 0),
+            f"monochromatic coefficient |V|={g.n} k={k}",
+        )
         if k == 2:
             odd = [j for j, c in d.coefficients().items() if c % 2]
             if odd:
                 raise CheckFailure(f"odd coefficients at exponents {odd} for |V|={g.n} k=2")
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabeled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        _expect_poly_equal(
+            distribution_bruteforce(relabeled, k).poly, d.poly, f"relabeled |V|={g.n} k={k}"
+        )
+
+
+def check_distribution_properties():
+    pool = [
+        (path(5), 2), (path(8), 2), (cycle(6), 2), (cycle(5), 3),
+        (complete(4), 2), (complete(4), 3), (complete_bipartite(2, 3), 2),
+        (grid(2, 3), 2), (random_tree(9, 5), 2), (star(4), 3),
+        (path(6), 2), (path(4), 3), (cycle(5), 2), (cycle(4), 3),
+        (complete(3), 3), (star(4), 2), (random_tree(8, 7), 2), (perfect_binary_tree(2), 2),
+        (Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]), 2),
+        (Graph.from_edges(5, [(0, 1), (2, 3)]), 2),
+    ]
+    _check_properties(pool, SplitMix64(2024))
+
+
+def check_distribution_properties_full():
+    pool = []
+    for seed in range(40):
+        n = 4 + seed % 9
+        pool.append((random_tree(n, seed), 2 if n > 11 else 2 + seed % 2))
+    pool.append((random_tree(18, 99), 2))  # saturates k^|V| = 2^18
+    pool += [(cycle(n), k) for n in range(3, 11) for k in (2, 3)]
+    pool += [(complete(n), 2) for n in range(1, 9)] + [(complete(n), 3) for n in range(1, 6)]
+    pool += [(complete_bipartite(n, m), 2) for n in range(1, 4) for m in range(1, 4)]
+    pool += [(complete_bipartite(n, m), 3) for n, m in [(1, 1), (2, 2), (2, 3)]]
+    pool += [(grid(2, m), 2) for m in range(2, 8)] + [(grid(3, 3), 2), (grid(2, 2), 3)]
+    pool += [(perfect_binary_tree(h), 2) for h in (1, 2, 3)] + [(perfect_binary_tree(1), 3)]
+    pool += [(star(m), 2) for m in range(2, 7)]
+    rng = SplitMix64(7)
+    for i in range(12):  # connected non-trees: a random tree plus up to three chords
+        n = 6 + i % 6
+        edges = set(random_tree(n, 1000 + i).edges())
+        for _ in range(3):
+            u, v = rng.next_below(n), rng.next_below(n)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        pool.append((Graph.from_edges(n, edges), 2))
+    for g, n in [(complete(2), 4), (path(3), 3), (complete(3), 3)]:
+        pool.append((cartesian_product(g, path(n)), 2))
+    if len(pool) < 100 or max(k**g.n for g, k in pool) != 1 << 18:
+        raise CheckFailure(f"pool of {len(pool)} is under 100 instances or not capped at 2^18")
+    _check_properties(pool, SplitMix64(2718))
 
 
 def check_bruteforce_kernel():
@@ -544,6 +623,7 @@ ALL_CHECKS: list[Check] = [
     Check("star boundary-state count", ("quick", "full"), check_star_profile_count),
     Check("graph builders and spec parser", ("quick", "full"), check_graph_builders),
     Check("distribution properties", ("quick", "full"), check_distribution_properties),
+    Check("distribution properties, 100+ instances", ("full",), check_distribution_properties_full),
     Check("brute-force kernel vs union-find", ("quick", "full"), check_bruteforce_kernel),
 ]
 

@@ -1,270 +1,46 @@
-"""Acceptance suite: one test per criterion, exact comparisons throughout.
+"""The acceptance criteria, each held by the checks of ``colorblocks.verify``.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-PASS lines and timings.  Every comparison is exact rational arithmetic
-(tolerance zero); the only numeric bounds are the stated runtime caps.
+The assertions live only in ``verify.ALL_CHECKS``; a criterion here names the
+checks that hold it.  ``tests/test_cli.py::TestVerify::test_check`` runs every
+check within its runtime cap, and ``colorblocks verify --suite full`` prints
+one PASS line per check.
 """
 
-import time
-from fractions import Fraction
+from colorblocks import verify
 
-from colorblocks import closed_forms as cf
-from colorblocks.algebra import LaurentPoly2, gf_equal, series_expand
-from colorblocks.fixtures import fixture_gf, star_system
-from colorblocks.graphs import (
-    Graph,
-    SplitMix64,
-    cartesian_product,
-    complete,
-    complete_bipartite,
-    cycle,
-    grid,
-    path,
-    perfect_binary_tree,
-    random_tree,
-    star,
-)
-from colorblocks.oracle import distribution_bruteforce, proper_coloring_count
-from colorblocks.polytext import parse_poly
-from colorblocks.transfer import (
-    bareiss_solve,
-    color_classes,
-    km_prism_gf,
-    prism_distribution,
-    prism_expected,
-)
-
-
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.t0
-        return False
-
-
-def _report(number: int, label: str, timer: _Timer):
-    print(f"ACCEPTANCE {number} ({label}): PASS in {timer.elapsed:.1f}s")
-
-
-def test_criterion_1_tree_theorem():
-    with _Timer() as t:
-        for seed in range(50):
-            n = 1 + seed % 9
-            g = random_tree(n, seed)
-            for k in (2, 3, 4):
-                got = distribution_bruteforce(g, k).poly
-                want = (k * LaurentPoly2.y()) * (
-                    (k - 1) * LaurentPoly2.y() + 1
-                ) ** (n - 1)
-                assert got == want, (seed, n, k)
-    assert t.elapsed < 20
-    _report(1, "tree theorem, 50 random trees", t)
+test_criterion_1_tree_theorem = verify.check_tree_theorem_many
+test_criterion_3_cycle_theorem = verify.check_cycle_theorem
+test_criterion_4_complete_graph_theorem = verify.check_complete_theorem
+test_criterion_5_bipartite_theorem = verify.check_bipartite_expectation
+test_criterion_10_property_suite = verify.check_distribution_properties_full
 
 
 def test_criterion_2_binary_tree_lemma():
-    with _Timer() as t:
-        displayed = parse_poly("2*y+12*y^2+30*y^3+40*y^4+30*y^5+12*y^6+2*y^7")
-        assert cf.pbt_distribution(2, 2).poly == displayed
-        assert distribution_bruteforce(perfect_binary_tree(2), 2).poly == displayed
-        for h in range(4):
-            got = distribution_bruteforce(perfect_binary_tree(h), 2).poly
-            assert got == cf.pbt_distribution(h, 2).poly, h
-        for h in range(3):
-            got = distribution_bruteforce(perfect_binary_tree(h), 3).poly
-            assert got == cf.pbt_distribution(h, 3).poly, h
-    assert t.elapsed < 30
-    _report(2, "perfect binary tree lemma", t)
-
-
-def test_criterion_3_cycle_theorem():
-    with _Timer() as t:
-        assert cf.cycle_block_count(5, 4, 2) == 10
-        for n in range(3, 11):
-            for k in (2, 3):
-                d = distribution_bruteforce(cycle(n), k)
-                assert d.poly == cf.cycle_distribution(n, k).poly, (n, k)
-                assert d.expected() == cf.cycle_expected(n, k), (n, k)
-    _report(3, "cycle theorem", t)
-
-
-def test_criterion_4_complete_graph_theorem():
-    with _Timer() as t:
-        assert cf.complete_block_count(4, 2, 2) == 14
-        for n in range(1, 9):
-            for k in (2, 3):
-                d = distribution_bruteforce(complete(n), k)
-                assert d.poly == cf.complete_distribution(n, k).poly, (n, k)
-                want = k - Fraction((k - 1) ** n, k ** (n - 1))
-                assert cf.complete_expected(n, k) == want
-                assert d.expected() == want, (n, k)
-    _report(4, "complete graph theorem", t)
-
-
-def test_criterion_5_bipartite_theorem():
-    with _Timer() as t:
-        for n in range(1, 5):
-            for m in range(1, 5):
-                for k in (2, 3):
-                    got = distribution_bruteforce(complete_bipartite(n, m), k).expected()
-                    assert got == cf.bipartite_expected(n, m, k), (n, m, k)
-    _report(5, "complete bipartite theorem", t)
+    verify.check_pbt_lemma()
+    verify.check_pbt_lemma_full()
 
 
 def test_criterion_6_triangle_prism():
-    with _Timer() as t:
-        triangle = complete(3)
-        for n in range(1, 7):
-            eng = prism_distribution(triangle, 2, n).poly
-            bf = distribution_bruteforce(cartesian_product(triangle, path(n)), 2).poly
-            assert eng == bf, ("k=2", n)
-        for n in range(1, 5):
-            eng = prism_distribution(triangle, 3, n).poly
-            bf = distribution_bruteforce(cartesian_product(triangle, path(n)), 3).poly
-            assert eng == bf, ("k=3", n)
-        for k in (2, 3, 4):
-            coeffs = series_expand(fixture_gf("K3_generic_k", k), 8)
-            for n in range(1, 9):
-                assert coeffs[n] == prism_distribution(triangle, k, n).poly, (k, n)
-                assert coeffs[n].evaluate(1, 1) == k ** (3 * n), (k, n)
-        for n in range(1, 11):
-            want = Fraction(2) ** (3 * n - 5) * (37 + 19 * n) / Fraction(2) ** (3 * n)
-            assert prism_expected(triangle, 2, n) == want, n
-    assert t.elapsed < 60
-    _report(6, "triangle-slice products", t)
+    verify.check_engine_against_bruteforce_full()
+    verify.check_fixture_series_vs_engine_full()
+    verify.check_triangle_prism_expectation()
 
 
 def test_criterion_7_larger_complete_slices():
-    with _Timer() as t:
-        assert gf_equal(km_prism_gf(4, 2), fixture_gf("K4_k2"))
-        for fid, m, k in [("K5_k2", 5, 2), ("K6_k2", 6, 2), ("K4_k3", 4, 3)]:
-            coeffs = series_expand(fixture_gf(fid), 5)
-            for n in range(1, 6):
-                assert coeffs[n] == prism_distribution(complete(m), k, n).poly, (fid, n)
-        for n in range(1, 11):
-            want = Fraction(2) ** (4 * n - 7) * (175 + 65 * n) / Fraction(2) ** (4 * n)
-            assert prism_expected(complete(4), 2, n) == want, n
-        classes = color_classes(4, 2)
-        assert [c.size for c in classes] == [2, 8, 6]
-        assert len(classes) == 3
-    _report(7, "4/5/6-vertex complete slices", t)
+    verify.check_km_system_small()
+    verify.check_fixture_series_vs_engine_full()
+    verify.check_k4_prism_expectation()
+    verify.check_color_classes()
 
 
 def test_criterion_8_general_expectation_theorem():
-    with _Timer() as t:
-        for ell in range(1, 5):
-            for n in range(1, 5):
-                for k in (2, 3):
-                    assert cf.complete_prism_expected(ell, n, k) == prism_expected(
-                        complete(ell), k, n
-                    ), (ell, n, k)
-        for ell in range(1, 9):
-            for k in range(1, 6):
-                assert cf.complete_prism_expected(ell, 1, k) == cf.complete_expected(
-                    ell, k
-                ), (ell, k)
-    _report(8, "general complete-slice expectation", t)
+    verify.check_general_prism_expectation()
+    verify.check_general_prism_expectation_full()
 
 
 def test_criterion_9_star_product():
-    with _Timer() as t:
-        st = star(3)
-        coeffs = series_expand(fixture_gf("STAR13_k2"), 6)
-        for n in range(1, 7):
-            assert coeffs[n] == prism_distribution(st, 2, n).poly, n
-        for n in range(1, 5):
-            bf = distribution_bruteforce(cartesian_product(st, path(n)), 2).poly
-            assert bf == prism_distribution(st, 2, n).poly, n
-        matrix, rhs, combo = star_system()
-        solutions = bareiss_solve(matrix, rhs)
-        num = LaurentPoly2.zero()
-        for c, sol in zip(combo, solutions):
-            num = num + c * sol.num
-        from colorblocks.algebra import RationalGF
-
-        solved = RationalGF(LaurentPoly2.x() * num, solutions[0].den)
-        assert gf_equal(solved, fixture_gf("STAR13_k2"))
-        assert prism_expected(st, 2, 1) == Fraction(5, 2)
-        for n in range(1, 9):
-            want = (
-                Fraction(2254219, 1411200)
-                + Fraction(6, 49) * Fraction(2) ** (-3 * n)
-                - Fraction(2, 225) * Fraction(2) ** (-4 * n)
-                + Fraction(11933, 13440) * n
-            )
-            assert prism_expected(st, 2, n) == want, n
-        assert cf.star_profile_count(3) == 7
-    _report(9, "star-slice products", t)
-
-
-def _property_pool():
-    pool = []
-    for seed in range(40):
-        n = 4 + seed % 9
-        k = 2 + seed % 2
-        if k == 3 and n > 11:
-            k = 2
-        pool.append((random_tree(n, seed), k))
-    pool.append((random_tree(18, 99), 2))  # saturates k^|V| = 2^18
-    for n in range(3, 11):
-        for k in (2, 3):
-            pool.append((cycle(n), k))
-    for n in range(1, 9):
-        pool.append((complete(n), 2))
-    for n in range(1, 6):
-        pool.append((complete(n), 3))
-    for n in range(1, 4):
-        for m in range(1, 4):
-            pool.append((complete_bipartite(n, m), 2))
-    for n, m in [(1, 1), (2, 2), (2, 3)]:
-        pool.append((complete_bipartite(n, m), 3))
-    for m in range(2, 8):
-        pool.append((grid(2, m), 2))
-    pool.append((grid(3, 3), 2))
-    pool.append((grid(2, 2), 3))
-    for h in (1, 2, 3):
-        pool.append((perfect_binary_tree(h), 2))
-    pool.append((perfect_binary_tree(1), 3))
-    for m in range(2, 7):
-        pool.append((star(m), 2))
-    rng = SplitMix64(7)
-    for i in range(12):
-        n = 6 + i % 6
-        base = random_tree(n, 1000 + i)
-        edges = set(base.edges())
-        for _ in range(3):  # densify: connected non-tree graphs
-            u, v = rng.next_below(n), rng.next_below(n)
-            if u != v:
-                edges.add((min(u, v), max(u, v)))
-        pool.append((Graph.from_edges(n, edges), 2))
-    for g in [cartesian_product(complete(2), path(4)),
-              cartesian_product(path(3), path(3)),
-              cartesian_product(complete(3), path(3))]:
-        pool.append((g, 2))
-    return pool
-
-
-def test_criterion_10_property_suite():
-    with _Timer() as t:
-        pool = _property_pool()
-        assert len(pool) >= 100
-        rng = SplitMix64(2718)
-        for g, k in pool:
-            assert k**g.n <= 1 << 18, (g.n, k)
-            d = distribution_bruteforce(g, k)
-            assert d.total() == k**g.n
-            assert d.coefficient(g.n) == proper_coloring_count(g, k)
-            from colorblocks.graphs import is_connected
-
-            if is_connected(g):
-                assert d.coefficient(1) == k
-            if k == 2:
-                assert all(c % 2 == 0 for c in d.coefficients().values())
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            relabeled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-            assert distribution_bruteforce(relabeled, k).poly == d.poly
-    assert t.elapsed < 60
-    _report(10, f"property suite over {len(_property_pool())} instances", t)
+    verify.check_fixture_series_vs_engine_small()
+    verify.check_engine_against_bruteforce_full()
+    verify.check_star_system_solution_full()
+    verify.check_star_expectation_full()
+    verify.check_star_profile_count()

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -106,6 +107,17 @@ class TestDist:
             capsys, "dist", "--graph", "product(complete:3,path:3)", "--k", "2"
         )
         assert closed["distribution"] == brute["distribution"]
+
+    @pytest.mark.parametrize("spec,k,message", [
+        ("complete:3", "0", "k must be >= 1"),
+        ("complete:3", "-2", "k must be >= 1"),
+        ("complete:0", "2", "n must be >= 1"),
+        ("product(complete:3,path:0)", "2", "the path factor needs >= 1 vertices"),
+    ])
+    def test_closed_rejects_empty_graphs_and_no_colors(self, capsys, spec, k, message):
+        code, out, err = run(capsys, "dist", "--graph", spec, "--k", k, "--method", "closed")
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_closed_unknown_family(self, capsys):
         code, _, err = run(
@@ -472,7 +484,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "quick")
         assert code == 0
         lines = [line for line in out.splitlines() if line.startswith("PASS")]
-        assert len(lines) >= 25
+        assert len(lines) >= 30
         assert "FAIL" not in out
 
     def test_induced_failure_reports_coefficient(self):
@@ -503,7 +515,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.name)
     def test_check(self, check):
+        started = time.perf_counter()
         check.fn()
+        assert time.perf_counter() - started < 20  # the tightest acceptance runtime cap
 
 
 def test_no_command_is_usage_error(capsys):

@@ -1,14 +1,19 @@
+"""Closed forms: worked values, preconditions and the spec table.
+
+Every cross-check of a formula against brute force, the transfer engine or a
+stored fixture is a check of ``colorblocks.verify``; the test names that held
+such a check before are kept as aliases of it.
+"""
+
 from fractions import Fraction
 
 import pytest
 
 from colorblocks import closed_forms as cf
-from colorblocks.algebra import LaurentPoly2, gf_equal, series_expand
-from colorblocks.combinatorics import binomial
+from colorblocks import verify
+from colorblocks.algebra import LaurentPoly2
 from colorblocks.graphs import (
-    cartesian_product,
     complete,
-    complete_bipartite,
     cycle,
     parse_graph_spec,
     path,
@@ -18,7 +23,6 @@ from colorblocks.graphs import (
 )
 from colorblocks.oracle import distribution_bruteforce
 from colorblocks.polytext import parse_poly
-from colorblocks.transfer import prism_distribution
 
 
 class TestTrees:
@@ -31,12 +35,7 @@ class TestTrees:
         assert distribution_bruteforce(path(3), 2).poly == want
         assert distribution_bruteforce(star(2), 2).poly == want
 
-    def test_shape_independence(self):
-        for seed in (0, 1, 2):
-            for n in (5, 7):
-                for k in (2, 3):
-                    got = distribution_bruteforce(random_tree(n, seed), k).poly
-                    assert got == cf.tree_distribution(n, k).poly
+    test_shape_independence = staticmethod(verify.check_tree_theorem_small)
 
     def test_binomial_terms_match_repeated_squaring(self):
         y = LaurentPoly2.y()
@@ -95,12 +94,7 @@ class TestCycles:
                 assert cf.cycle_block_count(n, 1, k) == k
         assert cf.cycle_block_count(6, 3, 2) == 0
 
-    def test_against_bruteforce(self):
-        for n in range(3, 11):
-            for k in (2, 3):
-                d = distribution_bruteforce(cycle(n), k)
-                assert d.poly == cf.cycle_distribution(n, k).poly
-                assert d.expected() == cf.cycle_expected(n, k)
+    test_against_bruteforce = staticmethod(verify.check_cycle_theorem)
 
     def test_triangle_equals_complete(self):
         for k in (2, 3, 4):
@@ -135,16 +129,7 @@ class TestWalkCounts:
         assert cf.open_walks_complete(3, 2) == 1
         assert cf.open_walks_complete(2, 2) == 0
 
-    def test_recombination_identity(self):
-        # splitting block boundaries by same/different end colors reassembles
-        # the cycle coefficients
-        for n in range(3, 13):
-            for k in range(1, 6):
-                for i in range(2, n + 1):
-                    lhs = 2 * binomial(n - 1, i - 1) * binomial(k, 2) * cf.open_walks_complete(
-                        k, i - 1
-                    ) + binomial(n - 1, i) * k * cf.closed_walks_complete(k, i)
-                    assert lhs == cf.cycle_block_count(n, i, k)
+    test_recombination_identity = staticmethod(verify.check_walk_counts)
 
     def test_walks_count_actual_walks(self):
         # length-3 closed walks in the 4-clique, counted by brute force
@@ -169,12 +154,7 @@ class TestComplete:
         assert cf.complete_block_count(3, 4, 9) == 0
         assert cf.complete_block_count(3, 2, 1) == 0
 
-    def test_against_bruteforce(self):
-        for n in range(1, 9):
-            for k in (2, 3):
-                d = distribution_bruteforce(complete(n), k)
-                assert d.poly == cf.complete_distribution(n, k).poly
-                assert d.expected() == cf.complete_expected(n, k)
+    test_against_bruteforce = staticmethod(verify.check_complete_theorem)
 
     def test_distribution_examples(self):
         assert cf.complete_distribution(4, 2).poly == parse_poly("2*y+14*y^2")
@@ -198,71 +178,26 @@ class TestBipartite:
         assert cf.bipartite_expected(1, 3, 2) == Fraction(5, 2)
         assert distribution_bruteforce(star(3), 2).expected() == Fraction(5, 2)
 
-    def test_symmetry(self):
-        for n in range(1, 5):
-            for m in range(1, 5):
-                for k in (2, 3):
-                    assert cf.bipartite_expected(n, m, k) == cf.bipartite_expected(m, n, k)
-
-    def test_against_bruteforce(self):
-        for n in range(1, 5):
-            for m in range(1, 5):
-                for k in (2, 3):
-                    got = distribution_bruteforce(complete_bipartite(n, m), k).expected()
-                    assert got == cf.bipartite_expected(n, m, k)
+    test_symmetry = staticmethod(verify.check_bipartite_expectation)
+    test_against_bruteforce = staticmethod(verify.check_bipartite_expectation)
 
 
 class TestCompletePrism:
-    def test_triangle_family(self):
-        for n in range(1, 6):
-            assert cf.complete_prism_expected(3, n, 2) == Fraction(37 + 19 * n, 32)
-
-    def test_four_clique_family(self):
-        for n in range(1, 6):
-            assert cf.complete_prism_expected(4, n, 2) == Fraction(175 + 65 * n, 128)
-
-    def test_square_case(self):
-        got = distribution_bruteforce(cartesian_product(complete(2), path(2)), 2)
-        assert cf.complete_prism_expected(2, 2, 2) == got.expected()
-
-    def test_reduces_to_complete_at_one_slice(self):
-        for ell in range(1, 9):
-            for k in range(1, 6):
-                assert cf.complete_prism_expected(ell, 1, k) == cf.complete_expected(ell, k)
+    test_triangle_family = staticmethod(verify.check_triangle_prism_expectation)
+    test_four_clique_family = staticmethod(verify.check_k4_prism_expectation)
+    test_square_case = staticmethod(verify.check_general_prism_expectation)
+    test_reduces_to_complete_at_one_slice = staticmethod(verify.check_general_prism_expectation)
 
 
 class TestTrianglePrismGF:
-    def test_mass_at_y1(self):
-        coeffs = series_expand(cf.k3_prism_gf(2), 4)
-        for n in range(1, 5):
-            assert coeffs[n].evaluate(1, 1) == 2 ** (3 * n)
-
-    def test_expectation_from_series(self):
-        coeffs = series_expand(cf.k3_prism_gf(2), 5)
-        for n in range(1, 6):
-            mean = coeffs[n].derivative_y().evaluate(1, 1) / Fraction(2 ** (3 * n))
-            assert mean == Fraction(37 + 19 * n, 32)
-
-    def test_k3_series_matches_engine(self):
-        coeffs = series_expand(cf.k3_prism_gf(3), 3)
-        for n in range(1, 4):
-            assert coeffs[n] == prism_distribution(complete(3), 3, n).poly
-
-    def test_k2_display(self):
-        from colorblocks.algebra import RationalGF
-
-        display = RationalGF(
-            parse_poly("2*x*y*(1+3*y-x*(3-7*y+4*y^2))"),
-            parse_poly("1-x*(4+3*y+y^2)+x^2*(3-7*y+3*y^2+y^3)"),
-        )
-        assert gf_equal(cf.k3_prism_gf(2), display)
+    test_mass_at_y1 = staticmethod(verify.check_fixture_normalization)
+    test_expectation_from_series = staticmethod(verify.check_triangle_prism_expectation)
+    test_k3_series_matches_engine = staticmethod(verify.check_fixture_series_vs_engine_small)
+    test_k2_display = staticmethod(verify.check_k3_generic_against_display)
 
 
 class TestStarProfileCount:
-    def test_values(self):
-        assert cf.star_profile_count(3) == 7
-        assert cf.star_profile_count(0) == 1
-        assert cf.star_profile_count(5) == 19
+    test_values = staticmethod(verify.check_star_profile_count)
 
 
 class TestSpecTable:

@@ -7,20 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorblocks import oracle
+from colorblocks import oracle, verify
 from colorblocks.algebra import LaurentPoly2
 from colorblocks.errors import CapExceededError
-from colorblocks.graphs import (
-    Graph,
-    SplitMix64,
-    complete,
-    cycle,
-    grid,
-    path,
-    perfect_binary_tree,
-    random_tree,
-    star,
-)
+from colorblocks.graphs import Graph, complete, cycle, grid, path, perfect_binary_tree
 from colorblocks.oracle import (
     BlockDistribution,
     block_count,
@@ -141,62 +131,15 @@ class TestProperColorings:
             proper_coloring_count(path(30), 2, cap=1 << 20)
 
 
-def _pool():
-    return [
-        (path(6), 2), (path(4), 3), (cycle(5), 2), (cycle(4), 3),
-        (complete(4), 2), (complete(3), 3), (star(4), 2),
-        (grid(2, 3), 2), (random_tree(8, 7), 2), (perfect_binary_tree(2), 2),
-        (Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]), 2),
-    ]
-
-
 class TestInvariants:
-    def test_normalization(self):
-        for g, k in _pool():
-            d = distribution_bruteforce(g, k)
-            assert d.total() == k**g.n
+    """Aliases of verify's property and kernel checks, which hold these invariants."""
 
-    def test_top_coefficient_is_proper_count(self):
-        for g, k in _pool():
-            d = distribution_bruteforce(g, k)
-            assert d.coefficient(g.n) == proper_coloring_count(g, k)
-
-    def test_monochromatic_coefficient_for_connected(self):
-        for g, k in _pool():
-            d = distribution_bruteforce(g, k)
-            assert d.coefficient(1) == k  # all pool graphs are connected
-
-    def test_two_color_coefficients_even(self):
-        for g, k in _pool():
-            if k != 2:
-                continue
-            d = distribution_bruteforce(g, k)
-            assert all(c % 2 == 0 for c in d.coefficients().values())
-
-    def test_isomorphism_invariance(self):
-        rng = SplitMix64(2024)
-        for g, k in _pool():
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            relabeled = Graph.from_edges(
-                g.n, [(perm[u], perm[v]) for u, v in g.edges()]
-            )
-            assert (
-                distribution_bruteforce(relabeled, k).poly
-                == distribution_bruteforce(g, k).poly
-            )
-
-    def test_block_count_agrees_with_tally(self):
-        # spot-check the vectorized tally against the scalar union-find op
-        g = cycle(5)
-        k = 3
-        d = distribution_bruteforce(g, k)
-        counts = {}
-        for idx in range(k**g.n):
-            coloring = [(idx // k ** (g.n - 1 - v)) % k for v in range(g.n)]
-            b = block_count(g, coloring)
-            counts[b] = counts.get(b, 0) + 1
-        assert counts == {j: int(c) for j, c in d.coefficients().items()}
+    test_normalization = staticmethod(verify.check_distribution_properties)
+    test_top_coefficient_is_proper_count = staticmethod(verify.check_distribution_properties)
+    test_monochromatic_coefficient_for_connected = staticmethod(verify.check_distribution_properties)
+    test_two_color_coefficients_even = staticmethod(verify.check_distribution_properties)
+    test_isomorphism_invariance = staticmethod(verify.check_distribution_properties)
+    test_block_count_agrees_with_tally = staticmethod(verify.check_bruteforce_kernel)
 
 
 def test_distribution_type_rejects_x_terms():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorblocks import closed_forms as cf
-from colorblocks import transfer
+from colorblocks import transfer, verify
 from colorblocks.algebra import LaurentPoly2, RationalGF, gf_equal, series_expand
 from colorblocks.errors import CapExceededError
 from colorblocks.fixtures import fixture_gf
@@ -27,7 +27,6 @@ from colorblocks.transfer import (
     finalize,
     initial_states,
     km_prism_gf,
-    km_transfer_system,
     prism_distribution,
     prism_expected,
     step,
@@ -118,9 +117,7 @@ class TestPrismDistribution:
         got = prism_distribution(path(2), 2, 2).poly
         assert got == cf.cycle_distribution(4, 2).poly
 
-    def test_triangle_prism_expectation(self):
-        for n in range(1, 8):
-            assert prism_expected(complete(3), 2, n) == Fraction(37 + 19 * n, 32)
+    test_triangle_prism_expectation = staticmethod(verify.check_triangle_prism_expectation)
 
     def test_star_value(self):
         assert prism_expected(star(3), 2, 1) == Fraction(5, 2)
@@ -182,20 +179,8 @@ class TestEdgeCases:
 
 
 class TestEngineInvariants:
-    def test_mass_conservation(self):
-        for g, k in [(complete(3), 2), (star(3), 2), (cycle(4), 2), (path(3), 3)]:
-            states = initial_states(g, k)
-            for t in range(4):
-                mass = sum((w.evaluate(1, 1) for w in states.values()), Fraction(0))
-                assert mass == k ** ((t + 1) * g.n)
-                states = step(g, k, states)
-
-    def test_complete_slices_need_no_history(self):
-        for m, k in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
-            states = initial_states(complete(m), k)
-            for _ in range(3):
-                states = step(complete(m), k, states)
-                assert len(states) == k**m
+    test_mass_conservation = staticmethod(verify.check_engine_mass_conservation)
+    test_complete_slices_need_no_history = staticmethod(verify.check_complete_slice_states)
 
     def test_support_range(self):
         for g, k, n in [(complete(3), 2, 3), (star(3), 2, 2), (path(2), 3, 2)]:
@@ -219,10 +204,7 @@ class TestColorClasses:
         assert len(classes) == 1
         assert classes[0].size == 1
 
-    def test_sizes_sum_to_total(self):
-        for m in range(1, 7):
-            for k in range(1, 5):
-                assert sum(c.size for c in color_classes(m, k)) == k**m
+    test_sizes_sum_to_total = staticmethod(verify.check_color_classes)
 
     def test_sizes_match_padded_factorial_formula(self):
         # reference: m! k! over the factorials of the k part sizes padded
@@ -241,6 +223,13 @@ class TestColorClasses:
     def test_single_vertex_with_many_colors(self):
         (cls,) = color_classes(1, 10**5)
         assert cls.size == 10**5 and cls.support == 1
+        assert cls.representative == (frozenset({0}),)
+
+    def test_single_vertex_system_with_many_colors(self):
+        # the largest k the state cap lets through at m = 1: the path closed form
+        k = 1 << 16
+        x, y = LaurentPoly2.x(), LaurentPoly2.y()
+        assert gf_equal(km_prism_gf(1, k), RationalGF(k * x * y, ONE - x * (1 + (k - 1) * y)))
 
     def test_representative_partitions_ground_set(self):
         for m, k in [(4, 2), (5, 3), (3, 4)]:
@@ -254,45 +243,15 @@ class TestColorClasses:
 
 
 class TestReducedSystem:
-    def test_row_sums_count_all_colorings(self):
-        for m, k in [(3, 2), (4, 2), (3, 3)]:
-            matrix, rhs, weights = km_transfer_system(m, k)
-            for row in matrix:
-                total = sum((cell.evaluate(1, 1) for cell in row), Fraction(0))
-                assert total == k**m
-            assert sum(weights) == k**m
-            assert len(rhs) == len(matrix)
+    """Aliases of verify's reduced-system checks, which hold these claims."""
 
-    def test_single_vertex_recovers_path_formula(self):
-        for k in (2, 3, 5):
-            got = km_prism_gf(1, k)
-            want = RationalGF(
-                k * LaurentPoly2.x() * LaurentPoly2.y(),
-                ONE - LaurentPoly2.x() * (1 + (k - 1) * LaurentPoly2.y()),
-            )
-            assert gf_equal(got, want)
-
-    def test_matches_triangle_closed_form(self):
-        for k in (2, 3, 4):
-            assert gf_equal(km_prism_gf(3, k), cf.k3_prism_gf(k))
-
-    def test_matches_published_k4(self):
-        assert gf_equal(km_prism_gf(4, 2), fixture_gf("K4_k2"))
-
-    def test_matches_published_k5(self):
-        assert gf_equal(km_prism_gf(5, 2), fixture_gf("K5_k2"))
-
-    def test_series_agree_with_engine(self):
-        for m, k, n_max in [(2, 2, 5), (2, 3, 5), (3, 2, 5), (3, 3, 5), (4, 2, 5), (4, 3, 5)]:
-            coeffs = series_expand(km_prism_gf(m, k), n_max)
-            assert coeffs[0] == LaurentPoly2.zero()
-            for n in range(1, n_max + 1):
-                assert coeffs[n] == prism_distribution(complete(m), k, n).poly
-
-    def test_denominator_has_unit_constant(self):
-        for m, k in [(2, 2), (3, 2), (4, 2), (3, 3)]:
-            gf = km_prism_gf(m, k)
-            assert gf.den.x_coefficient(0) == ONE
+    test_row_sums_count_all_colorings = staticmethod(verify.check_km_system_small)
+    test_single_vertex_recovers_path_formula = staticmethod(verify.check_km_system_small)
+    test_matches_triangle_closed_form = staticmethod(verify.check_km_system_small)
+    test_matches_published_k4 = staticmethod(verify.check_km_system_small)
+    test_matches_published_k5 = staticmethod(verify.check_km_system_small)
+    test_series_agree_with_engine = staticmethod(verify.check_km_series_vs_engine)
+    test_denominator_has_unit_constant = staticmethod(verify.check_km_system_small)
 
 
 class TestIntegerCoefficients:
