@@ -368,7 +368,7 @@ def check_general_prism_expectation():
             )
     for ell in range(1, 4):
         for k in (2, 3):
-            for n in range(1, 4):
+            for n in range(1, 5):
                 _expect_equal(
                     cf.complete_prism_expected(ell, n, k),
                     prism_expected(complete(ell), k, n),
