@@ -177,7 +177,9 @@ def complete_prism_expected(num_levels: int, n: int, k: int) -> Fraction:
 def complete_prism_distribution(num_levels: int, n: int, k: int) -> BlockDistribution:
     """Block distribution of (complete graph on `num_levels` vertices) x path(n):
     the x^n coefficient of the symbolic generating function."""
+    _require(num_levels >= 1, "the complete factor needs >= 1 vertices")
     _require(n >= 1, "the path factor needs >= 1 vertices")
+    _require(k >= 1, "k must be >= 1")
     coeff = series_expand(km_prism_gf(num_levels, k), n)[n]
     return BlockDistribution(coeff, num_levels * n, k)
 

@@ -5,7 +5,7 @@ Vertices are always 0..n-1.  Builders fix their numbering:
 * ``path(n)``: edges {i, i+1}
 * ``cycle(n)``: path(n) plus {0, n-1}, n >= 3
 * ``complete(n)``, ``complete_bipartite(n, m)``: parts {0..n-1} / {n..n+m-1}
-* ``star(m)`` = complete_bipartite(1, m), center 0
+* ``star(m)`` = complete_bipartite(1, m), center 0; ``star(0)`` is one vertex
 * ``perfect_binary_tree(h)``: heap order, children of i are 2i+1 and 2i+2
 * ``cartesian_product(g, h)``: vertex (a, b) gets index a*|V(h)| + b
 * ``random_tree(n, seed)``: decoded from a splitmix64-seeded Pruefer sequence,
@@ -96,8 +96,11 @@ def complete_bipartite(n: int, m: int) -> Graph:
 
 
 def star(m: int) -> Graph:
-    """The star with m leaves: complete_bipartite(1, m), center vertex 0."""
-    return complete_bipartite(1, m)
+    """The star with m leaves, center vertex 0: complete_bipartite(1, m) for
+    m >= 1, and one vertex for m = 0."""
+    if m < 0:
+        raise ValueError("star needs m >= 0")
+    return Graph.from_edges(m + 1, [(0, v) for v in range(1, m + 1)])
 
 
 def perfect_binary_tree(h: int) -> Graph:
@@ -178,6 +181,8 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 
 def grid(m: int, n: int) -> Graph:
+    if m < 1 or n < 1:
+        raise ValueError("grid needs m, n >= 1")
     return cartesian_product(path(m), path(n))
 
 

@@ -253,6 +253,33 @@ class TestExpect:
         assert "closed-form" in err
 
 
+@pytest.mark.parametrize("spec, k, methods, message", [
+    ("star:0", "2", ("brute", "closed"), None),
+    ("grid:0,3", "2", ("brute",), "grid needs m, n >= 1"),
+    ("grid:3,0", "2", ("brute",), "grid needs m, n >= 1"),
+    ("product(complete:0,path:2)", "2", ("closed",), "the complete factor needs >= 1 vertices"),
+    ("product(complete:3,path:2)", "0", ("closed",), "k must be >= 1"),
+], ids=["star:0", "grid:0,3", "grid:3,0", "product(complete:0,path:2)", "k=0 prism"])
+def test_routes_agree_at_the_edge_of_a_family(capsys, spec, k, methods, message):
+    """`dist` and `expect` by every route give one answer, or exit 2 with one message."""
+    answers = set()
+    for command in ("dist", "expect"):
+        for method in methods:
+            code, out, err = run(capsys, command, "--graph", spec, "--k", k, "--method", method)
+            if message is None:
+                assert code == 0, err
+                doc = json.loads(out)
+                answers.add((command, json.dumps(doc.get("distribution")), doc["expected"]))
+            else:
+                assert code == 2 and out == ""
+                answers.add(err)
+    if message is None:
+        assert answers == {("dist", '{"1": "2"}', "1"), ("expect", "null", "1")}
+    else:
+        (err,) = answers
+        assert message in err
+
+
 class TestSeries:
     def test_k4_first_coefficient(self, capsys):
         doc = run_json(capsys, "series", "--fixture", "K4_k2", "--N", "1")

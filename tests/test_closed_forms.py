@@ -1,8 +1,8 @@
 """Closed forms: worked values, preconditions and the spec table.
 
 Every cross-check of a formula against brute force, the transfer engine or a
-stored fixture is a check of ``colorblocks.verify``; the test names that held
-such a check before are kept as aliases of it.
+stored fixture is a check of ``colorblocks.verify.ALL_CHECKS``, which
+``tests/test_cli.py::TestVerify::test_check`` runs once each.
 """
 
 from fractions import Fraction
@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from colorblocks import closed_forms as cf
-from colorblocks import verify
 from colorblocks.algebra import LaurentPoly2
+from colorblocks.combinatorics import binomial
 from colorblocks.graphs import (
     complete,
     cycle,
@@ -34,8 +34,6 @@ class TestTrees:
         assert cf.tree_distribution(3, 2).poly == want
         assert distribution_bruteforce(path(3), 2).poly == want
         assert distribution_bruteforce(star(2), 2).poly == want
-
-    test_shape_independence = staticmethod(verify.check_tree_theorem_small)
 
     def test_binomial_terms_match_repeated_squaring(self):
         y = LaurentPoly2.y()
@@ -94,8 +92,6 @@ class TestCycles:
                 assert cf.cycle_block_count(n, 1, k) == k
         assert cf.cycle_block_count(6, 3, 2) == 0
 
-    test_against_bruteforce = staticmethod(verify.check_cycle_theorem)
-
     def test_triangle_equals_complete(self):
         for k in (2, 3, 4):
             assert cf.cycle_distribution(3, k).poly == cf.complete_distribution(3, k).poly
@@ -129,8 +125,6 @@ class TestWalkCounts:
         assert cf.open_walks_complete(3, 2) == 1
         assert cf.open_walks_complete(2, 2) == 0
 
-    test_recombination_identity = staticmethod(verify.check_walk_counts)
-
     def test_walks_count_actual_walks(self):
         # length-3 closed walks in the 4-clique, counted by brute force
         import itertools
@@ -143,6 +137,18 @@ class TestWalkCounts:
         )
         assert cf.closed_walks_complete(m, length) * m == closed
 
+    def test_recombination_identity(self):
+        # block i of the cycle colorings splits by whether vertex 0 shares a
+        # block with its neighbour; checked against enumeration
+        for n in range(3, 8):
+            for k in (2, 3):
+                d = distribution_bruteforce(cycle(n), k)
+                for i in range(2, n + 1):
+                    split = 2 * binomial(n - 1, i - 1) * binomial(k, 2) * cf.open_walks_complete(
+                        k, i - 1
+                    ) + binomial(n - 1, i) * k * cf.closed_walks_complete(k, i)
+                    assert split == d.coefficient(i)
+
 
 class TestComplete:
     def test_counts(self):
@@ -153,8 +159,6 @@ class TestComplete:
                 assert cf.complete_block_count(n, 1, k) == k
         assert cf.complete_block_count(3, 4, 9) == 0
         assert cf.complete_block_count(3, 2, 1) == 0
-
-    test_against_bruteforce = staticmethod(verify.check_complete_theorem)
 
     def test_distribution_examples(self):
         assert cf.complete_distribution(4, 2).poly == parse_poly("2*y+14*y^2")
@@ -178,26 +182,23 @@ class TestBipartite:
         assert cf.bipartite_expected(1, 3, 2) == Fraction(5, 2)
         assert distribution_bruteforce(star(3), 2).expected() == Fraction(5, 2)
 
-    test_symmetry = staticmethod(verify.check_bipartite_expectation)
-    test_against_bruteforce = staticmethod(verify.check_bipartite_expectation)
+    def test_symmetry(self):
+        for n in range(1, 8):
+            for m in range(1, 8):
+                for k in range(1, 6):
+                    assert cf.bipartite_expected(n, m, k) == cf.bipartite_expected(m, n, k)
 
 
 class TestCompletePrism:
-    test_triangle_family = staticmethod(verify.check_triangle_prism_expectation)
-    test_four_clique_family = staticmethod(verify.check_k4_prism_expectation)
-    test_square_case = staticmethod(verify.check_general_prism_expectation)
-    test_reduces_to_complete_at_one_slice = staticmethod(verify.check_general_prism_expectation)
-
-
-class TestTrianglePrismGF:
-    test_mass_at_y1 = staticmethod(verify.check_fixture_normalization)
-    test_expectation_from_series = staticmethod(verify.check_triangle_prism_expectation)
-    test_k3_series_matches_engine = staticmethod(verify.check_fixture_series_vs_engine_small)
-    test_k2_display = staticmethod(verify.check_k3_generic_against_display)
+    def test_reduces_to_complete_at_one_slice(self):
+        for m in range(1, 7):
+            for k in range(1, 6):
+                assert cf.complete_prism_expected(m, 1, k) == cf.complete_expected(m, k)
 
 
 class TestStarProfileCount:
-    test_values = staticmethod(verify.check_star_profile_count)
+    def test_values(self):
+        assert [cf.star_profile_count(m) for m in range(7)] == [1, 2, 4, 7, 12, 19, 30]
 
 
 class TestSpecTable:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorblocks import closed_forms as cf
-from colorblocks import transfer, verify
+from colorblocks import transfer
 from colorblocks.algebra import LaurentPoly2, RationalGF, gf_equal, series_expand
 from colorblocks.errors import CapExceededError
 from colorblocks.fixtures import fixture_gf
@@ -117,8 +117,6 @@ class TestPrismDistribution:
         got = prism_distribution(path(2), 2, 2).poly
         assert got == cf.cycle_distribution(4, 2).poly
 
-    test_triangle_prism_expectation = staticmethod(verify.check_triangle_prism_expectation)
-
     def test_star_value(self):
         assert prism_expected(star(3), 2, 1) == Fraction(5, 2)
 
@@ -179,8 +177,12 @@ class TestEdgeCases:
 
 
 class TestEngineInvariants:
-    test_mass_conservation = staticmethod(verify.check_engine_mass_conservation)
-    test_complete_slices_need_no_history = staticmethod(verify.check_complete_slice_states)
+    def test_mass_conservation(self):
+        for g, k in [(path(2), 3), (complete(2), 4), (cycle(3), 2)]:
+            states = initial_states(g, k)
+            for t in range(1, 5):
+                assert sum(w.evaluate(1, 1) for w in states.values()) == k ** (t * g.n)
+                states = step(g, k, states)
 
     def test_support_range(self):
         for g, k, n in [(complete(3), 2, 3), (star(3), 2, 2), (path(2), 3, 2)]:
@@ -204,7 +206,10 @@ class TestColorClasses:
         assert len(classes) == 1
         assert classes[0].size == 1
 
-    test_sizes_sum_to_total = staticmethod(verify.check_color_classes)
+    def test_sizes_sum_to_total(self):
+        for m in range(1, 9):
+            for k in range(1, 7):
+                assert sum(c.size for c in color_classes(m, k)) == k**m
 
     def test_sizes_match_padded_factorial_formula(self):
         # reference: m! k! over the factorials of the k part sizes padded
@@ -243,15 +248,14 @@ class TestColorClasses:
 
 
 class TestReducedSystem:
-    """Aliases of verify's reduced-system checks, which hold these claims."""
+    def test_single_vertex_recovers_path_formula(self):
+        for k in (2, 3, 5):
+            coeffs = series_expand(km_prism_gf(1, k), 6)
+            assert coeffs[1:] == [cf.tree_distribution(n, k).poly for n in range(1, 7)]
 
-    test_row_sums_count_all_colorings = staticmethod(verify.check_km_system_small)
-    test_single_vertex_recovers_path_formula = staticmethod(verify.check_km_system_small)
-    test_matches_triangle_closed_form = staticmethod(verify.check_km_system_small)
-    test_matches_published_k4 = staticmethod(verify.check_km_system_small)
-    test_matches_published_k5 = staticmethod(verify.check_km_system_small)
-    test_series_agree_with_engine = staticmethod(verify.check_km_series_vs_engine)
-    test_denominator_has_unit_constant = staticmethod(verify.check_km_system_small)
+    def test_denominator_has_unit_constant(self):
+        for m, k in [(1, 2), (2, 3), (3, 2), (4, 2)]:
+            assert km_prism_gf(m, k).den.x_coefficient(0) == ONE
 
 
 class TestIntegerCoefficients:
