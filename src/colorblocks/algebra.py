@@ -3,11 +3,11 @@
 A polynomial is a dict mapping exponent pairs ``(i, j)`` -- the powers of
 ``x`` and ``y`` -- to nonzero coefficients.  Every block count is an integer,
 so coefficients are plain Python ``int``s; a ``Fraction`` appears only when a
-genuinely rational value enters (a parsed ``y/2``, ``scale_to_unit_constant``).
-Values entering through constructors, scalar factors and exact quotients are
-normalized, so an integral value enters as an ``int``; sums and products of
-``Fraction`` coefficients stay ``Fraction`` and compare and print like their
-values.  ``x`` exponents are always >= 0; ``y`` exponents may be negative
+genuinely rational value enters (a parsed ``y/2``).  Values entering through
+constructors, scalar factors and exact quotients are normalized, so an
+integral value enters as an ``int``; sums and products of ``Fraction``
+coefficients stay ``Fraction`` and compare and print like their values.
+``x`` exponents are always >= 0; ``y`` exponents may be negative
 (several transfer-matrix entries need ``1/y`` and ``1/y**2``).  The zero
 polynomial is the empty dict.  No floating point is used anywhere.
 
@@ -280,17 +280,24 @@ def gf_equal(a: RationalGF, b: RationalGF) -> bool:
 def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
     """Coefficients of x**0 .. x**n_max of num/den, each a polynomial in y.
 
-    Requires the x**0 coefficient of the denominator to be the constant 1;
-    the coefficients then satisfy c_n = p_n - sum_{i>=1} q_i * c_{n-i}.
+    The x**0 coefficient of the denominator must be a unit of Z[y, 1/y],
+    +-y**j; num and den are first divided by it exactly, which leaves the
+    constant 1 there.  The coefficients then satisfy
+    c_n = p_n - sum_{i>=1} q_i * c_{n-i}.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if gf.den.x_coefficient(0) != _ONE:
-        raise ValueError("series_expand requires [x^0] den == 1; normalize first")
-    q = [gf.den.x_coefficient(i) for i in range(1, gf.den.x_degree() + 1)]
+    num, den = gf.num, gf.den
+    unit = den.x_coefficient(0)
+    if unit != _ONE:
+        (_, j), sign = next(iter(unit._terms.items()), ((0, 0), 0))
+        if len(unit) != 1 or sign not in (1, -1):
+            raise ValueError("series_expand requires [x^0] den = +-y^j, a unit of Z[y, 1/y]")
+        num, den = num.shift_y(-j) * sign, den.shift_y(-j) * sign
+    q = [den.x_coefficient(i) for i in range(1, den.x_degree() + 1)]
     coeffs: list[LaurentPoly2] = []
     for n in range(n_max + 1):
-        c = gf.num.x_coefficient(n)
+        c = num.x_coefficient(n)
         for i, qi in enumerate(q, start=1):
             if i > n:
                 break
@@ -298,17 +305,6 @@ def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
                 c = c - qi * coeffs[n - i]
         coeffs.append(c)
     return coeffs
-
-
-def scale_to_unit_constant(gf: RationalGF) -> RationalGF:
-    """Divide num and den by the constant [x^0] den (which must be a nonzero
-    rational constant) so that series_expand's precondition holds."""
-    c0 = gf.den.x_coefficient(0)
-    terms = c0._terms
-    if list(terms) != [(0, 0)]:
-        raise ValueError("[x^0] den is not a nonzero constant")
-    inv = Fraction(1, terms[(0, 0)])
-    return RationalGF(gf.num * inv, gf.den * inv)
 
 
 # -- fraction-free linear solving -------------------------------------------

@@ -7,9 +7,9 @@ are never rounded; ``--decimals`` adds an explicitly rounded rendering.
 
 Every subcommand's options live in one table, ``_COMMANDS``.  A well-formed
 request (a subcommand, then exact flag and value pairs) is read from that
-table without argparse; any other argv goes to an argparse parser built with
-every subcommand's name and help but only its own subcommand's options, so
-help, usage and error text all come from argparse.
+table without argparse; any other argv goes to an argparse parser built from
+the same table with every subcommand and its options, so help, usage and
+error text all come from argparse.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap exceeded
 (an enumeration or state cap, or the dimension limit of the symbolic solve).
@@ -32,7 +32,7 @@ from .algebra import series_expand
 from .combinatorics import partition_count_at_most_k_parts
 from .errors import CapExceededError, DimensionLimitError, GraphSpecError, PolyParseError
 from .fixtures import FIXTURE_IDS, fixture_gf, fixture_k
-from .graphs import parse_graph_spec, split_prism_spec
+from .graphs import build_graph, parse_graph_spec, parse_spec_tree, prism_factors
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
     BlockDistribution,
@@ -89,15 +89,15 @@ def _compute(args) -> tuple[BlockDistribution | Fraction, int]:
         threads = min(args.threads, os.cpu_count() or 1)
         dist = distribution_bruteforce(g, args.k, cap=cap, threads=threads)
         return dist, dist.vertex_count
+    spec = parse_spec_tree(args.graph)
     if args.n is not None:
-        slice_graph = parse_graph_spec(args.graph)
-        n = args.n
+        slice_spec, n = spec, args.n
     else:
-        prism = split_prism_spec(args.graph)
+        prism = prism_factors(spec)
         if prism is None:
             raise UsageError("--method transfer needs product(G,path:n) or --graph G with --n")
-        slice_graph = parse_graph_spec(prism[0])
-        n = prism[1]
+        slice_spec, n = prism
+    slice_graph = build_graph(slice_spec)
     state_cap = args.cap if args.cap else DEFAULT_STATE_CAP
     dist = prism_distribution(slice_graph, args.k, n, state_cap=state_cap)
     return dist, dist.vertex_count
@@ -293,10 +293,7 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Every subcommand is registered with its help, so usage and error text
-    are the same either way; only ``command`` gets its arguments, or every
-    subcommand when ``command`` is None."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="colorblocks",
         description="Exact block-count distributions of k-colorings of graphs.",
@@ -304,12 +301,11 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, handler, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        if command is None or name == command:
-            for flag, kind, required, choices, default, text in options:
-                p.add_argument(
-                    flag, type=kind, required=required, choices=choices, default=default, help=text
-                )
-            p.set_defaults(handler=handler)
+        for flag, kind, required, choices, default, text in options:
+            p.add_argument(
+                flag, type=kind, required=required, choices=choices, default=default, help=text
+            )
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -345,9 +341,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _parse_plain(argv)
     if args is None:
-        parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
         try:
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
     try:

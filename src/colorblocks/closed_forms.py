@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 from .algebra import LaurentPoly2, RationalGF, series_expand
 from .combinatorics import binomial, partition_count, stirling2
-from .graphs import split_prism_spec
+from .graphs import GraphSpec, parse_spec_tree, prism_factors
 from .oracle import BlockDistribution
 from .transfer import km_prism_gf
 
@@ -274,29 +274,21 @@ CLOSED_FORMS = {
 }
 
 
-def _spec_form(spec: str) -> tuple[str, tuple[int, ...]] | None:
-    """The CLOSED_FORMS key a graph spec has, with its integers."""
-    head, _, tail = spec.partition(":")
-    if head == "bipartite":
-        parts = tail.split(",")
-        if len(parts) == 2 and all(p.isdigit() for p in parts):
-            return "bipartite:<n>,<m>", (int(parts[0]), int(parts[1]))
-        return None
-    if f"{head}:<n>" in CLOSED_FORMS and tail.isdigit():
-        return f"{head}:<n>", (int(tail),)
-    prism = split_prism_spec(spec)
-    if prism is not None:
-        family, _, size = prism[0].partition(":")
-        if family == "complete" and size.isdigit():
-            return "product(complete:<m>,path:<n>)", (int(size), prism[1])
-    return None
+def _spec_form(spec: GraphSpec) -> tuple[str, tuple[int, ...]] | None:
+    """The CLOSED_FORMS key a parsed graph spec has, with its integers."""
+    prism = prism_factors(spec)
+    if prism is not None and prism[0].family == "complete":
+        return "product(complete:<m>,path:<n>)", (*prism[0].args, prism[1])
+    form = "bipartite:<n>,<m>" if spec.family == "bipartite" else f"{spec.family}:<n>"
+    return (form, spec.args) if form in CLOSED_FORMS else None
 
 
 def closed_form(spec: str, k: int, kind: str) -> tuple[BlockDistribution | Fraction, int] | None:
     """(value, vertex count) of a graph spec by its closed form, or None when no
     closed form covers it.  ``kind`` is ``"distribution"`` (the value is a
-    BlockDistribution) or ``"expectation"`` (the expected block count)."""
-    found = _spec_form(spec)
+    BlockDistribution) or ``"expectation"`` (the expected block count).  A
+    malformed spec raises GraphSpecError; no graph is built."""
+    found = _spec_form(parse_spec_tree(spec))
     if found is None:
         return None
     form, numbers = found

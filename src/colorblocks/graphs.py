@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GraphSpecError
 
@@ -229,20 +230,33 @@ def is_connected(g: Graph) -> bool:
 #   family   := ("path"|"cycle"|"complete"|"star"|"pbt") ":" INT
 #             | ("bipartite"|"grid") ":" INT "," INT
 #   edgelist := INT "-" INT ("," INT "-" INT)*
+#   INT      := [0-9]+
 #
-# Whitespace-free; vertex indices 0-based.
+# Whitespace-free; vertex indices 0-based.  A spec is parsed once into a tree
+# of GraphSpec nodes; build_graph turns a tree, or any subtree, into a Graph.
 
-_UNARY_FAMILIES = {
+_BUILDERS = {
     "path": path,
     "cycle": cycle,
     "complete": complete,
     "star": star,
     "pbt": perfect_binary_tree,
-}
-_BINARY_FAMILIES = {
     "bipartite": complete_bipartite,
     "grid": grid,
+    "edges": Graph.from_edges,
+    "product": cartesian_product,
 }
+_TWO_INTEGERS = ("bipartite", "grid")
+
+
+class GraphSpec(NamedTuple):
+    """One node of a parsed graph spec: the family name, its builder's
+    arguments (integers, ``(n, edges)`` for ``edges``, or the two factor
+    GraphSpecs for ``product``) and the node's start position in the text."""
+
+    family: str
+    args: tuple
+    at: int
 
 
 class _SpecParser:
@@ -263,7 +277,7 @@ class _SpecParser:
 
     def parse_int(self) -> int:
         start = self.pos
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         if start == self.pos:
             raise self.error("expected an integer")
@@ -277,19 +291,22 @@ class _SpecParser:
             raise self.error("expected a family name")
         return self.text[start : self.pos]
 
-    def parse_spec(self) -> Graph:
+    def parse_spec(self) -> GraphSpec:
         at = self.pos
         name = self.parse_name()
+        if name not in _BUILDERS:
+            self.pos = at
+            raise self.error(f"unknown family {name!r}")
         if name == "product":
             self.expect("(")
             left = self.parse_spec()
             self.expect(",")
             right = self.parse_spec()
             self.expect(")")
-            return cartesian_product(left, right)
+            return GraphSpec(name, (left, right), at)
+        self.expect(":")
+        first = self.parse_int()
         if name == "edges":
-            self.expect(":")
-            n = self.parse_int()
             self.expect(":")
             self.expect("[")
             edges = []
@@ -303,50 +320,41 @@ class _SpecParser:
                         break
                     self.pos += 1
             self.expect("]")
-            return self.build(at, Graph.from_edges, n, edges)
-        self.expect(":")
-        first = self.parse_int()
-        builder = _UNARY_FAMILIES.get(name)
-        if builder is not None:
-            return self.build(at, builder, first)
-        builder = _BINARY_FAMILIES.get(name)
-        if builder is not None:
+            return GraphSpec(name, (first, tuple(edges)), at)
+        if name in _TWO_INTEGERS:
             self.expect(",")
-            return self.build(at, builder, first, self.parse_int())
-        self.pos = at
-        raise self.error(f"unknown family {name!r}")
+            return GraphSpec(name, (first, self.parse_int()), at)
+        return GraphSpec(name, (first,), at)
 
-    def build(self, at: int, builder, *args) -> Graph:
-        """builder(*args), with a ValueError reported at the spec's start `at`."""
-        try:
-            return builder(*args)
-        except ValueError as exc:
-            self.pos = at
-            raise self.error(str(exc)) from exc
+
+def parse_spec_tree(text: str) -> GraphSpec:
+    """The tree of a graph spec; malformed text raises GraphSpecError at the
+    position where it goes wrong.  Nothing is built."""
+    parser = _SpecParser(text)
+    spec = parser.parse_spec()
+    if parser.pos != len(text):
+        raise parser.error("trailing input")
+    return spec
+
+
+def build_graph(spec: GraphSpec) -> Graph:
+    """The graph of a spec tree; a builder's ValueError is reported as a
+    GraphSpecError at the start of the node it came from."""
+    args = spec.args
+    if spec.family == "product":
+        args = tuple(build_graph(factor) for factor in args)
+    try:
+        return _BUILDERS[spec.family](*args)
+    except ValueError as exc:
+        raise GraphSpecError(str(exc), spec.at) from exc
 
 
 def parse_graph_spec(text: str) -> Graph:
-    parser = _SpecParser(text)
-    g = parser.parse_spec()
-    if parser.pos != len(text):
-        raise parser.error("trailing input")
-    return g
+    return build_graph(parse_spec_tree(text))
 
 
-def split_prism_spec(text: str) -> tuple[str, int] | None:
-    """If the spec is product(G, path:n) at the top level, return (G-spec, n)."""
-    if not (text.startswith("product(") and text.endswith(")")):
-        return None
-    inner = text[len("product(") : -1]
-    depth = 0
-    for idx, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            left, right = inner[:idx], inner[idx + 1 :]
-            if right.startswith("path:") and right[len("path:") :].isdigit():
-                return left, int(right[len("path:") :])
-            return None
+def prism_factors(spec: GraphSpec) -> tuple[GraphSpec, int] | None:
+    """(G, n) when the spec is product(G, path:n), else None."""
+    if spec.family == "product" and spec.args[1].family == "path":
+        return spec.args[0], spec.args[1].args[0]
     return None

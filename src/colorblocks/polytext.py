@@ -115,10 +115,10 @@ class _Parser:
         negative = self.peek() == "-"
         if negative:
             self.pos += 1
-        if not self.peek().isdigit():
+        if not "0" <= self.peek() <= "9":
             raise self.error("expected an integer")
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         value = _decimal_int(self.text[start : self.pos])
         return -value if negative else value
@@ -183,7 +183,7 @@ class _Parser:
         if ch == "y":
             self.pos += 1
             return LaurentPoly2.y()
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             return LaurentPoly2.const(self.parse_int())
         raise self.error("expected a number, variable, or '('")
 

@@ -8,7 +8,6 @@ from colorblocks.algebra import (
     RationalGF,
     bareiss_solve,
     gf_equal,
-    scale_to_unit_constant,
     series_expand,
     weighted_solution_gf,
 )
@@ -122,6 +121,12 @@ class TestSeries:
     def test_geometric(self):
         assert series_expand(RationalGF(X, ONE - X), 6) == [LaurentPoly2.zero()] + [ONE] * 6
         assert series_expand(RationalGF(ONE, ONE - 2 * X), 5) == [2**n * ONE for n in range(6)]
+
+    @pytest.mark.parametrize("unit", ["y^3", "-1", "-y^-2"])
+    def test_unit_constant_is_divided_out(self, unit):
+        gf = RationalGF(P("x*y+3*x^2"), P("1-x*(y^2+2)+x^3*(y-1)"))
+        scaled = RationalGF(gf.num * P(unit), gf.den * P(unit))
+        assert series_expand(scaled, 8) == series_expand(gf, 8)
 
     def test_unit_constant_required(self):
         gf = RationalGF(X, 2 * ONE - X)
@@ -280,13 +285,6 @@ class TestCoefficientTypes:
         assert p.coefficient(0, 1) == Fraction(3, 2)
         assert type(p.coefficient(0, 1)) is Fraction
         assert type(P("(4*y)/2").coefficient(0, 1)) is int
-
-    def test_scale_to_unit_constant_is_exact(self):
-        gf = scale_to_unit_constant(RationalGF(P("3*x*y+2"), P("2-x")))
-        coeffs = list(gf.num.terms.values()) + list(gf.den.terms.values())
-        assert not any(isinstance(c, float) for c in coeffs)
-        assert gf.num.terms == {(1, 1): Fraction(3, 2), (0, 0): 1}
-        assert type(gf.den.coefficient(0, 0)) is int
 
     def test_evaluate_at_negative_y_exponent_is_a_fraction(self):
         value = P("3*y^-2+x").evaluate(1, 2)

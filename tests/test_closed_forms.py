@@ -12,6 +12,7 @@ import pytest
 from colorblocks import closed_forms as cf
 from colorblocks.algebra import LaurentPoly2
 from colorblocks.combinatorics import binomial
+from colorblocks.errors import GraphSpecError
 from colorblocks.graphs import (
     complete,
     cycle,
@@ -218,12 +219,21 @@ class TestSpecTable:
             assert dist.poly == brute.poly and vertices == dist.vertex_count == g.n
 
     @pytest.mark.parametrize("spec", [
-        "edges:2:[0-1]", "product(star:3,path:3)", "path:x", "path:", "bipartite:1,2,3",
-        "bipartite:1,", "grid:2,3", "product(complete:3,cycle:3)",
+        "edges:2:[0-1]", "product(star:3,path:3)", "grid:2,3", "product(complete:3,cycle:3)",
     ])
     def test_unrecognized_specs(self, spec):
         assert cf.closed_form(spec, 2, "expectation") is None
         assert cf.closed_form(spec, 2, "distribution") is None
+
+    @pytest.mark.parametrize("spec", ["path:x", "path:", "bipartite:1,2,3", "bipartite:1,"])
+    def test_malformed_specs_get_the_parser_error(self, spec):
+        with pytest.raises(GraphSpecError) as parsed:
+            parse_graph_spec(spec)
+        for kind in ("expectation", "distribution"):
+            with pytest.raises(GraphSpecError) as exc:
+                cf.closed_form(spec, 2, kind)
+            assert str(exc.value) == str(parsed.value)
+            assert exc.value.position == parsed.value.position
 
     def test_formulas_are_looked_up_when_called(self, monkeypatch):
         # tracers rebind module attributes; the table must reach the rebound one

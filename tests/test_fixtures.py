@@ -122,7 +122,7 @@ class TestFixtureInvariants:
         gf = fixture_gf(fid, 2 if fid == "K3_generic_k" else None)
         assert gf.den.x_coefficient(0) == LaurentPoly2.one()
 
-    @pytest.mark.parametrize("fid", [f for f in FIXTURE_IDS if f != "STAR13_matrix"])
+    @pytest.mark.parametrize("fid", FIXTURE_IDS)
     def test_series_are_counting_polynomials(self, fid):
         k_arg = 3 if fid == "K3_generic_k" else None
         gf = fixture_gf(fid, k_arg)

@@ -5,6 +5,7 @@ from colorblocks.errors import GraphSpecError
 from colorblocks.graphs import (
     Graph,
     SplitMix64,
+    build_graph,
     cartesian_product,
     complete,
     complete_bipartite,
@@ -13,10 +14,11 @@ from colorblocks.graphs import (
     grid,
     is_connected,
     parse_graph_spec,
+    parse_spec_tree,
     path,
     perfect_binary_tree,
+    prism_factors,
     random_tree,
-    split_prism_spec,
     star,
     union_roots,
 )
@@ -241,6 +243,11 @@ class TestSpecParser:
                     "edges:2:[0-0]", "bipartite:2"]:
             with pytest.raises(GraphSpecError):
                 parse_graph_spec(bad)
+        # only ASCII 0-9 are digits: a superscript or fullwidth digit is no integer
+        for bad in ["path:\u00b2", "path:\uff13"]:
+            with pytest.raises(GraphSpecError, match="expected an integer") as exc:
+                parse_graph_spec(bad)
+            assert exc.value.position == 5
 
     def test_error_position(self):
         with pytest.raises(GraphSpecError) as exc:
@@ -248,10 +255,9 @@ class TestSpecParser:
         assert exc.value.position == 15
 
     def test_split_prism_spec(self):
-        assert split_prism_spec("product(complete:3,path:4)") == ("complete:3", 4)
-        assert split_prism_spec("product(product(path:2,path:2),path:3)") == (
-            "product(path:2,path:2)",
-            3,
-        )
-        assert split_prism_spec("product(path:4,complete:3)") is None
-        assert split_prism_spec("complete:3") is None
+        left, n = prism_factors(parse_spec_tree("product(complete:3,path:4)"))
+        assert (left.family, left.args, left.at, n) == ("complete", (3,), 8, 4)
+        left, n = prism_factors(parse_spec_tree("product(product(path:2,path:2),path:3)"))
+        assert build_graph(left) == parse_graph_spec("product(path:2,path:2)") and n == 3
+        assert prism_factors(parse_spec_tree("product(path:4,complete:3)")) is None
+        assert prism_factors(parse_spec_tree("complete:3")) is None

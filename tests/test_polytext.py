@@ -39,6 +39,11 @@ def test_parse_errors_carry_position():
         parse_poly("(y+1)/(y+2)")  # divisor must be a monomial
     with pytest.raises(PolyParseError):
         parse_poly("x^-1")  # negative exponents only on y
+    # only ASCII 0-9 are digits: a superscript or fullwidth digit is no integer
+    for bad in ["x^\u00b2", "x^\uff13"]:
+        with pytest.raises(PolyParseError, match="expected an integer") as exc:
+            parse_poly(bad)
+        assert exc.value.position == 2
 
 
 def test_format_parse_round_trip():
