@@ -11,6 +11,10 @@ table without argparse; any other argv goes to an argparse parser built from
 the same table with every subcommand and its options, so help, usage and
 error text all come from argparse.
 
+The ``verify`` module, the check registry, is imported by ``cmd_verify``
+alone, so no other subcommand loads it; numpy loads only with the first
+brute-force enumeration (see ``oracle``).
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap exceeded
 (an enumeration or state cap, or the dimension limit of the symbolic solve).
 """
@@ -27,7 +31,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import closed_forms as cf
-from . import verify as verify_mod
 from .algebra import series_expand
 from .combinatorics import partition_count_at_most_k_parts
 from .errors import CapExceededError, DimensionLimitError, GraphSpecError, PolyParseError
@@ -224,7 +227,9 @@ def cmd_classes(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    return verify_mod.run_suite(args.suite)
+    from . import verify
+
+    return verify.run_suite(args.suite)
 
 
 def _int_in_range(low: int, high: int | None = None):

@@ -72,41 +72,54 @@ class Graph:
         return len(self.adj[v])
 
 
+# family -> (the least value of each integer argument, the message for a
+# smaller one); the builders and parse_spec_tree check these same bounds
+_LEAST = {
+    "path": ((1,), "path needs n >= 1"),
+    "cycle": ((3,), "cycle needs n >= 3"),
+    "complete": ((1,), "complete graph needs n >= 1"),
+    "bipartite": ((1, 1), "complete bipartite graph needs n, m >= 1"),
+    "star": ((0,), "star needs m >= 0"),
+    "pbt": ((0,), "height must be >= 0"),
+    "grid": ((1, 1), "grid needs m, n >= 1"),
+}
+
+
+def _check_least(family: str, *numbers: int) -> None:
+    least, message = _LEAST[family]
+    if any(number < low for number, low in zip(numbers, least)):
+        raise ValueError(message)
+
+
 def path(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("path needs n >= 1")
+    _check_least("path", n)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
+    _check_least("cycle", n)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("complete graph needs n >= 1")
+    _check_least("complete", n)
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def complete_bipartite(n: int, m: int) -> Graph:
-    if n < 1 or m < 1:
-        raise ValueError("complete bipartite graph needs n, m >= 1")
+    _check_least("bipartite", n, m)
     return Graph.from_edges(n + m, [(u, n + v) for u in range(n) for v in range(m)])
 
 
 def star(m: int) -> Graph:
     """The star with m leaves, center vertex 0: complete_bipartite(1, m) for
     m >= 1, and one vertex for m = 0."""
-    if m < 0:
-        raise ValueError("star needs m >= 0")
+    _check_least("star", m)
     return Graph.from_edges(m + 1, [(0, v) for v in range(1, m + 1)])
 
 
 def perfect_binary_tree(h: int) -> Graph:
-    if h < 0:
-        raise ValueError("height must be >= 0")
+    _check_least("pbt", h)
     n = 2 ** (h + 1) - 1
     edges = []
     for i in range(n):
@@ -182,8 +195,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 
 def grid(m: int, n: int) -> Graph:
-    if m < 1 or n < 1:
-        raise ValueError("grid needs m, n >= 1")
+    _check_least("grid", m, n)
     return cartesian_product(path(m), path(n))
 
 
@@ -327,13 +339,27 @@ class _SpecParser:
         return GraphSpec(name, (first,), at)
 
 
+def _check_spec_bounds(spec: GraphSpec) -> None:
+    if spec.family == "product":
+        for factor in spec.args:
+            _check_spec_bounds(factor)
+    elif spec.family in _LEAST:
+        try:
+            _check_least(spec.family, *spec.args)
+        except ValueError as exc:
+            raise GraphSpecError(str(exc), spec.at) from exc
+
+
 def parse_spec_tree(text: str) -> GraphSpec:
     """The tree of a graph spec; malformed text raises GraphSpecError at the
-    position where it goes wrong.  Nothing is built."""
+    position where it goes wrong, and an integer below its family's bound
+    raises the builder's error at the start of its node, so every route
+    reports it alike.  Nothing is built."""
     parser = _SpecParser(text)
     spec = parser.parse_spec()
     if parser.pos != len(text):
         raise parser.error("trailing input")
+    _check_spec_bounds(spec)
     return spec
 
 

@@ -13,6 +13,11 @@ earlier vertex merges two labels, and only the frontier, the added vertices
 that still have a neighbour to come, keeps its labels up to date.  The
 per-chunk tallies are merged by addition, so chunking never affects the
 result.
+
+numpy is imported by the kernel functions themselves, at the first
+brute-force call, so that importing the package (and every route that never
+enumerates: the transfer engine, the closed forms, the symbolic solves) does
+not load it.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .algebra import LaurentPoly2
 from .errors import CapExceededError
@@ -102,6 +105,8 @@ def _check_cap(g: Graph, k: int, cap: int) -> int:
 
 def _narrowest_int(top: int) -> type:
     """The narrowest signed numpy integer dtype that holds 0..top."""
+    import numpy as np
+
     for dtype in (np.int8, np.int16, np.int32):
         if top <= np.iinfo(dtype).max:
             return dtype
@@ -116,6 +121,8 @@ def _color_chunk(lo: int, hi: int, n: int, k: int) -> np.ndarray:
     quotient, least significant digit first; numpy divides an integer array
     by a scalar several times faster with ``//`` than with ``divmod``/``%``.
     """
+    import numpy as np
+
     colors = np.empty((hi - lo, n), dtype=_narrowest_int(k - 1), order="F")
     q = np.arange(lo, hi, dtype=np.int32 if max(hi, k) < 1 << 31 else np.int64)
     for v in range(n - 1, -1, -1):
@@ -138,6 +145,8 @@ def _chunk_block_counts(colors: np.ndarray, edges: list[tuple[int, int]]) -> np.
     At the first edge into a vertex, that vertex is alone in its block and
     holds the largest label, so only its own label changes.
     """
+    import numpy as np
+
     rows, n = colors.shape
     edges = sorted(((min(e), max(e)) for e in edges), key=lambda e: (e[1], e[0]))
     last = [-1] * n  # a vertex's latest later neighbour
@@ -179,6 +188,8 @@ def _chunk_block_counts(colors: np.ndarray, edges: list[tuple[int, int]]) -> np.
 
 
 def _tally_range(g: Graph, k: int, lo: int, hi: int) -> np.ndarray:
+    import numpy as np
+
     edges = g.edges()
     counts = np.zeros(g.n + 1, dtype=np.int64)
     for start in range(lo, hi, _CHUNK_ROWS):
@@ -190,7 +201,11 @@ def _tally_range(g: Graph, k: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _tally_threads(g: Graph, k: int, total: int, threads: int) -> np.ndarray:
-    """``_tally_range(g, k, 0, total)`` split into equal ranges, one thread each."""
+    """``_tally_range(g, k, 0, total)`` split into equal ranges, one thread each.
+
+    numpy is imported here, on the calling thread, before any worker starts."""
+    import numpy as np
+
     bounds = [total * i // threads for i in range(threads + 1)]
     ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     partials: list = [None] * len(ranges)
@@ -230,6 +245,8 @@ def distribution_bruteforce(
 
 def proper_coloring_count(g: Graph, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Colorings with every edge bichromatic, by direct filtering."""
+    import numpy as np
+
     total = _check_cap(g, k, cap)
     edges = g.edges()
     count = 0

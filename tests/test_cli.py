@@ -4,7 +4,9 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
+import textwrap
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -20,10 +22,13 @@ from colorblocks import transfer
 from colorblocks.algebra import LaurentPoly2, RationalGF, series_expand
 from colorblocks.cli import main
 from colorblocks.fixtures import fixture_gf
+from colorblocks.graphs import grid
+from colorblocks.oracle import distribution_bruteforce, proper_coloring_count
 from colorblocks.verify import ALL_CHECKS, Check, _expect_poly_equal, run_suite
 
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "cli_corpus.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def corpus_requests():
@@ -111,8 +116,6 @@ class TestDist:
     @pytest.mark.parametrize("spec,k,message", [
         ("complete:3", "0", "k must be >= 1"),
         ("complete:3", "-2", "k must be >= 1"),
-        ("complete:0", "2", "n must be >= 1"),
-        ("product(complete:3,path:0)", "2", "the path factor needs >= 1 vertices"),
     ])
     def test_closed_rejects_empty_graphs_and_no_colors(self, capsys, spec, k, message):
         code, out, err = run(capsys, "dist", "--graph", spec, "--k", k, "--method", "closed")
@@ -257,12 +260,17 @@ class TestExpect:
     ("star:0", "2", ("brute", "closed"), None),
     ("grid:0,3", "2", ("brute",), "grid needs m, n >= 1"),
     ("grid:3,0", "2", ("brute",), "grid needs m, n >= 1"),
-    ("product(complete:0,path:2)", "2", ("closed",), "the complete factor needs >= 1 vertices"),
+    ("complete:0", "2", ("brute", "closed"), "complete graph needs n >= 1 (at position 0)"),
+    ("product(complete:3,path:0)", "2", ("brute", "transfer", "closed"),
+     "path needs n >= 1 (at position 19)"),
+    ("product(complete:0,path:2)", "2", ("brute", "transfer", "closed"),
+     "complete graph needs n >= 1 (at position 8)"),
     ("product(complete:3,path:2)", "0", ("closed",), "k must be >= 1"),
     ("product(complete:x,path:2)", "2", ("brute", "transfer", "closed"),
      "expected an integer (at position 17)"),
     ("product(cycle:2,path:2)", "2", ("brute", "transfer"), "cycle needs n >= 3 (at position 8)"),
-], ids=["star:0", "grid:0,3", "grid:3,0", "product(complete:0,path:2)", "k=0 prism",
+], ids=["star:0", "grid:0,3", "grid:3,0", "complete:0", "product(complete:3,path:0)",
+        "product(complete:0,path:2)", "k=0 prism",
         "product(complete:x,path:2)", "product(cycle:2,path:2)"])
 def test_routes_agree_at_the_edge_of_a_family(capsys, spec, k, methods, message):
     """`dist` and `expect` by every route give one answer, or exit 2 with one message."""
@@ -282,6 +290,60 @@ def test_routes_agree_at_the_edge_of_a_family(capsys, spec, k, methods, message)
     else:
         (err,) = answers
         assert message in err
+
+
+def test_transfer_with_n_reports_the_spec_bound(capsys):
+    code, out, err = run(capsys, "dist", "--graph", "complete:0", "--k", "2",
+                         "--method", "transfer", "--n", "2")
+    assert code == 2 and out == ""
+    assert "complete graph needs n >= 1 (at position 0)" in err
+
+
+def run_fresh(source: str):
+    """The JSON that ``source`` prints as its last line, run in a fresh
+    interpreter that imports colorblocks from this checkout's src."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(source)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestColdImports:
+    def test_requests_off_the_brute_route_load_no_numpy_or_verify(self):
+        loaded = run_fresh("""
+            import contextlib, io, json, sys
+            import colorblocks, colorblocks.cli
+            for argv in (
+                ["dist", "--graph", "product(cycle:4,path:3)", "--k", "3", "--method", "transfer"],
+                ["expect", "--graph", "complete:5", "--k", "3", "--method", "closed"],
+                ["gf", "--m", "4", "--k", "2"],
+            ):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert colorblocks.cli.main(argv) == 0, argv
+            print(json.dumps([name for name in ("numpy", "colorblocks.verify") if name in sys.modules]))
+        """)
+        assert loaded == []
+
+    @pytest.mark.parametrize("first", ["threads=2", "proper"])
+    def test_brute_force_imports_numpy_at_its_first_call(self, first):
+        # whichever call comes first in the process does the import
+        order = [first, *(name for name in ("threads=2", "threads=1", "proper") if name != first)]
+        results = run_fresh(f"""
+            import json, sys
+            from colorblocks import distribution_bruteforce, grid, proper_coloring_count
+            assert "numpy" not in sys.modules
+            calls = {{
+                "threads=2": lambda: distribution_bruteforce(grid(3, 3), 2, threads=2).coefficients(),
+                "threads=1": lambda: distribution_bruteforce(grid(3, 3), 2, threads=1).coefficients(),
+                "proper": lambda: proper_coloring_count(grid(3, 3), 3),
+            }}
+            print(json.dumps({{name: calls[name]() for name in {order!r}}}))
+        """)
+        assert results["threads=2"] == results["threads=1"]
+        want = distribution_bruteforce(grid(3, 3), 2).coefficients()
+        assert results["threads=1"] == {str(j): c for j, c in want.items()}
+        assert results["proper"] == proper_coloring_count(grid(3, 3), 3) == 246
 
 
 class TestSeries:
