@@ -13,8 +13,12 @@ polynomial is the empty dict.  No floating point is used anywhere.
 
 On top of that the module provides rational generating functions (numerator /
 denominator pairs), power-series coefficient extraction, cross-multiplication
-equality, and a fraction-free (Bareiss) solver for systems ``t = b + x*M*t``
-with polynomial entries.
+equality, and a division-free solver for systems ``t = b + x*M*t`` whose
+entries are polynomials in y: Berkowitz's characteristic polynomial gives the
+denominator and Krylov vectors the numerators, so ``x`` never enters the
+arithmetic.  Both it and ``series_expand`` accumulate their products in y
+alone through one sum-of-products kernel.  Fraction-free (Bareiss) elimination
+with exact division stays as the reference determinant.
 """
 
 from __future__ import annotations
@@ -23,15 +27,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import DimensionLimitError, SingularSystemError
+from .errors import DimensionLimitError
 
 Key = tuple[int, int]
 Coeff = int | Fraction
 
 _MAX_DIV_STEPS = 200_000  # backstop against a non-exact division looping
 
-# largest system bareiss_solve takes: the bivariate elimination grows steeply
-# with the dimension
+# largest system bareiss_solve takes: Berkowitz's algorithm costs O(n^4)
+# products of polynomials in y whose degrees grow with n
 MAX_SYSTEM_DIM = 12
 
 
@@ -277,13 +281,41 @@ def gf_equal(a: RationalGF, b: RationalGF) -> bool:
     return a.num * b.den == b.num * a.den
 
 
+# -- arithmetic in y alone ----------------------------------------------------
+
+
+def _sum_of_products(pairs, start: Mapping[int, Coeff] | None = None) -> dict[int, Coeff]:
+    """start + sum(a * b) over pairs of polynomials in y alone, each a map
+    from y exponent to coefficient: one accumulation into one term dict, then
+    normalized coefficients with the zeros dropped."""
+    out: dict[int, Coeff] = dict(start) if start else {}
+    get = out.get
+    for a, b in pairs:
+        if len(a) > len(b):
+            a, b = b, a
+        for j1, c1 in a.items():
+            for j2, c2 in b.items():
+                j = j1 + j2
+                out[j] = get(j, 0) + c1 * c2
+    return {j: _coerce(c) for j, c in out.items() if c}
+
+
+def _y_terms(p: LaurentPoly2) -> dict[int, Coeff]:
+    """A polynomial in y alone as a map from y exponent to coefficient."""
+    return {j: c for (_, j), c in p._terms.items()}
+
+
+def _neg(a: dict[int, Coeff]) -> dict[int, Coeff]:
+    return {j: -c for j, c in a.items()}
+
+
 def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
     """Coefficients of x**0 .. x**n_max of num/den, each a polynomial in y.
 
     The x**0 coefficient of the denominator must be a unit of Z[y, 1/y],
     +-y**j; num and den are first divided by it exactly, which leaves the
     constant 1 there.  The coefficients then satisfy
-    c_n = p_n - sum_{i>=1} q_i * c_{n-i}.
+    c_n = p_n - sum_{i>=1} q_i * c_{n-i}, one accumulation per coefficient.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -294,31 +326,27 @@ def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
         if len(unit) != 1 or sign not in (1, -1):
             raise ValueError("series_expand requires [x^0] den = +-y^j, a unit of Z[y, 1/y]")
         num, den = num.shift_y(-j) * sign, den.shift_y(-j) * sign
-    q = [den.x_coefficient(i) for i in range(1, den.x_degree() + 1)]
-    coeffs: list[LaurentPoly2] = []
+    neg_q = [_neg(_y_terms(den.x_coefficient(i))) for i in range(1, den.x_degree() + 1)]
+    coeffs: list[dict[int, Coeff]] = []
     for n in range(n_max + 1):
-        c = num.x_coefficient(n)
-        for i, qi in enumerate(q, start=1):
-            if i > n:
-                break
-            if qi:
-                c = c - qi * coeffs[n - i]
-        coeffs.append(c)
-    return coeffs
+        pairs = ((neg_q[i - 1], coeffs[n - i]) for i in range(1, min(n, len(neg_q)) + 1))
+        coeffs.append(_sum_of_products(pairs, _y_terms(num.x_coefficient(n))))
+    return [LaurentPoly2._raw({(0, j): c for j, c in cn.items()}) for cn in coeffs]
 
 
-# -- fraction-free linear solving -------------------------------------------
+# -- Bareiss determinants: the reference route -----------------------------
 
 
-def _div_exact(a: LaurentPoly2, b: LaurentPoly2) -> LaurentPoly2:
+def _div_exact(a: LaurentPoly2, b: LaurentPoly2, rational: bool = False) -> LaurentPoly2:
     """Exact division a/b in the polynomial ring; error if not exact.
 
     Leading terms are taken in lexicographic (x, y) order, which is
     compatible with multiplication, so for an exact division every emitted
     quotient term is a term of the true quotient and the loop terminates.
-    When every coefficient of a and b is an ``int`` the division is exact over
-    the integers: each leading coefficient divides with zero remainder, or
-    the division raises.  Otherwise it runs over the rationals.
+    When every coefficient of a and b is an ``int`` and ``rational`` is off,
+    the division is exact over the integers: each leading coefficient divides
+    with zero remainder, or the division raises.  Otherwise it runs over the
+    rationals.
     """
     if b is _ONE or b == _ONE:
         return a
@@ -327,8 +355,10 @@ def _div_exact(a: LaurentPoly2, b: LaurentPoly2) -> LaurentPoly2:
     bt = b._terms
     if not bt:
         raise ZeroDivisionError("polynomial division by zero")
-    integral = Fraction not in map(type, bt.values()) and Fraction not in map(
-        type, a._terms.values()
+    integral = (
+        not rational
+        and Fraction not in map(type, bt.values())
+        and Fraction not in map(type, a._terms.values())
     )
     blead = max(bt)
     bcoeff = bt[blead]
@@ -373,10 +403,13 @@ def _eliminate(m: list[list[LaurentPoly2]]) -> int:
     matrix m, carrying any further columns along.  Afterwards m[i][i] is the
     i-th pivot, and m[n-1][n-1] is the determinant of the row-permuted block.
     Returns the sign of the row permutation, or 0 if a column has no nonzero
-    pivot (the block is singular).
+    pivot (the block is singular).  A matrix with any ``Fraction`` coefficient
+    is divided over the rationals throughout: its minors need not be
+    integral even where a dividend and a pivot happen to be.
     """
     n = len(m)
     width = len(m[0])
+    rational = any(Fraction in map(type, p._terms.values()) for row in m for p in row)
     sign = 1
     prev = _ONE
     for col in range(n - 1):
@@ -393,7 +426,7 @@ def _eliminate(m: list[list[LaurentPoly2]]) -> int:
             mr = m[r]
             mrc = mr[col]
             for c in range(col + 1, width):
-                mr[c] = _div_exact(pivot * mr[c] - mrc * pivot_line[c], prev)
+                mr[c] = _div_exact(pivot * mr[c] - mrc * pivot_line[c], prev, rational)
             mr[col] = _ZERO
         prev = pivot
     return sign
@@ -409,22 +442,75 @@ def _bareiss_det(matrix: list[list[LaurentPoly2]]) -> LaurentPoly2:
     return -d if sign < 0 else d
 
 
+def _cramer_solve(
+    matrix: Sequence[Sequence[LaurentPoly2]], rhs: Sequence[LaurentPoly2]
+) -> tuple[list[LaurentPoly2], LaurentPoly2]:
+    """The reference for bareiss_solve: (nums, den), the n + 1 Cramer
+    determinants of the row-shifted [I - x*M | b], each by Bareiss elimination."""
+    n = len(matrix)
+    a = [[(_ONE if i == j else _ZERO) - _X * matrix[i][j] for j in range(n)] for i in range(n)]
+    b = list(rhs)
+    for i in range(n):
+        low = min((p.min_y_exponent() for p in a[i] + [b[i]] if p), default=0)
+        if low < 0:
+            a[i] = [p.shift_y(-low) for p in a[i]]
+            b[i] = b[i].shift_y(-low)
+    nums = []
+    for j in range(n):
+        aj = [row[:] for row in a]
+        for i in range(n):
+            aj[i][j] = b[i]
+        nums.append(_bareiss_det(aj))
+    return nums, _bareiss_det(a)
+
+
+# -- solving t = b + x*M*t in y alone ---------------------------------------
+
+
+def _charpoly(m: list[list[dict[int, Coeff]]]) -> list[dict[int, Coeff]]:
+    """[c_0 = 1, c_1, ..., c_n] with det(I - x*m) = sum c_k x^k, for an n x n
+    matrix of polynomials in y alone.
+
+    Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984): the
+    leading (r+1) x (r+1) block [[A, C], [R, a]] has the coefficient vector
+    T p, where p is the vector of the leading r x r block A and T is the
+    lower-triangular Toeplitz matrix with first column
+    1, -a, -R C, -R A C, ..., -R A^(r-1) C.
+    """
+    p: list[dict[int, Coeff]] = [{0: 1}]
+    for r in range(len(m)):
+        row = m[r][:r]
+        block = [line[:r] for line in m[:r]]
+        t = [{0: 1}, _neg(m[r][r])]
+        v = [line[r] for line in m[:r]]  # A^k C
+        for k in range(r):
+            if k:
+                v = [_sum_of_products(zip(line, v)) for line in block]
+            t.append(_neg(_sum_of_products(zip(row, v))))
+        p = [_sum_of_products((t[i - j], p[j]) for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return p
+
+
 def bareiss_solve(
     matrix: Sequence[Sequence[LaurentPoly2]],
     rhs: Sequence[LaurentPoly2],
 ) -> list[RationalGF]:
     """Solve t = b + x*M*t exactly, i.e. (I - x*M) t = b.
 
-    M's entries and b must be polynomials in y alone.  Rows with negative y
-    exponents are cleared by a power of y first (this rescales every Cramer
-    determinant identically, so the solutions are unchanged).  Each entry of
-    the result shares the common denominator det(I - x*M) up to that y-power.
+    M's entries and b must be polynomials in y alone.  Row i of [I - x*M | b]
+    is first cleared of negative y exponents by y**s_i, as a fraction-free
+    elimination would; with shift = sum s_i, every Cramer determinant is
+    y**shift times the unshifted one.  The result is exactly those
+    determinants: each t_i is num_i / den with the common denominator
+    den = y**shift * det(I - x*M).
 
-    One Bareiss elimination of the augmented matrix [A | b] and fraction-free
-    back substitution give d * t_i = x'_i, with d the last pivot, through
-    x'_i = (d*U[i][n] - sum_{j>i} U[i][j]*x'_j) / U[i][i]; every division is
-    exact.  Up to the sign of the row swaps, d and x'_i are the Cramer
-    determinants det(A) and det(A with column i replaced by b).
+    No division is needed, and the arithmetic runs in y alone.
+    det(I - x*M) = sum_k c_k x^k is the reversed characteristic polynomial of
+    M (``_charpoly``, Berkowitz), whose c_0 = 1 makes the system never
+    singular.  With the Krylov vectors v_0 = b, v_k = M v_(k-1), the adjugate
+    gives num_i = y**shift * sum_{k<n} x^k sum_{j<=k} c_j (v_(k-j))_i.
+    ``_bareiss_det`` stays the reference determinant.  The name is kept for
+    API compatibility and because profilers and tracers hook it.
     """
     n = len(matrix)
     if n == 0:
@@ -433,33 +519,30 @@ def bareiss_solve(
         raise DimensionLimitError(f"system dimension {n} exceeds limit {MAX_SYSTEM_DIM}")
     if len(rhs) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square and match the rhs length")
-    for row in matrix:
-        for entry in row:
-            if entry.has_x():
-                raise ValueError("matrix entries must be polynomials in y alone")
-    aug = [
-        [(_ONE if i == j else _ZERO) - _X * matrix[i][j] for j in range(n)] + [rhs[i]]
-        for i in range(n)
-    ]
-    for i, row in enumerate(aug):
-        low = min((p.min_y_exponent() for p in row if p), default=0)
-        if low < 0:
-            aug[i] = [p.shift_y(-low) for p in row]
-    sign = _eliminate(aug)
-    d = aug[-1][n - 1]
-    if not sign or d.is_zero():
-        raise SingularSystemError("I - x*M is singular")
-    xs = [_ZERO] * n
-    xs[-1] = aug[-1][n]  # d * U[n-1][n] / U[n-1][n-1], and U[n-1][n-1] is d
-    for i in range(n - 2, -1, -1):
-        row = aug[i]
-        acc = d * row[n]
-        for j in range(i + 1, n):
-            acc = acc - row[j] * xs[j]
-        xs[i] = _div_exact(acc, row[i])
-    if sign < 0:
-        d, xs = -d, [-p for p in xs]
-    return [RationalGF(p, d) for p in xs]
+    if any(entry.has_x() for row in (*matrix, rhs) for entry in row):
+        raise ValueError("matrix and rhs entries must be polynomials in y alone")
+    m = [[_y_terms(entry) for entry in row] for row in matrix]
+    shift = 0
+    for row, b in zip(matrix, rhs):
+        low = min((p.min_y_exponent() for p in (*row, b) if p), default=0)
+        shift += max(0, -low)
+    c = _charpoly(m)
+    krylov = [[_y_terms(entry) for entry in rhs]]
+    for _ in range(n - 1):
+        v = krylov[-1]
+        krylov.append([_sum_of_products(zip(line, v)) for line in m])
+    den = LaurentPoly2._raw(
+        {(k, j + shift): cj for k, ck in enumerate(c) for j, cj in ck.items()}
+    )
+    solutions = []
+    for i in range(n):
+        num: dict[Key, Coeff] = {}
+        for k in range(n):
+            coeff = _sum_of_products((c[j], krylov[k - j][i]) for j in range(k + 1))
+            for j, cj in coeff.items():
+                num[(k, j + shift)] = cj
+        solutions.append(RationalGF(LaurentPoly2._raw(num), den))
+    return solutions
 
 
 def weighted_solution_gf(matrix, rhs, weights: Sequence[int]) -> RationalGF:

@@ -7,10 +7,6 @@ class CapExceededError(RuntimeError):
     """An enumeration or state-space cap was exceeded."""
 
 
-class SingularSystemError(ArithmeticError):
-    """The linear system has a singular coefficient matrix."""
-
-
 class DimensionLimitError(ValueError):
     """The linear system exceeds the configured dimension limit."""
 

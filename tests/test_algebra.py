@@ -1,7 +1,8 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from colorblocks.algebra import (
     LaurentPoly2,
@@ -11,9 +12,10 @@ from colorblocks.algebra import (
     series_expand,
     weighted_solution_gf,
 )
-from colorblocks.algebra import _bareiss_det, _div_exact
-from colorblocks.errors import DimensionLimitError, SingularSystemError
+from colorblocks.algebra import _cramer_solve, _div_exact
+from colorblocks.errors import DimensionLimitError
 from colorblocks.polytext import parse_poly
+from colorblocks.transfer import km_prism_gf
 
 ONE = LaurentPoly2.one()
 X = LaurentPoly2.x()
@@ -191,6 +193,11 @@ class TestBareissSolve:
         with pytest.raises(ValueError):
             bareiss_solve([[X]], [Y])
 
+    def test_rejects_x_in_the_rhs(self):
+        # the numerators keep only x^0 .. x^(n-1) of adj(I - x*M) b
+        with pytest.raises(ValueError):
+            bareiss_solve([[ONE]], [X])
+
     def test_solution_satisfies_system(self):
         # (I - x*M) t - b = 0 exactly, after clearing the common denominator
         m = [
@@ -228,25 +235,11 @@ class TestWeightedSolutionGf:
         assert gf.num == X * (2 * sols[0].num + 5 * sols[1].num)
 
 
-def _cramer_solve(matrix, rhs):
-    """Reference route: n+1 Bareiss determinants by Cramer's rule."""
-    n = len(matrix)
-    zero = LaurentPoly2.zero()
-    a = [[(ONE if i == j else zero) - X * matrix[i][j] for j in range(n)] for i in range(n)]
-    b = list(rhs)
-    for i in range(n):
-        low = min((p.min_y_exponent() for p in a[i] + [b[i]] if p), default=0)
-        if low < 0:
-            a[i] = [p.shift_y(-low) for p in a[i]]
-            b[i] = b[i].shift_y(-low)
-    den = _bareiss_det(a)
-    nums = []
-    for j in range(n):
-        aj = [row[:] for row in a]
-        for i in range(n):
-            aj[i][j] = b[i]
-        nums.append(_bareiss_det(aj))
-    return nums, den
+def _assert_matches_cramer(matrix, rhs):
+    nums, den = _cramer_solve(matrix, rhs)
+    sols = bareiss_solve(matrix, rhs)
+    assert [s.den.terms for s in sols] == [den.terms] * len(matrix)
+    assert [s.num.terms for s in sols] == [p.terms for p in nums]
 
 
 y_polys = st.dictionaries(
@@ -268,15 +261,62 @@ class TestSingleEliminationSolve:
     @settings(max_examples=60, deadline=None)
     @given(y_systems())
     def test_matches_cramer_term_for_term(self, system):
-        matrix, rhs = system
-        nums, den = _cramer_solve(matrix, rhs)
-        if den.is_zero():
-            with pytest.raises(SingularSystemError):
-                bareiss_solve(matrix, rhs)
-            return
-        sols = bareiss_solve(matrix, rhs)
-        assert [s.den.terms for s in sols] == [den.terms] * len(matrix)
-        assert [s.num.terms for s in sols] == [p.terms for p in nums]
+        _assert_matches_cramer(*system)
+
+
+rational_y_polys = st.dictionaries(
+    st.tuples(st.just(0), st.integers(min_value=-2, max_value=2)),
+    st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from([2, 3])),
+    ),
+    max_size=2,
+).map(LaurentPoly2)
+
+
+@st.composite
+def larger_y_systems(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    matrix = [[draw(rational_y_polys) for _ in range(n)] for _ in range(n)]
+    rhs = [draw(rational_y_polys) for _ in range(n)]
+    return matrix, rhs
+
+
+def _gf_digest(gf: RationalGF) -> str:
+    text = repr((sorted(gf.num.terms.items()), sorted(gf.den.terms.items())))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _rational_minor_system():
+    # Bareiss divides int-coefficient x*y^2*(x-1)^2 by 2*x*(x-1) here: the
+    # minor y^2*(x-1)/2 is exact over the rationals only
+    zero = LaurentPoly2.zero()
+    matrix = [[zero] * 6 for _ in range(6)]
+    matrix[0][0], matrix[1][5], matrix[2][1] = ONE, P("y^-2"), P("2")
+    return matrix, [zero] * 5 + [P("1/2")]
+
+
+class TestDivisionFreeSolve:
+    @settings(max_examples=40, deadline=None)
+    @given(larger_y_systems())
+    @example(_rational_minor_system())
+    def test_matches_cramer_term_for_term(self, system):
+        _assert_matches_cramer(*system)
+
+    # sha256 of the sorted num and den terms, as the Bareiss elimination gave them
+    @pytest.mark.parametrize(
+        "m, k, digest",
+        [
+            (6, 3, "3757f7ce6ecc19ea182860a93e57f2d7b0a016e0ea5e893e2c0ebc0de0232584"),
+            (7, 3, "e50c3b0ec3fccc355ef910ae7808717b886846f97a03fb3565c8524b390544bd"),
+            (8, 3, "523088471ac34185640667c81319f8f582721a135dbe93b2ce3373ec1da2a5a8"),
+            (6, 4, "0e52e26ac91fd05b22558c20cf077d6a8922665fc02c6a58ba6a952ff2ecfd42"),
+            (9, 2, "365c0d8e184651d0eb92ae0c2e9266caf1d6d929a1dae475733a9989fcf5a01b"),
+            (10, 2, "96ec90d454bd71b095b3ece445e658c64afcc779ea146e5cc27b3940a94351e9"),
+        ],
+    )
+    def test_km_prism_gf_terms_are_pinned(self, m, k, digest):
+        assert _gf_digest(km_prism_gf(m, k)) == digest
 
 
 class TestCoefficientTypes:
