@@ -26,9 +26,11 @@ source orbit O that land on any one profile of the target orbit O'.  The
 summed weight is then written back to every member profile, so step returns
 exactly the keys and values of the general path.  Any other input (one
 profile, unequal weights, a partly present orbit) takes the general path, one
-transition per (profile, coloring).  The slice table and every transition label
-their classes with ``graphs.union_roots``.  The operator of the last 32 (slice,
-k) pairs is kept, so later steps reuse its rows.
+transition per (profile, coloring).  The slice table labels its components
+with ``graphs.union_roots``; a transition calls it, on the new components
+alone, only when an old class meets two new components, and otherwise keeps
+the table's component RGS as the new linkage.  The operator of the last 32
+(slice, k) pairs is kept, so later steps reuse its rows.
 
 For complete-graph slices the states can be reduced to color classes (colorings
 of the slice up to color permutation and same-size part swaps), giving a small
@@ -111,15 +113,26 @@ def _transition(
 
     Vertical edges at same-colored vertices merge old linkage classes with the
     new slice's components; an old class with no surviving connection closes.
+    first[a] is the first new component old class a meets; only an old class
+    that meets a second component merges new components, so without such a
+    meeting the new linkage is new_comp itself (an RGS from _slice_table).
     """
-    p = max(old_link) + 1
-    roots = union_roots(
-        p + max(new_comp) + 1,
-        [(old_link[v], p + new_comp[v]) for v in range(nv) if old_colors[v] == new_colors[v]],
-    )
-    surviving = set(roots[p:])
-    closed = sum(1 for root in roots[:p] if root not in surviving)
-    return _canonical_rgs([roots[p + c] for c in new_comp]), closed
+    first = [-1] * (max(old_link) + 1)
+    merges = []
+    for v in range(nv):
+        if old_colors[v] == new_colors[v]:
+            a = old_link[v]
+            c = new_comp[v]
+            met = first[a]
+            if met < 0:
+                first[a] = c
+            elif met != c:
+                merges.append((met, c))
+    closed = first.count(-1)
+    if not merges:
+        return new_comp, closed
+    roots = union_roots(max(new_comp) + 1, merges)
+    return _canonical_rgs([roots[c] for c in new_comp]), closed
 
 
 def _general_step(nv: int, table, states: StateWeights) -> StateWeights:
@@ -348,11 +361,20 @@ def step(
 
 
 def finalize(states: StateWeights) -> LaurentPoly2:
-    """Close all still-open classes: sum of weight * y^(open classes)."""
-    total = LaurentPoly2.zero()
+    """Close all still-open classes: sum of weight * y^(open classes).
+
+    The weights are summed term by term per open-class count, and the at most
+    |V| group sums are shifted and added.
+    """
+    groups: dict[int, dict] = {}
     for profile, weight in states.items():
-        open_classes = max(profile.linkage) + 1
-        total = total + weight.shift_y(open_classes)
+        acc = groups.setdefault(max(profile.linkage) + 1, {})
+        for key, c in weight._terms.items():
+            acc[key] = acc.get(key, 0) + c
+    total = LaurentPoly2.zero()
+    for open_classes, acc in groups.items():
+        group = LaurentPoly2._raw({key: c for key, c in acc.items() if c})
+        total = total + group.shift_y(open_classes)
     return total
 
 

@@ -18,6 +18,7 @@ from colorblocks.graphs import (
     cycle,
     path,
     star,
+    union_roots,
 )
 from colorblocks.oracle import block_count, distribution_bruteforce, proper_coloring_count
 from colorblocks.polytext import parse_poly
@@ -107,6 +108,37 @@ class TestFinalize:
 
     def test_empty(self):
         assert finalize({}) == LaurentPoly2.zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 3), min_size=1, max_size=4),
+                st.dictionaries(
+                    st.tuples(st.integers(0, 2), st.integers(-3, 3)),
+                    st.fractions(max_denominator=6),
+                    max_size=4,
+                ),
+            ),
+            max_size=8,
+        )
+    )
+    def test_grouped_sum_equals_per_profile_sum(self, drawn):
+        # Fraction coefficients, negative y exponents and x terms, summed per
+        # profile as sum of w * y^(open classes)
+        states = {}
+        for labels, terms in drawn:
+            linkage = transfer._canonical_rgs(labels)
+            states[Profile(tuple(labels), linkage)] = LaurentPoly2(terms)
+        want = LaurentPoly2.zero()
+        for profile, weight in states.items():
+            want = want + weight.shift_y(max(profile.linkage) + 1)
+        assert finalize(states) == want
+
+    def test_cancelling_weights_leave_no_zero_terms(self):
+        w = LaurentPoly2({(1, -2): Fraction(1, 3), (0, 0): 2})
+        states = {Profile((0, 1), (0, 1)): w, Profile((1, 0), (0, 1)): -w}
+        assert finalize(states).terms == {}
 
 
 class TestPrismDistribution:
@@ -307,10 +339,12 @@ def _step_and_general_outputs(g, k, states):
 
 
 @st.composite
-def connected_slices(draw, max_vertices=5):
-    """A connected graph: a random spanning tree plus random extra edges."""
+def slices(draw, max_vertices=5):
+    """A random graph on 1..max_vertices vertices: with a random spanning tree
+    it is connected, without one often disconnected or edgeless (the CLI's
+    product specs allow both)."""
     n = draw(st.integers(1, max_vertices))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)} if draw(st.booleans()) else set()
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))) if pairs else set()
     return Graph.from_edges(n, sorted(edges))
@@ -327,11 +361,38 @@ def slice_cases(draw, max_colorings, min_k=1):
     max_vertices = 5
     while k**max_vertices > max_colorings:
         max_vertices -= 1
-    g = draw(connected_slices(max_vertices))
+    g = draw(slices(max_vertices))
     n_max = 4
     while k ** (g.n * n_max) > max_colorings:
         n_max -= 1
     return g, k, draw(st.integers(1, n_max))
+
+
+def _reference_transition(nv, old_colors, old_link, new_colors, new_comp):
+    """The transition by one union-find over old classes and new components."""
+    p = max(old_link) + 1
+    roots = union_roots(
+        p + max(new_comp) + 1,
+        [(old_link[v], p + new_comp[v]) for v in range(nv) if old_colors[v] == new_colors[v]],
+    )
+    surviving = set(roots[p:])
+    closed = sum(1 for root in roots[:p] if root not in surviving)
+    return transfer._canonical_rgs([roots[p + c] for c in new_comp]), closed
+
+
+@st.composite
+def transition_cases(draw):
+    """A slice of at most 6 vertices, k in 1..3, an old coloring and linkage
+    (RGS or not, like the ill-formed profiles step must also take), and a row
+    of the slice table."""
+    g = draw(slices(6))
+    k = draw(st.integers(1, 3))
+    old_colors = tuple(draw(st.lists(st.integers(0, k - 1), min_size=g.n, max_size=g.n)))
+    labels = draw(st.lists(st.integers(0, g.n), min_size=g.n, max_size=g.n))
+    old_link = tuple(labels) if draw(st.booleans()) else transfer._canonical_rgs(labels)
+    table = transfer._slice_table(g, k)
+    new_colors, new_comp = table[draw(st.integers(0, len(table) - 1))]
+    return g.n, old_colors, old_link, new_colors, new_comp
 
 
 def _orbit_invariant_weights(states):
@@ -345,6 +406,25 @@ def _orbit_invariant_weights(states):
     return out
 
 
+class TestTransition:
+    @settings(max_examples=300, deadline=None)
+    @given(transition_cases())
+    def test_equals_reference(self, case):
+        assert transfer._transition(*case) == _reference_transition(*case)
+
+    @pytest.mark.parametrize(
+        "args,want",
+        [
+            # edgeless pair: one old class over both vertices merges their components
+            ((2, (0, 0), (0, 0), (0, 0), (0, 1)), ((0, 0), 0)),
+            # a non-RGS linkage: the empty class 0 closes
+            ((2, (0, 0), (1, 1), (0, 0), (0, 0)), ((0, 0), 1)),
+        ],
+    )
+    def test_examples(self, args, want):
+        assert transfer._transition(*args) == want == _reference_transition(*args)
+
+
 class TestLumpedStep:
     def test_automorphism_free_slice(self):
         assert transfer._automorphism_generators(ASYMMETRIC6) == []
@@ -355,7 +435,7 @@ class TestLumpedStep:
             assert lumped == general
 
     @settings(max_examples=50, deadline=None)
-    @given(connected_slices())
+    @given(slices())
     def test_generators_generate_the_group(self, g):
         edges = set(g.edges())
         automorphisms = {
