@@ -4,9 +4,9 @@ A polynomial is a dict mapping exponent pairs ``(i, j)`` -- the powers of
 ``x`` and ``y`` -- to nonzero coefficients.  Every block count is an integer,
 so coefficients are plain Python ``int``s; a ``Fraction`` appears only when a
 genuinely rational value enters (a parsed ``y/2``).  Values entering through
-constructors, scalar factors and exact quotients are normalized, so an
-integral value enters as an ``int``; sums and products of ``Fraction``
-coefficients stay ``Fraction`` and compare and print like their values.
+constructors and scalar factors are normalized, so an integral value enters
+as an ``int``; sums and products that involve a ``Fraction`` coefficient are
+normalized the same way, so an integral result is an ``int`` too.
 ``x`` exponents are always >= 0; ``y`` exponents may be negative
 (several transfer-matrix entries need ``1/y`` and ``1/y**2``).  The zero
 polynomial is the empty dict.  No floating point is used anywhere.
@@ -17,12 +17,14 @@ equality, and a division-free solver for systems ``t = b + x*M*t`` whose
 entries are polynomials in y: Berkowitz's characteristic polynomial gives the
 denominator and Krylov vectors the numerators, so ``x`` never enters the
 arithmetic.  Both it and ``series_expand`` accumulate their products in y
-alone through one sum-of-products kernel.  Fraction-free (Bareiss) elimination
-with exact division stays as the reference determinant.
+alone through one sum-of-products kernel.  ``solution_defect`` checks a solve
+exactly, by substitution into its system and by comparing the denominator
+with integer (Bareiss) determinants on a grid of points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -31,8 +33,6 @@ from .errors import DimensionLimitError
 
 Key = tuple[int, int]
 Coeff = int | Fraction
-
-_MAX_DIV_STEPS = 200_000  # backstop against a non-exact division looping
 
 # largest system bareiss_solve takes: Berkowitz's algorithm costs O(n^4)
 # products of polynomials in y whose degrees grow with n
@@ -48,6 +48,18 @@ def _coerce(value: Coeff) -> Coeff:
     if isinstance(value, int):
         return int(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def _has_fraction(terms: Mapping) -> bool:
+    return Fraction in map(type, terms.values())
+
+
+def _nonzero_terms(terms: Mapping, rational: bool) -> dict:
+    """The nonzero summed coefficients; with ``rational`` (some summand was a
+    ``Fraction``) each goes through ``_coerce``, so integral sums are ``int``s."""
+    if rational:
+        return {k: _coerce(c) for k, c in terms.items() if c}
+    return {k: c for k, c in terms.items() if c}
 
 
 class LaurentPoly2:
@@ -148,7 +160,8 @@ class LaurentPoly2:
                 out[k] = s
             else:
                 del out[k]
-        return LaurentPoly2._raw(out)
+        # only a sum of two Fractions can be integral
+        return LaurentPoly2._raw(_nonzero_terms(out, True) if _has_fraction(other._terms) else out)
 
     __radd__ = __add__
 
@@ -186,7 +199,8 @@ class LaurentPoly2:
                     out[key] = s
                 else:
                     del out[key]
-        return LaurentPoly2._raw(out)
+        rational = _has_fraction(a) or _has_fraction(b)
+        return LaurentPoly2._raw(_nonzero_terms(out, True) if rational else out)
 
     __rmul__ = __mul__
 
@@ -213,11 +227,8 @@ class LaurentPoly2:
         return LaurentPoly2._raw({(i, j + d): c for (i, j), c in self._terms.items()})
 
     def derivative_y(self) -> "LaurentPoly2":
-        out = {}
-        for (i, j), c in self._terms.items():
-            if j:
-                out[(i, j - 1)] = c * j
-        return LaurentPoly2._raw(out)
+        out = {(i, j - 1): c * j for (i, j), c in self._terms.items() if j}
+        return LaurentPoly2._raw(_nonzero_terms(out, _has_fraction(out)))
 
     def evaluate(self, x_value: Coeff, y_value: Coeff) -> Fraction:
         """Exact evaluation; rejects y=0 when negative y exponents are present."""
@@ -247,9 +258,6 @@ class LaurentPoly2:
 
     def max_y_exponent(self) -> int | None:
         return max((j for _, j in self._terms), default=None)
-
-    def total_degree(self) -> int | None:
-        return max((i + j for i, j in self._terms), default=None)
 
     def has_x(self) -> bool:
         return any(i for i, _ in self._terms)
@@ -297,7 +305,7 @@ def _sum_of_products(pairs, start: Mapping[int, Coeff] | None = None) -> dict[in
             for j2, c2 in b.items():
                 j = j1 + j2
                 out[j] = get(j, 0) + c1 * c2
-    return {j: _coerce(c) for j, c in out.items() if c}
+    return _nonzero_terms(out, _has_fraction(out))
 
 
 def _y_terms(p: LaurentPoly2) -> dict[int, Coeff]:
@@ -332,136 +340,6 @@ def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
         pairs = ((neg_q[i - 1], coeffs[n - i]) for i in range(1, min(n, len(neg_q)) + 1))
         coeffs.append(_sum_of_products(pairs, _y_terms(num.x_coefficient(n))))
     return [LaurentPoly2._raw({(0, j): c for j, c in cn.items()}) for cn in coeffs]
-
-
-# -- Bareiss determinants: the reference route -----------------------------
-
-
-def _div_exact(a: LaurentPoly2, b: LaurentPoly2, rational: bool = False) -> LaurentPoly2:
-    """Exact division a/b in the polynomial ring; error if not exact.
-
-    Leading terms are taken in lexicographic (x, y) order, which is
-    compatible with multiplication, so for an exact division every emitted
-    quotient term is a term of the true quotient and the loop terminates.
-    When every coefficient of a and b is an ``int`` and ``rational`` is off,
-    the division is exact over the integers: each leading coefficient divides
-    with zero remainder, or the division raises.  Otherwise it runs over the
-    rationals.
-    """
-    if b is _ONE or b == _ONE:
-        return a
-    if a.is_zero():
-        return a
-    bt = b._terms
-    if not bt:
-        raise ZeroDivisionError("polynomial division by zero")
-    integral = (
-        not rational
-        and Fraction not in map(type, bt.values())
-        and Fraction not in map(type, a._terms.values())
-    )
-    blead = max(bt)
-    bcoeff = bt[blead]
-    rem = dict(a._terms)
-    quot: dict[Key, Coeff] = {}
-    steps = 0
-    while rem:
-        steps += 1
-        if steps > _MAX_DIV_STEPS:
-            raise ArithmeticError("polynomial division did not terminate (not exact?)")
-        rlead = max(rem)
-        qi = rlead[0] - blead[0]
-        qj = rlead[1] - blead[1]
-        if qi < 0:
-            raise ArithmeticError("polynomial division is not exact")
-        if integral:
-            qc, r = divmod(rem[rlead], bcoeff)
-            if r:
-                raise ArithmeticError("polynomial division is not exact over the integers")
-        else:
-            qc = _coerce(Fraction(rem[rlead]) / bcoeff)
-        quot[(qi, qj)] = qc
-        for (bi, bj), bc in bt.items():
-            key = (bi + qi, bj + qj)
-            s = rem.get(key, 0) - qc * bc
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return LaurentPoly2._raw(quot)
-
-
-def _pivot_key(p: LaurentPoly2):
-    # lowest total degree first, then a deterministic term-map order
-    return (p.total_degree(), tuple(sorted(p._terms.items())))
-
-
-def _eliminate(m: list[list[LaurentPoly2]]) -> int:
-    """Fraction-free one-step (Bareiss) elimination, in place.
-
-    Eliminates below the diagonal of the leading n x n block of the n-row
-    matrix m, carrying any further columns along.  Afterwards m[i][i] is the
-    i-th pivot, and m[n-1][n-1] is the determinant of the row-permuted block.
-    Returns the sign of the row permutation, or 0 if a column has no nonzero
-    pivot (the block is singular).  A matrix with any ``Fraction`` coefficient
-    is divided over the rationals throughout: its minors need not be
-    integral even where a dividend and a pivot happen to be.
-    """
-    n = len(m)
-    width = len(m[0])
-    rational = any(Fraction in map(type, p._terms.values()) for row in m for p in row)
-    sign = 1
-    prev = _ONE
-    for col in range(n - 1):
-        candidates = [r for r in range(col, n) if m[r][col]]
-        if not candidates:
-            return 0
-        pivot_row = min(candidates, key=lambda r: _pivot_key(m[r][col]))
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        pivot_line = m[col]
-        pivot = pivot_line[col]
-        for r in range(col + 1, n):
-            mr = m[r]
-            mrc = mr[col]
-            for c in range(col + 1, width):
-                mr[c] = _div_exact(pivot * mr[c] - mrc * pivot_line[c], prev, rational)
-            mr[col] = _ZERO
-        prev = pivot
-    return sign
-
-
-def _bareiss_det(matrix: list[list[LaurentPoly2]]) -> LaurentPoly2:
-    """Determinant by fraction-free one-step elimination with pivoting."""
-    m = [row[:] for row in matrix]
-    sign = _eliminate(m)
-    if not sign:
-        return _ZERO
-    d = m[-1][-1]
-    return -d if sign < 0 else d
-
-
-def _cramer_solve(
-    matrix: Sequence[Sequence[LaurentPoly2]], rhs: Sequence[LaurentPoly2]
-) -> tuple[list[LaurentPoly2], LaurentPoly2]:
-    """The reference for bareiss_solve: (nums, den), the n + 1 Cramer
-    determinants of the row-shifted [I - x*M | b], each by Bareiss elimination."""
-    n = len(matrix)
-    a = [[(_ONE if i == j else _ZERO) - _X * matrix[i][j] for j in range(n)] for i in range(n)]
-    b = list(rhs)
-    for i in range(n):
-        low = min((p.min_y_exponent() for p in a[i] + [b[i]] if p), default=0)
-        if low < 0:
-            a[i] = [p.shift_y(-low) for p in a[i]]
-            b[i] = b[i].shift_y(-low)
-    nums = []
-    for j in range(n):
-        aj = [row[:] for row in a]
-        for i in range(n):
-            aj[i][j] = b[i]
-        nums.append(_bareiss_det(aj))
-    return nums, _bareiss_det(a)
 
 
 # -- solving t = b + x*M*t in y alone ---------------------------------------
@@ -509,8 +387,8 @@ def bareiss_solve(
     M (``_charpoly``, Berkowitz), whose c_0 = 1 makes the system never
     singular.  With the Krylov vectors v_0 = b, v_k = M v_(k-1), the adjugate
     gives num_i = y**shift * sum_{k<n} x^k sum_{j<=k} c_j (v_(k-j))_i.
-    ``_bareiss_det`` stays the reference determinant.  The name is kept for
-    API compatibility and because profilers and tracers hook it.
+    ``solution_defect`` checks the output exactly.  The name is kept for API
+    compatibility and because profilers and tracers hook it.
     """
     n = len(matrix)
     if n == 0:
@@ -554,3 +432,73 @@ def weighted_solution_gf(matrix, rhs, weights: Sequence[int]) -> RationalGF:
     for weight, sol in zip(weights, solutions):
         num = num + weight * sol.num
     return RationalGF(_X * num, solutions[0].den)
+
+
+# -- checking a solve exactly ---------------------------------------------------
+
+
+def _div_exact(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"{a} is not divisible by {b}")
+    return q
+
+
+def _bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination with row pivoting; every division is exact."""
+    m = [list(row) for row in matrix]
+    sign, prev = 1, 1
+    for col in range(len(m) - 1):
+        pivot_row = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != col:
+            m[col], m[pivot_row], sign = m[pivot_row], m[col], -sign
+        top, pivot = m[col], m[col][col]
+        for row in m[col + 1 :]:
+            pairs = zip(row[col + 1 :], top[col + 1 :])
+            row[col + 1 :] = [_div_exact(pivot * a - row[col] * b, prev) for a, b in pairs]
+        prev = pivot
+    return sign * m[-1][-1] if m else 1
+
+
+def solution_defect(matrix, rhs, solutions: Sequence[RationalGF]) -> str | None:
+    """None when ``solutions`` is exactly what bareiss_solve(matrix, rhs) must
+    return, else the first mismatch.  Every t_i must share one den and satisfy
+    num_i - x * sum_j M_ij num_j = den * b_i; as I - x*M is invertible, that
+    fixes each num once den is right.  Row i of I - x*M is shifted by y**s_i,
+    s_i = max(0, -min y exponent of row i of [M | b]), and top is the sum of
+    the shifted rows' largest y exponents.  den must have x-degree <= n and
+    y exponents in 0..top, and equal the shifted det(I - x*M) on the grid
+    x0 in 0..n, y0 in 1..top+1, which pins a polynomial within those bounds."""
+    n = len(matrix)
+    if len(solutions) != n:
+        return f"{len(solutions)} solutions for {n} unknowns"
+    den = solutions[0].den if n else _ONE
+    if any(sol.den != den for sol in solutions):
+        return "the solutions do not share one denominator"
+    nums = [sol.num for sol in solutions]
+    for i, (row, b) in enumerate(zip(matrix, rhs)):
+        if nums[i] - _X * sum((p * num for p, num in zip(row, nums)), _ZERO) != den * b:
+            return f"row {i}: num_{i} - x * sum_j M_{i}j num_j != den * b_{i}"
+    shifts = [max([0] + [-p.min_y_exponent() for p in (*r, b) if p]) for r, b in zip(matrix, rhs)]
+    top = sum(s + max([0] + [p.max_y_exponent() for p in r if p]) for s, r in zip(shifts, matrix))
+    if any(i > n or not 0 <= j <= top for i, j in den._terms):
+        return f"den has a term outside x^0..x^{n}, y^0..y^{top}"
+    for y0 in range(1, top + 2):
+        at_y = [
+            [sum(c * y0 ** (e + s) for (_, e), c in p._terms.items()) for p in row]
+            for s, row in zip(shifts, matrix)
+        ]
+        for x0 in range(n + 1):
+            rows, scale = [], 1
+            for i, (s, line) in enumerate(zip(shifts, at_y)):
+                entries = [(i == j) * y0**s - x0 * v for j, v in enumerate(line)]
+                row_scale = math.lcm(*(e.denominator for e in entries))
+                rows.append([e.numerator * (row_scale // e.denominator) for e in entries])
+                scale *= row_scale
+            value = sum(c * x0**i * y0**j for (i, j), c in den._terms.items())
+            if value * scale != _bareiss_det(rows):
+                return f"den at x={x0}, y={y0} is not the shifted det(I - x*M) there"
+    return None

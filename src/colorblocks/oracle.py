@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .algebra import LaurentPoly2
 from .errors import CapExceededError
-from .graphs import Graph
+from .graphs import Graph, union_roots
 
 DEFAULT_ENUMERATION_CAP = 1 << 24
 _CHUNK_ROWS = 1 << 15
@@ -70,25 +70,12 @@ def expected_blocks(dist: BlockDistribution) -> Fraction:
 
 
 def block_count(g: Graph, coloring) -> int:
-    """Number of maximal monochromatic connected components (union-find)."""
+    """Number of maximal monochromatic connected components: the distinct
+    roots after merging the ends of every same-colored edge."""
     if len(coloring) != g.n:
         raise ValueError(f"coloring length {len(coloring)} != vertex count {g.n}")
-    parent = list(range(g.n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    count = g.n
-    for u, v in g.edges():
-        if coloring[u] == coloring[v]:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                count -= 1
-    return count
+    same = [(u, v) for u, v in g.edges() if coloring[u] == coloring[v]]
+    return len(set(union_roots(g.n, same)))
 
 
 def _check_cap(g: Graph, k: int, cap: int) -> int:

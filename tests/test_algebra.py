@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,9 @@ from colorblocks.algebra import (
     series_expand,
     weighted_solution_gf,
 )
-from colorblocks.algebra import _cramer_solve, _div_exact
+from colorblocks.algebra import _bareiss_det, _div_exact, solution_defect
 from colorblocks.errors import DimensionLimitError
+from colorblocks.fixtures import star_system
 from colorblocks.polytext import parse_poly
 from colorblocks.transfer import km_prism_gf
 
@@ -111,13 +113,6 @@ class TestRingProperties:
     def test_mul_commutes(self, a, b):
         assert a * b == b * a
 
-    @settings(max_examples=40, deadline=None)
-    @given(polys, polys)
-    def test_div_exact_inverts_mul(self, a, b):
-        if a.is_zero() or b.is_zero():
-            return
-        assert _div_exact(a * b, b) == a
-
 
 class TestSeries:
     def test_geometric(self):
@@ -199,21 +194,14 @@ class TestBareissSolve:
             bareiss_solve([[ONE]], [X])
 
     def test_solution_satisfies_system(self):
-        # (I - x*M) t - b = 0 exactly, after clearing the common denominator
+        # (I - x*M) num = den * b, and den is the row-shifted det(I - x*M)
         m = [
             [P("y+1"), P("2"), P("y^-1")],
             [P("0"), P("y^2-2*y"), P("3*y")],
             [P("1"), P("y"), P("y^-2+4")],
         ]
         b = [P("y^3"), P("0"), P("2*y")]
-        sols = bareiss_solve(m, b)
-        den = sols[0].den
-        for i in range(3):
-            lhs = LaurentPoly2.zero()
-            for j in range(3):
-                a_ij = (ONE if i == j else LaurentPoly2.zero()) - X * m[i][j]
-                lhs = lhs + a_ij * sols[j].num
-            assert lhs == b[i] * den, f"row {i} mismatch"
+        assert solution_defect(m, b, bareiss_solve(m, b)) is None
 
     def test_mixed_sizes_share_denominator(self):
         m = [[Y, ONE], [ONE, Y]]
@@ -236,10 +224,9 @@ class TestWeightedSolutionGf:
 
 
 def _assert_matches_cramer(matrix, rhs):
-    nums, den = _cramer_solve(matrix, rhs)
-    sols = bareiss_solve(matrix, rhs)
-    assert [s.den.terms for s in sols] == [den.terms] * len(matrix)
-    assert [s.num.terms for s in sols] == [p.terms for p in nums]
+    # solution_defect pins den to the row-shifted det(I - x*M) and then every
+    # num by substitution: the Cramer determinants, term for term
+    assert solution_defect(matrix, rhs, bareiss_solve(matrix, rhs)) is None
 
 
 y_polys = st.dictionaries(
@@ -288,8 +275,8 @@ def _gf_digest(gf: RationalGF) -> str:
 
 
 def _rational_minor_system():
-    # Bareiss divides int-coefficient x*y^2*(x-1)^2 by 2*x*(x-1) here: the
-    # minor y^2*(x-1)/2 is exact over the rationals only
+    # an integral matrix with a Fraction rhs entry: the Cramer minor
+    # y^2*(x-1)/2 is rational although every matrix entry is an int
     zero = LaurentPoly2.zero()
     matrix = [[zero] * 6 for _ in range(6)]
     matrix[0][0], matrix[1][5], matrix[2][1] = ONE, P("y^-2"), P("2")
@@ -303,7 +290,8 @@ class TestDivisionFreeSolve:
     def test_matches_cramer_term_for_term(self, system):
         _assert_matches_cramer(*system)
 
-    # sha256 of the sorted num and den terms, as the Bareiss elimination gave them
+    # sha256 of the sorted num and den terms, as a fraction-free elimination of
+    # the Cramer determinants gave them
     @pytest.mark.parametrize(
         "m, k, digest",
         [
@@ -339,12 +327,99 @@ class TestCoefficientTypes:
         assert all(type(c) is int for c in p.terms.values())
         assert all(type(c) is int for c in (P("6*y") * Fraction(1, 3)).terms.values())
 
-    def test_div_exact_rejects_an_integer_remainder(self):
-        with pytest.raises(ArithmeticError):
-            _div_exact(P("3*y+1"), P("2"))
-        with pytest.raises(ArithmeticError):
-            _div_exact(P("x*y+3"), P("2*y+1"))
+    def test_integral_fraction_results_are_int(self):
+        third = LaurentPoly2({(0, 0): Fraction(1, 3)})
+        for p in (
+            third + LaurentPoly2({(0, 0): Fraction(2, 3)}),
+            third * LaurentPoly2({(0, 0): 3}),
+            LaurentPoly2({(0, 0): Fraction(2, 3)}) * LaurentPoly2({(0, 0): Fraction(3, 2)}),
+            LaurentPoly2({(0, 2): Fraction(1, 2)}).derivative_y().shift_y(-1),
+        ):
+            assert p.terms == {(0, 0): 1}
+            assert type(p.coefficient(0, 0)) is int
+        # y*1 + (1/2)*(2*y) = 2*y
+        assert type((P("y+1/2") * P("2*y+1")).coefficient(0, 1)) is int
 
-    def test_div_exact_over_the_rationals(self):
-        quotient = _div_exact(P("y+1/2"), P("2*y+1"))
-        assert quotient == LaurentPoly2.const(Fraction(1, 2))
+
+def leibniz_det(matrix) -> int:
+    """The determinant as a signed sum over all permutations."""
+    n = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for row, col in enumerate(perm):
+            term *= matrix[row][col]
+        total += term
+    return total
+
+
+@st.composite
+def int_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    m = [[draw(st.integers(min_value=-3, max_value=3)) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        # a multiple of another row: singular
+        factor = draw(st.integers(min_value=-2, max_value=2))
+        m[-1] = [factor * c for c in m[0]]
+    return m
+
+
+class TestIntegerDeterminant:
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices())
+    @example([[0, 1], [1, 0]])
+    @example([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+    @example([[1, 2], [2, 4]])
+    def test_equals_the_permutation_expansion(self, matrix):
+        assert _bareiss_det(matrix) == leibniz_det(matrix)
+
+    def test_div_exact(self):
+        assert _div_exact(-12, 4) == -3
+        with pytest.raises(ArithmeticError):
+            _div_exact(7, 2)
+        with pytest.raises(ArithmeticError):
+            _div_exact(-3, 6)
+
+
+def _mutants(solutions):
+    """Wrong outputs of a solve, by name."""
+    n = len(solutions)
+    den = solutions[0].den
+    one_plus_x = ONE + X
+    num0 = LaurentPoly2({key: c for key, c in solutions[0].num.terms.items() if key[0] != n - 1})
+    return {
+        "num and den times y": [RationalGF(s.num * Y, den * Y) for s in solutions],
+        "den times 1+x": [RationalGF(s.num, den * one_plus_x) for s in solutions],
+        "num and den times 1+x": [
+            RationalGF(s.num * one_plus_x, den * one_plus_x) for s in solutions
+        ],
+        "x^(n-1) part of num_0 dropped": [RationalGF(num0, den), *solutions[1:]],
+    }
+
+
+class TestSolutionDefect:
+    @pytest.mark.parametrize(
+        "name",
+        ["num and den times y", "den times 1+x", "num and den times 1+x", "x^(n-1) part of num_0 dropped"],
+    )
+    def test_star_system_mutant_is_caught(self, name):
+        matrix, rhs, _ = star_system()
+        assert solution_defect(matrix, rhs, _mutants(bareiss_solve(matrix, rhs))[name]) is not None
+
+    @settings(max_examples=40, deadline=None)
+    @given(larger_y_systems())
+    @example(_rational_minor_system())
+    def test_every_changed_mutant_is_caught(self, system):
+        solutions = bareiss_solve(*system)
+        for name, mutant in _mutants(solutions).items():
+            if any(a.num != b.num or a.den != b.den for a, b in zip(mutant, solutions)):
+                assert solution_defect(*system, mutant) is not None, name
+
+    def test_shape_mismatches(self):
+        m, b = [[Y, ONE], [ONE, Y]], [Y, ONE]
+        sols = bareiss_solve(m, b)
+        assert solution_defect(m, b, sols[:1]) is not None
+        scaled = RationalGF(2 * sols[1].num, 2 * sols[1].den)
+        assert "denominator" in solution_defect(m, b, [sols[0], scaled])
+        assert solution_defect([], [], []) is None

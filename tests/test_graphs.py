@@ -177,12 +177,32 @@ def colored_graphs(draw):
     return Graph.from_edges(n, edges), colors
 
 
+def flood_fill_blocks(g: Graph, colors) -> int:
+    """Monochromatic components by depth-first search, without a union-find."""
+    seen, count = set(), 0
+    for start in range(g.n):
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in g.adj[v]:
+                if colors[u] == colors[v] and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return count
+
+
 class TestUnionRoots:
     @given(colored_graphs())
     def test_roots_count_blocks(self, case):
+        # block_count counts union_roots' roots, so the search is the reference
         g, colors = case
         same = [(u, v) for u, v in g.edges() if colors[u] == colors[v]]
-        assert len(set(union_roots(g.n, same))) == block_count(g, colors)
+        assert len(set(union_roots(g.n, same))) == flood_fill_blocks(g, colors)
+        assert block_count(g, colors) == flood_fill_blocks(g, colors)
 
     def test_roots_name_the_merged_sets(self):
         roots = union_roots(6, [(0, 5), (2, 3), (5, 3)])

@@ -135,6 +135,24 @@ class TestFinalize:
             want = want + weight.shift_y(max(profile.linkage) + 1)
         assert finalize(states) == want
 
+    def test_integral_fraction_sums_are_int(self):
+        # 1/3 + 2/3 in one open-class group
+        states = {
+            Profile((0,), (0,)): LaurentPoly2({(0, 0): Fraction(1, 3)}),
+            Profile((1,), (0,)): LaurentPoly2({(0, 0): Fraction(2, 3)}),
+        }
+        total = finalize(states)
+        assert total.terms == {(0, 1): 1}
+        assert type(total.coefficient(0, 1)) is int
+        # the orbit-lumped step sums c * count the same way
+        g, k = path(2), 3
+        halved = step(g, k, {p: w * Fraction(1, 2) for p, w in initial_states(g, k).items()})
+        whole = step(g, k, initial_states(g, k))
+        assert halved == {p: w * Fraction(1, 2) for p, w in whole.items()}
+        coefficients = [c for w in halved.values() for c in w.terms.values()]
+        assert any(type(c) is int for c in coefficients)
+        assert all(type(c) is int for c in coefficients if c.denominator == 1)
+
     def test_cancelling_weights_leave_no_zero_terms(self):
         w = LaurentPoly2({(1, -2): Fraction(1, 3), (0, 0): 2})
         states = {Profile((0, 1), (0, 1)): w, Profile((1, 0), (0, 1)): -w}
