@@ -4,7 +4,8 @@ Colorings of a graph correspond one-to-one with partitions into connected,
 colored blocks; this package computes the full distribution of the block
 count over all k^n colorings, three independent ways: brute-force
 enumeration, closed-form family formulas, and a transfer-matrix engine for
-graph-path products.  All arithmetic is exact (big rationals).
+graph-path products.  All arithmetic is exact: polynomials have big-integer
+coefficients (the ring Z[x, y, 1/y]), and expectations are exact fractions.
 """
 
 from .algebra import (

@@ -1,12 +1,11 @@
-"""Exact sparse arithmetic in two variables over the integers (and rationals).
+"""Exact sparse arithmetic in two variables over the integers.
 
 A polynomial is a dict mapping exponent pairs ``(i, j)`` -- the powers of
 ``x`` and ``y`` -- to nonzero coefficients.  Every block count is an integer,
-so coefficients are plain Python ``int``s; a ``Fraction`` appears only when a
-genuinely rational value enters (a parsed ``y/2``).  Values entering through
-constructors and scalar factors are normalized, so an integral value enters
-as an ``int``; sums and products that involve a ``Fraction`` coefficient are
-normalized the same way, so an integral result is an ``int`` too.
+so the coefficient ring is Z[x, y, 1/y]: coefficients are plain Python
+``int``s, and any other coefficient (a ``Fraction``, even an integral one, or
+a float) is a ``TypeError``.  Only ``evaluate`` leaves the ring: it takes
+``int`` or ``Fraction`` points and returns an exact ``Fraction``.
 ``x`` exponents are always >= 0; ``y`` exponents may be negative
 (several transfer-matrix entries need ``1/y`` and ``1/y**2``).  The zero
 polynomial is the empty dict.  No floating point is used anywhere.
@@ -24,7 +23,6 @@ with integer (Bareiss) determinants on a grid of points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -32,34 +30,19 @@ from typing import Mapping, Sequence
 from .errors import DimensionLimitError
 
 Key = tuple[int, int]
-Coeff = int | Fraction
 
 # largest system bareiss_solve takes: Berkowitz's algorithm costs O(n^4)
 # products of polynomials in y whose degrees grow with n
 MAX_SYSTEM_DIM = 12
 
 
-def _coerce(value: Coeff) -> Coeff:
-    """An ``int`` for every integral value, else the ``Fraction`` itself."""
+def _coerce(value: int) -> int:
+    """The coefficient as a plain ``int``; any non-``int`` is a TypeError."""
     if type(value) is int:
         return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
         return int(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
-
-
-def _has_fraction(terms: Mapping) -> bool:
-    return Fraction in map(type, terms.values())
-
-
-def _nonzero_terms(terms: Mapping, rational: bool) -> dict:
-    """The nonzero summed coefficients; with ``rational`` (some summand was a
-    ``Fraction``) each goes through ``_coerce``, so integral sums are ``int``s."""
-    if rational:
-        return {k: _coerce(c) for k, c in terms.items() if c}
-    return {k: c for k, c in terms.items() if c}
+    raise TypeError(f"expected an int coefficient, got {type(value).__name__}")
 
 
 class LaurentPoly2:
@@ -67,8 +50,8 @@ class LaurentPoly2:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Key, Coeff] | None = None):
-        clean: dict[Key, Coeff] = {}
+    def __init__(self, terms: Mapping[Key, int] | None = None):
+        clean: dict[Key, int] = {}
         if terms:
             for (i, j), c in terms.items():
                 if i < 0:
@@ -79,7 +62,7 @@ class LaurentPoly2:
         self._terms = clean
 
     @classmethod
-    def _raw(cls, terms: dict[Key, Coeff]) -> "LaurentPoly2":
+    def _raw(cls, terms: dict[Key, int]) -> "LaurentPoly2":
         obj = object.__new__(cls)
         obj._terms = terms
         return obj
@@ -93,7 +76,7 @@ class LaurentPoly2:
         return _ONE
 
     @classmethod
-    def const(cls, c: Coeff) -> "LaurentPoly2":
+    def const(cls, c: int) -> "LaurentPoly2":
         c = _coerce(c)
         return cls._raw({(0, 0): c}) if c else _ZERO
 
@@ -106,18 +89,18 @@ class LaurentPoly2:
         return _Y
 
     @classmethod
-    def monomial(cls, i: int, j: int, c: Coeff = 1) -> "LaurentPoly2":
+    def monomial(cls, i: int, j: int, c: int = 1) -> "LaurentPoly2":
         if i < 0:
             raise ValueError(f"x exponent must be >= 0, got {i}")
         c = _coerce(c)
         return cls._raw({(i, j): c}) if c else _ZERO
 
     @property
-    def terms(self) -> dict[Key, Coeff]:
+    def terms(self) -> dict[Key, int]:
         """Copy of the term map."""
         return dict(self._terms)
 
-    def coefficient(self, i: int, j: int) -> Coeff:
+    def coefficient(self, i: int, j: int) -> int:
         return self._terms.get((i, j), 0)
 
     def is_zero(self) -> bool:
@@ -132,7 +115,7 @@ class LaurentPoly2:
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly2):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self._terms == LaurentPoly2.const(other)._terms
         return NotImplemented
 
@@ -148,7 +131,7 @@ class LaurentPoly2:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly2":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly2.const(other)
         elif not isinstance(other, LaurentPoly2):
             return NotImplemented
@@ -160,8 +143,7 @@ class LaurentPoly2:
                 out[k] = s
             else:
                 del out[k]
-        # only a sum of two Fractions can be integral
-        return LaurentPoly2._raw(_nonzero_terms(out, True) if _has_fraction(other._terms) else out)
+        return LaurentPoly2._raw(out)
 
     __radd__ = __add__
 
@@ -169,7 +151,7 @@ class LaurentPoly2:
         return LaurentPoly2._raw({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly2":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly2.const(other)
         elif not isinstance(other, LaurentPoly2):
             return NotImplemented
@@ -179,17 +161,17 @@ class LaurentPoly2:
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly2":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             c = _coerce(other)
             if not c:
                 return _ZERO
-            return LaurentPoly2._raw({k: _coerce(v * c) for k, v in self._terms.items()})
+            return LaurentPoly2._raw({k: v * c for k, v in self._terms.items()})
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Key, Coeff] = {}
+        out: dict[Key, int] = {}
         for (i1, j1), c1 in a.items():
             for (i2, j2), c2 in b.items():
                 key = (i1 + i2, j1 + j2)
@@ -199,8 +181,7 @@ class LaurentPoly2:
                     out[key] = s
                 else:
                     del out[key]
-        rational = _has_fraction(a) or _has_fraction(b)
-        return LaurentPoly2._raw(_nonzero_terms(out, True) if rational else out)
+        return LaurentPoly2._raw(out)
 
     __rmul__ = __mul__
 
@@ -227,13 +208,15 @@ class LaurentPoly2:
         return LaurentPoly2._raw({(i, j + d): c for (i, j), c in self._terms.items()})
 
     def derivative_y(self) -> "LaurentPoly2":
-        out = {(i, j - 1): c * j for (i, j), c in self._terms.items() if j}
-        return LaurentPoly2._raw(_nonzero_terms(out, _has_fraction(out)))
+        return LaurentPoly2._raw({(i, j - 1): c * j for (i, j), c in self._terms.items() if j})
 
-    def evaluate(self, x_value: Coeff, y_value: Coeff) -> Fraction:
-        """Exact evaluation; rejects y=0 when negative y exponents are present."""
-        x0 = Fraction(_coerce(x_value))
-        y0 = Fraction(_coerce(y_value))
+    def evaluate(self, x_value: int | Fraction, y_value: int | Fraction) -> Fraction:
+        """Exact evaluation at int or Fraction points; rejects y=0 when negative
+        y exponents are present."""
+        for value in (x_value, y_value):
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"expected an int or Fraction point, got {type(value).__name__}")
+        x0, y0 = Fraction(x_value), Fraction(y_value)
         total = Fraction(0)
         for (i, j), c in self._terms.items():
             if j < 0 and y0 == 0:
@@ -292,11 +275,11 @@ def gf_equal(a: RationalGF, b: RationalGF) -> bool:
 # -- arithmetic in y alone ----------------------------------------------------
 
 
-def _sum_of_products(pairs, start: Mapping[int, Coeff] | None = None) -> dict[int, Coeff]:
+def _sum_of_products(pairs, start: Mapping[int, int] | None = None) -> dict[int, int]:
     """start + sum(a * b) over pairs of polynomials in y alone, each a map
     from y exponent to coefficient: one accumulation into one term dict, then
-    normalized coefficients with the zeros dropped."""
-    out: dict[int, Coeff] = dict(start) if start else {}
+    the zeros dropped."""
+    out: dict[int, int] = dict(start) if start else {}
     get = out.get
     for a, b in pairs:
         if len(a) > len(b):
@@ -305,15 +288,15 @@ def _sum_of_products(pairs, start: Mapping[int, Coeff] | None = None) -> dict[in
             for j2, c2 in b.items():
                 j = j1 + j2
                 out[j] = get(j, 0) + c1 * c2
-    return _nonzero_terms(out, _has_fraction(out))
+    return {j: c for j, c in out.items() if c}
 
 
-def _y_terms(p: LaurentPoly2) -> dict[int, Coeff]:
+def _y_terms(p: LaurentPoly2) -> dict[int, int]:
     """A polynomial in y alone as a map from y exponent to coefficient."""
     return {j: c for (_, j), c in p._terms.items()}
 
 
-def _neg(a: dict[int, Coeff]) -> dict[int, Coeff]:
+def _neg(a: dict[int, int]) -> dict[int, int]:
     return {j: -c for j, c in a.items()}
 
 
@@ -335,7 +318,7 @@ def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
             raise ValueError("series_expand requires [x^0] den = +-y^j, a unit of Z[y, 1/y]")
         num, den = num.shift_y(-j) * sign, den.shift_y(-j) * sign
     neg_q = [_neg(_y_terms(den.x_coefficient(i))) for i in range(1, den.x_degree() + 1)]
-    coeffs: list[dict[int, Coeff]] = []
+    coeffs: list[dict[int, int]] = []
     for n in range(n_max + 1):
         pairs = ((neg_q[i - 1], coeffs[n - i]) for i in range(1, min(n, len(neg_q)) + 1))
         coeffs.append(_sum_of_products(pairs, _y_terms(num.x_coefficient(n))))
@@ -345,7 +328,7 @@ def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
 # -- solving t = b + x*M*t in y alone ---------------------------------------
 
 
-def _charpoly(m: list[list[dict[int, Coeff]]]) -> list[dict[int, Coeff]]:
+def _charpoly(m: list[list[dict[int, int]]]) -> list[dict[int, int]]:
     """[c_0 = 1, c_1, ..., c_n] with det(I - x*m) = sum c_k x^k, for an n x n
     matrix of polynomials in y alone.
 
@@ -355,7 +338,7 @@ def _charpoly(m: list[list[dict[int, Coeff]]]) -> list[dict[int, Coeff]]:
     lower-triangular Toeplitz matrix with first column
     1, -a, -R C, -R A C, ..., -R A^(r-1) C.
     """
-    p: list[dict[int, Coeff]] = [{0: 1}]
+    p: list[dict[int, int]] = [{0: 1}]
     for r in range(len(m)):
         row = m[r][:r]
         block = [line[:r] for line in m[:r]]
@@ -414,7 +397,7 @@ def bareiss_solve(
     )
     solutions = []
     for i in range(n):
-        num: dict[Key, Coeff] = {}
+        num: dict[Key, int] = {}
         for k in range(n):
             coeff = _sum_of_products((c[j], krylov[k - j][i]) for j in range(k + 1))
             for j, cj in coeff.items():
@@ -492,13 +475,11 @@ def solution_defect(matrix, rhs, solutions: Sequence[RationalGF]) -> str | None:
             for s, row in zip(shifts, matrix)
         ]
         for x0 in range(n + 1):
-            rows, scale = [], 1
-            for i, (s, line) in enumerate(zip(shifts, at_y)):
-                entries = [(i == j) * y0**s - x0 * v for j, v in enumerate(line)]
-                row_scale = math.lcm(*(e.denominator for e in entries))
-                rows.append([e.numerator * (row_scale // e.denominator) for e in entries])
-                scale *= row_scale
+            rows = [
+                [(i == j) * y0**s - x0 * v for j, v in enumerate(line)]
+                for i, (s, line) in enumerate(zip(shifts, at_y))
+            ]
             value = sum(c * x0**i * y0**j for (i, j), c in den._terms.items())
-            if value * scale != _bareiss_det(rows):
+            if value != _bareiss_det(rows):
                 return f"den at x={x0}, y={y0} is not the shifted det(I - x*M) there"
     return None

@@ -16,7 +16,8 @@ alone, so no other subcommand loads it; numpy loads only with the first
 brute-force enumeration (see ``oracle``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap exceeded
-(an enumeration or state cap, or the dimension limit of the symbolic solve).
+(an enumeration or state cap, the dimension limit of the symbolic solve, or
+``MAX_DECIMALS``).
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ from .transfer import (
 
 class UsageError(ValueError):
     pass
+
+
+# the rounding context of ``_decimal_string`` holds places + 30 digits, so its
+# memory grows with --decimals (about 77 MB at 16 million places)
+MAX_DECIMALS = 10**7
 
 
 def _decimal_string(value: Fraction, places: int) -> str:
@@ -108,6 +114,8 @@ def _compute(args) -> tuple[BlockDistribution | Fraction, int]:
 
 def cmd_blocks(args) -> int:
     """dist and expect: expect leaves out the distribution and its total."""
+    if args.decimals is not None and args.decimals > MAX_DECIMALS:
+        raise CapExceededError(f"--decimals {args.decimals} exceeds the limit {MAX_DECIMALS}")
     t0 = time.perf_counter()
     value, vertices = _compute(args)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)

@@ -97,24 +97,28 @@ def cycle_expected(n: int, k: int) -> Fraction:
     return Fraction(k + n * (k**n - k ** (n - 1)), k**n)
 
 
-def closed_walks_complete(m: int, length: int) -> Fraction:
+def _walk_count(numerator: int, m: int) -> int:
+    """numerator / m, which a walk count makes exact; a remainder is an error."""
+    q, r = divmod(numerator, m)
+    if r:
+        raise ArithmeticError(f"walk count {numerator}/{m} is not an integer")
+    return q
+
+
+def closed_walks_complete(m: int, length: int) -> int:
     """Closed walks of the given length in the complete graph on m vertices,
     from a fixed start: ((m-1)^L + (m-1)(-1)^L) / m."""
     _require(m >= 1, "m must be >= 1")
     _require(length >= 0, "length must be >= 0")
-    value = Fraction((m - 1) ** length + (m - 1) * (-1) ** length, m)
-    assert value.denominator == 1
-    return value
+    return _walk_count((m - 1) ** length + (m - 1) * (-1) ** length, m)
 
 
-def open_walks_complete(m: int, length: int) -> Fraction:
+def open_walks_complete(m: int, length: int) -> int:
     """Walks between one ordered pair of distinct vertices:
     ((m-1)^L - (-1)^L) / m."""
     _require(m >= 1, "m must be >= 1")
     _require(length >= 1, "length must be >= 1")
-    value = Fraction((m - 1) ** length - (-1) ** length, m)
-    assert value.denominator == 1
-    return value
+    return _walk_count((m - 1) ** length - (-1) ** length, m)
 
 
 # -- complete and complete bipartite graphs -----------------------------------

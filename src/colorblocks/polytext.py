@@ -2,13 +2,14 @@
 
 Text syntax: integer coefficients, ``x``, ``y``, ``^`` (integer exponents,
 negative allowed for y), ``*``, ``+``, ``-``, parentheses, and division by a
-constant or a power of y (as in ``(3*y^2+2*y+1)/y``).  Whitespace may
+constant or a power of y (as in ``(3*y^2+2*y+1)/y``).  Coefficients are
+integers, so division by a constant must be exact: ``(4*y+2)/2`` is
+``2*y+1``, and ``(3*y)/2`` is an error at the divisor.  Whitespace may
 separate tokens, as ``format_poly`` writes it; there is no implicit
 multiplication, so ``2 3`` and ``x y`` are errors.
 
-JSON form: an object mapping ``"i,j"`` exponent keys to coefficient strings
-in decimal ``num/den`` form (just ``num`` for an integer), exact and
-locale-independent.
+JSON form: an object mapping ``"i,j"`` exponent keys to decimal integer
+coefficient strings, exact and locale-independent.
 """
 
 from __future__ import annotations
@@ -49,18 +50,7 @@ def _decimal_int(text: str) -> int:
         return int(Decimal(text))
 
 
-def _parse_rational(text: str) -> Fraction:
-    """``Fraction(text)``, also for "num" and "num/den" of any length."""
-    try:
-        return Fraction(text)
-    except ValueError:
-        num, slash, den = text.partition("/")
-        if not (_DECIMAL_INT.fullmatch(num) and (not slash or _DECIMAL_INT.fullmatch(den))):
-            raise
-        return Fraction(_decimal_int(num), _decimal_int(den) if slash else 1)
-
-
-def _format_term(i: int, j: int, c: int | Fraction) -> str:
+def _format_term(i: int, j: int, c: int) -> str:
     parts = []
     if i == 1:
         parts.append("x")
@@ -145,13 +135,18 @@ class _Parser:
         return value
 
     def _divide(self, value: LaurentPoly2, rhs: LaurentPoly2) -> LaurentPoly2:
+        """value / rhs for a divisor c*y^j whose c divides every coefficient;
+        errors point just past the divisor."""
         terms = rhs.terms
         if len(terms) != 1:
             raise self.error("divisor must be a constant or a power of y")
         ((i, j), c) = next(iter(terms.items()))
         if i != 0:
             raise self.error("divisor must not contain x")
-        return value.shift_y(-j) * Fraction(1, c)
+        quotients = {key: divmod(a, c) for key, a in value.terms.items()}
+        if any(r for _, r in quotients.values()):
+            raise self.error(f"{c} does not divide every coefficient")
+        return LaurentPoly2({key: q for key, (q, _) in quotients.items()}).shift_y(-j)
 
     def parse_factor(self) -> LaurentPoly2:
         if self.peek() == "-":
@@ -208,5 +203,5 @@ def poly_from_json(data: dict[str, str]) -> LaurentPoly2:
             exps = (int(i_str), int(j_str))
         except ValueError as exc:
             raise ValueError(f"bad exponent key {key!r}") from exc
-        terms[exps] = _parse_rational(value)
+        terms[exps] = _decimal_int(value)
     return LaurentPoly2(terms)

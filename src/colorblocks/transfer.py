@@ -47,7 +47,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import MAX_SYSTEM_DIM, LaurentPoly2, RationalGF, weighted_solution_gf
-from .algebra import _has_fraction, _nonzero_terms
 from .combinatorics import partition_count_at_most_k_parts, partitions_at_most_k_parts
 from .errors import CapExceededError, DimensionLimitError
 from .graphs import Graph, union_roots
@@ -326,7 +325,6 @@ def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeigh
             return None
     if any(count != op.sizes[orbit] for orbit, count in present.items()):
         return None
-    rational = any(_has_fraction(weight._terms) for weight in weights.values())
     sums: dict[int, dict] = {}
     for orbit, weight in weights.items():
         terms = weight._terms
@@ -339,7 +337,7 @@ def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeigh
                 acc[key] = acc.get(key, 0) + c * count
     out: StateWeights = {}
     for target, acc in sums.items():
-        poly = LaurentPoly2._raw(_nonzero_terms(acc, rational))
+        poly = LaurentPoly2._raw({key: c for key, c in acc.items() if c})
         for profile in op.members[target]:
             out[profile] = poly
     return out
@@ -375,7 +373,7 @@ def finalize(states: StateWeights) -> LaurentPoly2:
             acc[key] = acc.get(key, 0) + c
     total = LaurentPoly2.zero()
     for open_classes, acc in groups.items():
-        group = LaurentPoly2._raw(_nonzero_terms(acc, _has_fraction(acc)))
+        group = LaurentPoly2._raw({key: c for key, c in acc.items() if c})
         total = total + group.shift_y(open_classes)
     return total
 

@@ -90,7 +90,7 @@ class TestPolyArithmetic:
         assert p.x_coefficient(0) == P("-2*y^-2+1")
 
 
-coefficients = st.integers(min_value=-4, max_value=4).map(Fraction)
+coefficients = st.integers(min_value=-4, max_value=4)
 exponents = st.tuples(
     st.integers(min_value=0, max_value=3), st.integers(min_value=-2, max_value=3)
 )
@@ -251,12 +251,9 @@ class TestSingleEliminationSolve:
         _assert_matches_cramer(*system)
 
 
-rational_y_polys = st.dictionaries(
+sparse_y_polys = st.dictionaries(
     st.tuples(st.just(0), st.integers(min_value=-2, max_value=2)),
-    st.one_of(
-        st.integers(min_value=-3, max_value=3),
-        st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from([2, 3])),
-    ),
+    st.integers(min_value=-3, max_value=3),
     max_size=2,
 ).map(LaurentPoly2)
 
@@ -264,8 +261,8 @@ rational_y_polys = st.dictionaries(
 @st.composite
 def larger_y_systems(draw):
     n = draw(st.integers(min_value=1, max_value=7))
-    matrix = [[draw(rational_y_polys) for _ in range(n)] for _ in range(n)]
-    rhs = [draw(rational_y_polys) for _ in range(n)]
+    matrix = [[draw(sparse_y_polys) for _ in range(n)] for _ in range(n)]
+    rhs = [draw(sparse_y_polys) for _ in range(n)]
     return matrix, rhs
 
 
@@ -274,19 +271,9 @@ def _gf_digest(gf: RationalGF) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _rational_minor_system():
-    # an integral matrix with a Fraction rhs entry: the Cramer minor
-    # y^2*(x-1)/2 is rational although every matrix entry is an int
-    zero = LaurentPoly2.zero()
-    matrix = [[zero] * 6 for _ in range(6)]
-    matrix[0][0], matrix[1][5], matrix[2][1] = ONE, P("y^-2"), P("2")
-    return matrix, [zero] * 5 + [P("1/2")]
-
-
 class TestDivisionFreeSolve:
     @settings(max_examples=40, deadline=None)
     @given(larger_y_systems())
-    @example(_rational_minor_system())
     def test_matches_cramer_term_for_term(self, system):
         _assert_matches_cramer(*system)
 
@@ -308,11 +295,10 @@ class TestDivisionFreeSolve:
 
 
 class TestCoefficientTypes:
-    def test_parsed_division_is_rational_not_float(self):
-        p = P("(3*y)/2")
-        assert p.coefficient(0, 1) == Fraction(3, 2)
-        assert type(p.coefficient(0, 1)) is Fraction
-        assert type(P("(4*y)/2").coefficient(0, 1)) is int
+    def test_parsed_division_by_a_constant_is_exact(self):
+        p = P("(4*y+2)/2")
+        assert p == P("2*y+1")
+        assert all(type(c) is int for c in p.terms.values())
 
     def test_evaluate_at_negative_y_exponent_is_a_fraction(self):
         value = P("3*y^-2+x").evaluate(1, 2)
@@ -325,20 +311,24 @@ class TestCoefficientTypes:
         p = (P("2*y-y^-1+3*x") ** 3) * 4 + P("x*y")
         assert p.coefficient(5, 5) == 0
         assert all(type(c) is int for c in p.terms.values())
-        assert all(type(c) is int for c in (P("6*y") * Fraction(1, 3)).terms.values())
 
-    def test_integral_fraction_results_are_int(self):
-        third = LaurentPoly2({(0, 0): Fraction(1, 3)})
-        for p in (
-            third + LaurentPoly2({(0, 0): Fraction(2, 3)}),
-            third * LaurentPoly2({(0, 0): 3}),
-            LaurentPoly2({(0, 0): Fraction(2, 3)}) * LaurentPoly2({(0, 0): Fraction(3, 2)}),
-            LaurentPoly2({(0, 2): Fraction(1, 2)}).derivative_y().shift_y(-1),
-        ):
-            assert p.terms == {(0, 0): 1}
-            assert type(p.coefficient(0, 0)) is int
-        # y*1 + (1/2)*(2*y) = 2*y
-        assert type((P("y+1/2") * P("2*y+1")).coefficient(0, 1)) is int
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LaurentPoly2({(0, 0): Fraction(1, 2)}),
+            lambda: LaurentPoly2({(0, 0): Fraction(2, 1)}),
+            lambda: LaurentPoly2.monomial(0, 0, Fraction(1, 2)),
+            lambda: P("x+y") * Fraction(1, 2),
+            lambda: P("x+y") + Fraction(1, 2),
+            lambda: LaurentPoly2({(0, 0): 0.5}),
+        ],
+        ids=[
+            "fraction", "integral-fraction", "monomial", "scalar-product", "scalar-sum", "float"
+        ],
+    )
+    def test_non_int_coefficients_are_a_type_error(self, make):
+        with pytest.raises(TypeError):
+            make()
 
 
 def leibniz_det(matrix) -> int:
@@ -409,7 +399,6 @@ class TestSolutionDefect:
 
     @settings(max_examples=40, deadline=None)
     @given(larger_y_systems())
-    @example(_rational_minor_system())
     def test_every_changed_mutant_is_caught(self, system):
         solutions = bareiss_solve(*system)
         for name, mutant in _mutants(solutions).items():

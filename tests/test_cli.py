@@ -168,6 +168,26 @@ class TestDist:
         assert fraction[:-1] == ("407" * (places // 3 + 1))[: places - 1]
         assert fraction[-1] == "1"
 
+    def test_decimals_above_the_limit_exit_3_before_any_work(self, capsys, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(args):
+            raise Reached
+
+        monkeypatch.setattr(cli, "_compute", reached)
+        asked = cli.MAX_DECIMALS + 1
+        for command in ("dist", "expect"):
+            code, out, err = run(
+                capsys, command, "--graph", "complete:4", "--k", "2", "--decimals", str(asked)
+            )
+            assert code == 3 and out == ""
+            assert f"--decimals {asked} exceeds the limit {cli.MAX_DECIMALS}" in err
+            # the limit itself is allowed through to the computation
+            with pytest.raises(Reached):
+                main([command, "--graph", "complete:4", "--k", "2",
+                      "--decimals", str(cli.MAX_DECIMALS)])
+
     def test_threads_flag(self, capsys):
         doc = run_json(
             capsys, "dist", "--graph", "path:8", "--k", "2", "--threads", "3"

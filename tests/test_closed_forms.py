@@ -126,6 +126,15 @@ class TestWalkCounts:
         assert cf.open_walks_complete(3, 2) == 1
         assert cf.open_walks_complete(2, 2) == 0
 
+    def test_counts_are_ints_checked_without_assert(self):
+        for m in range(1, 6):
+            for length in range(1, 6):
+                assert type(cf.closed_walks_complete(m, length)) is int
+                assert type(cf.open_walks_complete(m, length)) is int
+        # the exactness check is a raise, which python -O keeps
+        with pytest.raises(ArithmeticError):
+            cf._walk_count(7, 2)
+
     def test_walks_count_actual_walks(self):
         # length-3 closed walks in the 4-clique, counted by brute force
         import itertools
