@@ -11,6 +11,10 @@ table without argparse; any other argv goes to an argparse parser built from
 the same table with every subcommand and its options, so help, usage and
 error text all come from argparse.
 
+``dist`` and ``expect`` check their caps on the vertex count of the parsed
+spec, before any graph is built; ``--method transfer`` takes a prism spec
+``product(G,path:n)``.
+
 The ``verify`` module, the check registry, is imported by ``cmd_verify``
 alone, so no other subcommand loads it; numpy loads only with the first
 brute-force enumeration (see ``oracle``).
@@ -36,15 +40,17 @@ from .algebra import series_expand
 from .combinatorics import partition_count_at_most_k_parts
 from .errors import CapExceededError, DimensionLimitError, GraphSpecError, PolyParseError
 from .fixtures import FIXTURE_IDS, fixture_gf, fixture_k
-from .graphs import build_graph, parse_graph_spec, parse_spec_tree, prism_factors
+from .graphs import build_graph, parse_spec_tree, prism_factors, vertex_count
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
     BlockDistribution,
+    check_enumeration_cap,
     distribution_bruteforce,
 )
 from .polytext import format_poly, format_rational, poly_to_json
 from .transfer import (
     DEFAULT_STATE_CAP,
+    check_slice_caps,
     color_classes,
     km_prism_gf,
     prism_distribution,
@@ -58,6 +64,10 @@ class UsageError(ValueError):
 # the rounding context of ``_decimal_string`` holds places + 30 digits, so its
 # memory grows with --decimals (about 77 MB at 16 million places)
 MAX_DECIMALS = 10**7
+
+# no graph with more vertices can be built; a spec past it is rejected before
+# its count is formed (a huge pbt:h)
+_MAX_VERTICES = 2**63 - 1
 
 
 def _decimal_string(value: Fraction, places: int) -> str:
@@ -82,8 +92,6 @@ def _emit(doc: dict, fmt: str, csv_rows=None, csv_header=None):
 def _compute(args) -> tuple[BlockDistribution | Fraction, int]:
     """(distribution, vertex count); for ``expect --method closed`` the
     expected value stands in for the distribution."""
-    if args.n is not None and args.method != "transfer":
-        raise UsageError(f"--n applies only to --method transfer, not --method {args.method}")
     if args.method == "closed":
         kind = "expectation" if args.command == "expect" else "distribution"
         found = cf.closed_form(args.graph, args.k, kind)
@@ -91,24 +99,21 @@ def _compute(args) -> tuple[BlockDistribution | Fraction, int]:
             forms = ", ".join(f for f, entry in cf.CLOSED_FORMS.items() if getattr(entry, kind))
             raise UsageError(f"no closed-form {kind} for {args.graph!r}; recognized: {forms}")
         return found
+    spec = parse_spec_tree(args.graph)
     if args.method == "brute":
-        g = parse_graph_spec(args.graph)
         cap = args.cap if args.cap else DEFAULT_ENUMERATION_CAP
+        check_enumeration_cap(vertex_count(spec, _MAX_VERTICES), args.k, cap)
         # never more worker threads than cores
         threads = min(args.threads, os.cpu_count() or 1)
-        dist = distribution_bruteforce(g, args.k, cap=cap, threads=threads)
+        dist = distribution_bruteforce(build_graph(spec), args.k, cap=cap, threads=threads)
         return dist, dist.vertex_count
-    spec = parse_spec_tree(args.graph)
-    if args.n is not None:
-        slice_spec, n = spec, args.n
-    else:
-        prism = prism_factors(spec)
-        if prism is None:
-            raise UsageError("--method transfer needs product(G,path:n) or --graph G with --n")
-        slice_spec, n = prism
-    slice_graph = build_graph(slice_spec)
+    prism = prism_factors(spec)
+    if prism is None:
+        raise UsageError(f"--method transfer takes a spec product(G,path:n), not {args.graph!r}")
+    slice_spec, n = prism
     state_cap = args.cap if args.cap else DEFAULT_STATE_CAP
-    dist = prism_distribution(slice_graph, args.k, n, state_cap=state_cap)
+    check_slice_caps(vertex_count(slice_spec, _MAX_VERTICES), args.k, state_cap)
+    dist = prism_distribution(build_graph(slice_spec), args.k, n, state_cap=state_cap)
     return dist, dist.vertex_count
 
 
@@ -237,7 +242,7 @@ def cmd_classes(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
-    return verify.run_suite(args.suite)
+    return verify.run_suite()
 
 
 def _int_in_range(low: int, high: int | None = None):
@@ -267,11 +272,10 @@ _FORMAT = ("--format", str, False, ("json", "csv"), "json", None)
 
 def _blocks_options(method: str) -> tuple:
     return (
-        ("--graph", str, True, None, None, "graph spec, e.g. complete:4"),
+        ("--graph", str, True, None, None, "graph spec, e.g. complete:4 or product(G,path:n)"),
         _FORMAT,
         ("--k", int, True, None, None, "number of colors"),
         ("--method", str, False, ("brute", "transfer", "closed"), method, None),
-        ("--n", int, False, None, None, "path length for --method transfer"),
         ("--cap", _CAP, False, None, None, "enumeration / state cap override"),
         ("--threads", _THREADS, False, None, 1, "worker threads, at most the core count"),
         ("--decimals", _DECIMALS, False, None, None, "add a rounded decimal rendering"),
@@ -300,9 +304,7 @@ _COMMANDS = {
         ("--k", int, True, None, None, None),
         _FORMAT,
     )),
-    "verify": ("run the built-in verification suite", cmd_verify, (
-        ("--suite", str, False, ("quick", "full"), "quick", None),
-    )),
+    "verify": ("run every built-in verification check", cmd_verify, ()),
 }
 
 

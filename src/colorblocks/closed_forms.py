@@ -3,7 +3,7 @@
 Each function constructs the exact polynomial or rational value directly from
 the family formula; the test suite cross-checks every one of them against
 brute-force enumeration and the transfer engine.  ``CLOSED_FORMS`` maps each
-graph-spec form these formulas cover to its vertex count and formulas, and
+graph-spec form these formulas cover to its formulas and their arguments, and
 ``closed_form`` looks a spec up in it.
 """
 
@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 from .algebra import LaurentPoly2, RationalGF, series_expand
 from .combinatorics import binomial, partition_count, stirling2
-from .graphs import GraphSpec, parse_spec_tree, prism_factors
+from .graphs import GraphSpec, parse_spec_tree, prism_factors, vertex_count
 from .oracle import BlockDistribution
 from .transfer import km_prism_gf
 
@@ -255,10 +255,10 @@ def star_profile_count(m: int) -> int:
 
 
 class ClosedForm(NamedTuple):
-    """One spec form: ``sizes`` maps its integers to (vertex count, formula
-    arguments); the formulas, named here, take those arguments and then k."""
+    """One spec form: ``arguments`` maps its integers to the arguments of the
+    formulas, named here, which take those arguments and then k."""
 
-    sizes: Callable[..., tuple[int, tuple[int, ...]]]
+    arguments: Callable[..., tuple[int, ...]]
     distribution: str | None
     expectation: str
 
@@ -266,14 +266,14 @@ class ClosedForm(NamedTuple):
 # Formulas are named, not stored, and looked up when called: a formula rebound
 # on this module (say, wrapped by a tracer) is then the one that runs.
 CLOSED_FORMS = {
-    "path:<n>": ClosedForm(lambda n: (n, (n,)), "tree_distribution", "tree_expected"),
-    "cycle:<n>": ClosedForm(lambda n: (n, (n,)), "cycle_distribution", "cycle_expected"),
-    "complete:<n>": ClosedForm(lambda n: (n, (n,)), "complete_distribution", "complete_expected"),
-    "star:<n>": ClosedForm(lambda n: (n + 1, (n + 1,)), "tree_distribution", "tree_expected"),
-    "pbt:<n>": ClosedForm(lambda h: (2 ** (h + 1) - 1, (h,)), "pbt_distribution", "pbt_expected"),
-    "bipartite:<n>,<m>": ClosedForm(lambda n, m: (n + m, (n, m)), None, "bipartite_expected"),
+    "path:<n>": ClosedForm(lambda n: (n,), "tree_distribution", "tree_expected"),
+    "cycle:<n>": ClosedForm(lambda n: (n,), "cycle_distribution", "cycle_expected"),
+    "complete:<n>": ClosedForm(lambda n: (n,), "complete_distribution", "complete_expected"),
+    "star:<n>": ClosedForm(lambda n: (n + 1,), "tree_distribution", "tree_expected"),
+    "pbt:<n>": ClosedForm(lambda h: (h,), "pbt_distribution", "pbt_expected"),
+    "bipartite:<n>,<m>": ClosedForm(lambda n, m: (n, m), None, "bipartite_expected"),
     "product(complete:<m>,path:<n>)": ClosedForm(
-        lambda m, n: (m * n, (m, n)), "complete_prism_distribution", "complete_prism_expected"
+        lambda m, n: (m, n), "complete_prism_distribution", "complete_prism_expected"
     ),
 }
 
@@ -292,7 +292,8 @@ def closed_form(spec: str, k: int, kind: str) -> tuple[BlockDistribution | Fract
     closed form covers it.  ``kind`` is ``"distribution"`` (the value is a
     BlockDistribution) or ``"expectation"`` (the expected block count).  A
     malformed spec raises GraphSpecError; no graph is built."""
-    found = _spec_form(parse_spec_tree(spec))
+    tree = parse_spec_tree(spec)
+    found = _spec_form(tree)
     if found is None:
         return None
     form, numbers = found
@@ -300,5 +301,4 @@ def closed_form(spec: str, k: int, kind: str) -> tuple[BlockDistribution | Fract
     name = getattr(entry, kind)
     if name is None:
         return None
-    vertices, arguments = entry.sizes(*numbers)
-    return globals()[name](*arguments, k), vertices
+    return globals()[name](*entry.arguments(*numbers), k), vertex_count(tree)

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import GraphSpecError
+from .errors import CapExceededError, GraphSpecError
 
 _MASK64 = (1 << 64) - 1
 
@@ -53,10 +53,7 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            _check_edge(n, u, v)
             nbrs[u].add(v)
             nbrs[v].add(u)
         return cls(n, tuple(tuple(sorted(s)) for s in nbrs))
@@ -72,6 +69,13 @@ class Graph:
         return len(self.adj[v])
 
 
+def _check_edge(n: int, u: int, v: int) -> None:
+    if u == v:
+        raise ValueError(f"loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+
+
 # family -> (the least value of each integer argument, the message for a
 # smaller one); the builders and parse_spec_tree check these same bounds
 _LEAST = {
@@ -82,6 +86,7 @@ _LEAST = {
     "star": ((0,), "star needs m >= 0"),
     "pbt": ((0,), "height must be >= 0"),
     "grid": ((1, 1), "grid needs m, n >= 1"),
+    "edges": ((1,), "graphs must have at least one vertex"),
 }
 
 
@@ -343,18 +348,22 @@ def _check_spec_bounds(spec: GraphSpec) -> None:
     if spec.family == "product":
         for factor in spec.args:
             _check_spec_bounds(factor)
-    elif spec.family in _LEAST:
-        try:
-            _check_least(spec.family, *spec.args)
-        except ValueError as exc:
-            raise GraphSpecError(str(exc), spec.at) from exc
+        return
+    try:
+        if spec.family == "edges":
+            n, edges = spec.args
+            for u, v in edges:
+                _check_edge(n, u, v)
+        _check_least(spec.family, *spec.args)
+    except ValueError as exc:
+        raise GraphSpecError(str(exc), spec.at) from exc
 
 
 def parse_spec_tree(text: str) -> GraphSpec:
     """The tree of a graph spec; malformed text raises GraphSpecError at the
-    position where it goes wrong, and an integer below its family's bound
-    raises the builder's error at the start of its node, so every route
-    reports it alike.  Nothing is built."""
+    position where it goes wrong, and an integer below its family's bound or
+    an edge its builder rejects raises the builder's error at the start of its
+    node, so every route reports it alike.  Nothing is built."""
     parser = _SpecParser(text)
     spec = parser.parse_spec()
     if parser.pos != len(text):
@@ -373,6 +382,31 @@ def build_graph(spec: GraphSpec) -> Graph:
         return _BUILDERS[spec.family](*args)
     except ValueError as exc:
         raise GraphSpecError(str(exc), spec.at) from exc
+
+
+def vertex_count(spec: GraphSpec, limit: int | None = None) -> int:
+    """The vertex count of the graph a spec tree builds, found without
+    building it.  A count above ``limit`` raises CapExceededError; a
+    ``pbt:h`` is measured by its height first, so a huge one never forms
+    2^(h+1)."""
+    family, args = spec.family, spec.args
+    if family == "product":
+        count = vertex_count(args[0], limit) * vertex_count(args[1], limit)
+    elif family == "pbt":
+        h = args[0]
+        # 2^(h+1) - 1 > limit once h reaches the bit length of limit
+        count = limit + 1 if limit is not None and h >= limit.bit_length() else 2 ** (h + 1) - 1
+    elif family == "star":
+        count = args[0] + 1
+    elif family == "bipartite":
+        count = args[0] + args[1]
+    elif family == "grid":
+        count = args[0] * args[1]
+    else:  # path, cycle, complete and edges: the first integer
+        count = args[0]
+    if limit is not None and count > limit:
+        raise CapExceededError(f"{family} at position {spec.at} has more than {limit} vertices")
+    return count
 
 
 def parse_graph_spec(text: str) -> Graph:

@@ -78,13 +78,17 @@ def block_count(g: Graph, coloring) -> int:
     return len(set(union_roots(g.n, same)))
 
 
-def _check_cap(g: Graph, k: int, cap: int) -> int:
+def check_enumeration_cap(vertices: int, k: int, cap: int) -> int:
+    """k^vertices, the number of colorings to enumerate, when it is within the
+    cap; CapExceededError otherwise."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    total = k**g.n
+    # 2^vertices > cap once vertices reaches the bit length of cap, so a huge
+    # k^vertices is never formed
+    total = k**vertices if k == 1 or vertices < cap.bit_length() else cap + 1
     if total > cap:
         raise CapExceededError(
-            f"{k}^{g.n} colorings exceed the enumeration cap {cap}; "
+            f"{k}^{vertices} colorings exceed the enumeration cap {cap}; "
             "for graph-path products use the transfer engine instead"
         )
     return total
@@ -221,7 +225,7 @@ def distribution_bruteforce(
     threads: int = 1,
 ) -> BlockDistribution:
     """Exact block distribution of (g, k) by full enumeration."""
-    total = _check_cap(g, k, cap)
+    total = check_enumeration_cap(g.n, k, cap)
     if threads > 1:
         counts = _tally_threads(g, k, total, threads)
     else:
@@ -234,7 +238,7 @@ def proper_coloring_count(g: Graph, k: int, cap: int = DEFAULT_ENUMERATION_CAP) 
     """Colorings with every edge bichromatic, by direct filtering."""
     import numpy as np
 
-    total = _check_cap(g, k, cap)
+    total = check_enumeration_cap(g.n, k, cap)
     edges = g.edges()
     count = 0
     for start in range(0, total, _CHUNK_ROWS):

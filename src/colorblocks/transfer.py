@@ -86,18 +86,20 @@ def _slice_table(g: Graph, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ..
     return tuple(table)
 
 
-def _check_caps(g: Graph, k: int, state_cap: int):
+def check_slice_caps(vertices: int, k: int, state_cap: int):
+    """CapExceededError unless a slice of this many vertices is within the
+    vertex cap and its k^vertices colorings within the state cap."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if g.n > DEFAULT_VERTEX_CAP:
-        raise CapExceededError(f"slice has {g.n} vertices, cap is {DEFAULT_VERTEX_CAP}")
-    if k**g.n > state_cap:
-        raise CapExceededError(f"{k}^{g.n} slice colorings exceed state cap {state_cap}")
+    if vertices > DEFAULT_VERTEX_CAP:
+        raise CapExceededError(f"slice has {vertices} vertices, cap is {DEFAULT_VERTEX_CAP}")
+    if k**vertices > state_cap:
+        raise CapExceededError(f"{k}^{vertices} slice colorings exceed state cap {state_cap}")
 
 
 def initial_states(g: Graph, k: int, *, state_cap: int = DEFAULT_STATE_CAP) -> StateWeights:
     """One weight-1 state per coloring of the first slice."""
-    _check_caps(g, k, state_cap)
+    check_slice_caps(g.n, k, state_cap)
     return {Profile(colors, rgs): _ONE for colors, rgs in _slice_table(g, k)}
 
 
@@ -354,7 +356,7 @@ def step(
     profile keeps only what the new slice can see.  Symmetric input (one
     weight per orbit, see the module docstring) is computed on orbits.
     """
-    _check_caps(g, k, state_cap)
+    check_slice_caps(g.n, k, state_cap)
     table = _slice_table(g, k)
     out = _lumped_step(_operator(g, k), table, states)
     return _general_step(g.n, table, states) if out is None else out

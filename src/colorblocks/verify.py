@@ -5,10 +5,8 @@ Each check is a small function that raises CheckFailure with the exact
 mismatch detail (down to the offending coefficient).  ``ALL_CHECKS`` is the
 one home of every check that sets two routes (brute force, closed forms, the
 transfer engine, stored fixtures) against each other; ``colorblocks verify``
-runs it, and the test suite runs each check as its own case.  The ``quick``
-suite takes well under a second; ``full`` adds the heavier cross-validations
-(7x7 boundary-system solve, 5- and 6-vertex slice series, the 100+-instance
-property pool, larger enumerations).  Nothing is built at import time.
+runs it, about a second in all, and the test suite runs each check as its own
+case.  Nothing is built at import time.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ from .transfer import (
 @dataclass(frozen=True)
 class Check:
     name: str
-    suites: tuple[str, ...]
     fn: Callable[[], None]
 
 
@@ -151,23 +148,15 @@ def check_partitions():
 # -- families vs enumeration ---------------------------------------------------
 
 
-def check_tree_theorem_small():
-    trees = [(path(3), 3), (star(3), 4), (random_tree(7, 11), 7)]
-    trees += [(random_tree(n, seed), n) for seed in range(3) for n in (5, 7)]
-    for g, n in trees:
-        for k in (2, 3):
-            got = distribution_bruteforce(g, k).poly
-            _expect_poly_equal(got, cf.tree_distribution(n, k).poly, f"tree n={n} k={k}")
-
-
-def check_tree_theorem_many():
+def check_tree_theorem():
     y = LaurentPoly2.y()
-    for seed in range(50):
-        n = 1 + seed % 9
-        g = random_tree(n, seed)
-        for k in (2, 3, 4):
+    trees = [(path(3), 3, (2, 3)), (star(3), 4, (2, 3)), (random_tree(7, 11), 7, (2, 3))]
+    trees += [(random_tree(n, seed), n, (2, 3)) for seed in range(3) for n in (5, 7)]
+    trees += [(random_tree(1 + seed % 9, seed), 1 + seed % 9, (2, 3, 4)) for seed in range(50)]
+    for g, n, ks in trees:
+        for k in ks:
             got = distribution_bruteforce(g, k).poly
-            label = f"tree seed={seed} n={n} k={k}"
+            label = f"tree n={n} k={k}"
             _expect_poly_equal(got, cf.tree_distribution(n, k).poly, label)
             # the closed form's own product, independent of its binomial terms
             _expect_poly_equal(got, (k * y) * ((k - 1) * y + 1) ** (n - 1), f"{label} power form")
@@ -176,13 +165,7 @@ def check_tree_theorem_many():
 def check_pbt_lemma():
     displayed = parse_poly("2*y+12*y^2+30*y^3+40*y^4+30*y^5+12*y^6+2*y^7")
     _expect_poly_equal(cf.pbt_distribution(2, 2).poly, displayed, "pbt h=2 closed form")
-    for h, k in [(0, 2), (1, 2), (2, 2), (0, 3), (1, 3)]:
-        got = distribution_bruteforce(perfect_binary_tree(h), k).poly
-        _expect_poly_equal(got, cf.pbt_distribution(h, k).poly, f"pbt h={h} k={k}")
-
-
-def check_pbt_lemma_full():
-    for h, k in [(3, 2), (2, 3)]:
+    for h, k in [(0, 2), (1, 2), (2, 2), (3, 2), (0, 3), (1, 3), (2, 3)]:
         got = distribution_bruteforce(perfect_binary_tree(h), k).poly
         _expect_poly_equal(got, cf.pbt_distribution(h, k).poly, f"pbt h={h} k={k}")
 
@@ -238,13 +221,6 @@ def check_bipartite_expectation():
 # -- transfer engine ------------------------------------------------------------
 
 
-def _expect_engine_is_bruteforce(cases):
-    for g, k, n in cases:
-        eng = prism_distribution(g, k, n).poly
-        bf = distribution_bruteforce(cartesian_product(g, path(n)), k).poly
-        _expect_poly_equal(eng, bf, f"engine vs brute |slice|={g.n} k={k} n={n}")
-
-
 def _expect_series_is_engine(gf: RationalGF, g: Graph, k: int, nmax: int, label: str):
     """The x^n coefficients of gf, n = 0..nmax, are the profile DP's
     distributions of g x path(n) (none at n = 0)."""
@@ -256,16 +232,13 @@ def _expect_series_is_engine(gf: RationalGF, g: Graph, k: int, nmax: int, label:
 
 
 def check_engine_against_bruteforce():
-    _expect_engine_is_bruteforce([
-        (complete(3), 2, 3), (complete(3), 3, 2), (star(3), 2, 2), (path(2), 2, 2), (path(3), 2, 3),
-    ])
-
-
-def check_engine_against_bruteforce_full():
-    _expect_engine_is_bruteforce(
-        [(complete(3), 2, n) for n in range(1, 7)]
-        + [(g, k, n) for g, k in [(complete(3), 3), (star(3), 2)] for n in range(1, 5)]
-    )
+    cases = [(complete(3), 2, n) for n in range(1, 7)]
+    cases += [(g, k, n) for g, k in [(complete(3), 3), (star(3), 2)] for n in range(1, 5)]
+    cases += [(path(2), 2, 2), (path(3), 2, 3)]
+    for g, k, n in cases:
+        eng = prism_distribution(g, k, n).poly
+        bf = distribution_bruteforce(cartesian_product(g, path(n)), k).poly
+        _expect_poly_equal(eng, bf, f"engine vs brute |slice|={g.n} k={k} n={n}")
 
 
 def check_engine_mass_conservation():
@@ -367,7 +340,7 @@ def check_general_prism_expectation():
                 cf.complete_expected(ell, k),
                 f"prism formula at n=1, ell={ell} k={k}",
             )
-    for ell in range(1, 4):
+    for ell in range(1, 5):
         for k in (2, 3):
             for n in range(1, 5):
                 _expect_equal(
@@ -381,17 +354,6 @@ def check_general_prism_expectation():
             _expect_equal(
                 cf.complete_prism_expected(ell, n, 2), bf, f"prism formula vs brute ell={ell} n={n}"
             )
-
-
-def check_general_prism_expectation_full():
-    for ell in (4,):
-        for k in (2, 3):
-            for n in range(1, 5):
-                _expect_equal(
-                    cf.complete_prism_expected(ell, n, k),
-                    prism_expected(complete(ell), k, n),
-                    f"prism formula vs engine ell={ell} k={k} n={n}",
-                )
 
 
 # -- fixtures --------------------------------------------------------------------
@@ -427,13 +389,10 @@ def check_fixture_normalization():
             )
 
 
-def check_fixture_series_vs_engine_small():
+def check_fixture_series_vs_engine():
     for k in (2, 3):
         _expect_series_is_engine(cf.k3_prism_gf(k), complete(3), k, 4, f"triangle fixture k={k}")
     _expect_series_is_engine(fx.fixture_gf("STAR13_k2"), star(3), 2, 6, "star fixture")
-
-
-def check_fixture_series_vs_engine_full():
     for fid in ("K4_k2", "K5_k2", "K6_k2", "K4_k3"):
         m, k = fx.fixture_slice_size(fid), fx.fixture_k(fid, None)
         _expect_series_is_engine(fx.fixture_gf(fid), complete(m), k, 5, f"{fid} series")
@@ -474,12 +433,12 @@ def check_solve_satisfies_its_system():
             raise CheckFailure(f"{label}: {defect}")
 
 
-def check_star_system_solution_full():
+def check_star_system_solution():
     solved = fx.fixture_gf("STAR13_matrix")
     _expect_gf_equal(solved, fx.fixture_gf("STAR13_k2"), "7x7 system vs closed form")
 
 
-def check_star_expectation_full():
+def check_star_expectation():
     for n in range(1, 9):
         formula = (
             Fraction(2254219, 1411200)
@@ -511,31 +470,6 @@ def check_graph_builders():
         _expect_equal(t.edge_count, n - 1, f"tree edges n={n}")
 
 
-def _check_properties(pool, rng: SplitMix64):
-    for g, k in pool:
-        d = distribution_bruteforce(g, k)
-        _expect_equal(d.total(), Fraction(k**g.n), f"mass |V|={g.n} k={k}")
-        _expect_equal(
-            d.coefficient(g.n), Fraction(proper_coloring_count(g, k)),
-            f"top coefficient |V|={g.n} k={k}",
-        )
-        # one block only when every vertex shares one color and g is connected
-        _expect_equal(
-            d.coefficient(1), Fraction(k if is_connected(g) else 0),
-            f"monochromatic coefficient |V|={g.n} k={k}",
-        )
-        if k == 2:
-            odd = [j for j, c in d.coefficients().items() if c % 2]
-            if odd:
-                raise CheckFailure(f"odd coefficients at exponents {odd} for |V|={g.n} k=2")
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        relabeled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-        _expect_poly_equal(
-            distribution_bruteforce(relabeled, k).poly, d.poly, f"relabeled |V|={g.n} k={k}"
-        )
-
-
 def check_distribution_properties():
     pool = [
         (path(5), 2), (path(8), 2), (cycle(6), 2), (cycle(5), 3),
@@ -546,11 +480,6 @@ def check_distribution_properties():
         (Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]), 2),
         (Graph.from_edges(5, [(0, 1), (2, 3)]), 2),
     ]
-    _check_properties(pool, SplitMix64(2024))
-
-
-def check_distribution_properties_full():
-    pool = []
     for seed in range(40):
         n = 4 + seed % 9
         pool.append((random_tree(n, seed), 2 if n > 11 else 2 + seed % 2))
@@ -573,9 +502,32 @@ def check_distribution_properties_full():
         pool.append((Graph.from_edges(n, edges), 2))
     for g, n in [(complete(2), 4), (path(3), 3), (complete(3), 3)]:
         pool.append((cartesian_product(g, path(n)), 2))
+    pool = list(dict.fromkeys(pool))
     if len(pool) < 100 or max(k**g.n for g, k in pool) != 1 << 18:
         raise CheckFailure(f"pool of {len(pool)} is under 100 instances or not capped at 2^18")
-    _check_properties(pool, SplitMix64(2718))
+    shuffler = SplitMix64(2024)
+    for g, k in pool:
+        d = distribution_bruteforce(g, k)
+        _expect_equal(d.total(), Fraction(k**g.n), f"mass |V|={g.n} k={k}")
+        _expect_equal(
+            d.coefficient(g.n), Fraction(proper_coloring_count(g, k)),
+            f"top coefficient |V|={g.n} k={k}",
+        )
+        # one block only when every vertex shares one color and g is connected
+        _expect_equal(
+            d.coefficient(1), Fraction(k if is_connected(g) else 0),
+            f"monochromatic coefficient |V|={g.n} k={k}",
+        )
+        if k == 2:
+            odd = [j for j, c in d.coefficients().items() if c % 2]
+            if odd:
+                raise CheckFailure(f"odd coefficients at exponents {odd} for |V|={g.n} k=2")
+        perm = list(range(g.n))
+        shuffler.shuffle(perm)
+        relabeled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        _expect_poly_equal(
+            distribution_bruteforce(relabeled, k).poly, d.poly, f"relabeled |V|={g.n} k={k}"
+        )
 
 
 def check_bruteforce_kernel():
@@ -598,56 +550,49 @@ def check_bruteforce_kernel():
 
 
 ALL_CHECKS: list[Check] = [
-    Check("poly ring identities", ("quick", "full"), check_poly_ring_identities),
-    Check("series of x/(1-x)", ("quick", "full"), check_series_geometric),
-    Check("series self-consistency", ("quick", "full"), check_series_consistency),
-    Check("stirling row sums vs Bell", ("quick", "full"), check_stirling_and_bell),
-    Check("partition counts", ("quick", "full"), check_partitions),
-    Check("tree closed form, small cases", ("quick", "full"), check_tree_theorem_small),
-    Check("tree closed form, 50 random trees", ("full",), check_tree_theorem_many),
-    Check("binary-tree closed form", ("quick", "full"), check_pbt_lemma),
-    Check("binary-tree closed form, larger", ("full",), check_pbt_lemma_full),
-    Check("cycle closed form", ("quick", "full"), check_cycle_theorem),
-    Check("walk-count split", ("quick", "full"), check_walk_counts),
-    Check("complete-graph closed form", ("quick", "full"), check_complete_theorem),
-    Check("bipartite expectation", ("quick", "full"), check_bipartite_expectation),
-    Check("engine vs brute force", ("quick", "full"), check_engine_against_bruteforce),
-    Check("engine vs brute force, larger", ("full",), check_engine_against_bruteforce_full),
-    Check("engine mass conservation", ("quick", "full"), check_engine_mass_conservation),
-    Check("complete-slice state count", ("quick", "full"), check_complete_slice_states),
-    Check("orbit-lumped step vs general path", ("quick", "full"), check_lumped_step),
-    Check("color classes", ("quick", "full"), check_color_classes),
-    Check("reduced system, small slices", ("quick", "full"), check_km_system_small),
-    Check("reduced-system series vs engine", ("quick", "full"), check_km_series_vs_engine),
-    Check("triangle prism expectation", ("quick", "full"), check_triangle_prism_expectation),
-    Check("4-clique prism expectation", ("quick", "full"), check_k4_prism_expectation),
-    Check("general prism expectation", ("quick", "full"), check_general_prism_expectation),
-    Check("general prism expectation, 4-clique", ("full",), check_general_prism_expectation_full),
-    Check("fixture first coefficients", ("quick", "full"), check_fixture_first_coefficients),
-    Check("triangle fixture k=2 display", ("quick", "full"), check_k3_generic_against_display),
-    Check("fixture normalization", ("quick", "full"), check_fixture_normalization),
-    Check("fixture series vs engine", ("quick", "full"), check_fixture_series_vs_engine_small),
-    Check("large-slice fixture series vs engine", ("full",), check_fixture_series_vs_engine_full),
-    Check("star matrix entries", ("quick", "full"), check_star_matrix_entries),
-    Check("solve satisfies its system", ("quick", "full"), check_solve_satisfies_its_system),
-    Check("star 7x7 system solution", ("full",), check_star_system_solution_full),
-    Check("star prism expectation", ("full",), check_star_expectation_full),
-    Check("star boundary-state count", ("quick", "full"), check_star_profile_count),
-    Check("graph builders and spec parser", ("quick", "full"), check_graph_builders),
-    Check("distribution properties", ("quick", "full"), check_distribution_properties),
-    Check("distribution properties, 100+ instances", ("full",), check_distribution_properties_full),
-    Check("brute-force kernel vs union-find", ("quick", "full"), check_bruteforce_kernel),
+    Check("poly ring identities", check_poly_ring_identities),
+    Check("series of x/(1-x)", check_series_geometric),
+    Check("series self-consistency", check_series_consistency),
+    Check("stirling row sums vs Bell", check_stirling_and_bell),
+    Check("partition counts", check_partitions),
+    Check("tree closed form", check_tree_theorem),
+    Check("binary-tree closed form", check_pbt_lemma),
+    Check("cycle closed form", check_cycle_theorem),
+    Check("walk-count split", check_walk_counts),
+    Check("complete-graph closed form", check_complete_theorem),
+    Check("bipartite expectation", check_bipartite_expectation),
+    Check("engine vs brute force", check_engine_against_bruteforce),
+    Check("engine mass conservation", check_engine_mass_conservation),
+    Check("complete-slice state count", check_complete_slice_states),
+    Check("orbit-lumped step vs general path", check_lumped_step),
+    Check("color classes", check_color_classes),
+    Check("reduced system, small slices", check_km_system_small),
+    Check("reduced-system series vs engine", check_km_series_vs_engine),
+    Check("triangle prism expectation", check_triangle_prism_expectation),
+    Check("4-clique prism expectation", check_k4_prism_expectation),
+    Check("general prism expectation", check_general_prism_expectation),
+    Check("fixture first coefficients", check_fixture_first_coefficients),
+    Check("triangle fixture k=2 display", check_k3_generic_against_display),
+    Check("fixture normalization", check_fixture_normalization),
+    Check("fixture series vs engine", check_fixture_series_vs_engine),
+    Check("star matrix entries", check_star_matrix_entries),
+    Check("solve satisfies its system", check_solve_satisfies_its_system),
+    Check("star 7x7 system solution", check_star_system_solution),
+    Check("star prism expectation", check_star_expectation),
+    Check("star boundary-state count", check_star_profile_count),
+    Check("graph builders and spec parser", check_graph_builders),
+    Check("distribution properties", check_distribution_properties),
+    Check("brute-force kernel vs union-find", check_bruteforce_kernel),
 ]
 
 
-def run_suite(suite: str, checks: list[Check] | None = None, out=print) -> int:
-    """Run every check in the suite; print one PASS/FAIL line each.
+def run_suite(checks: list[Check] | None = None, out=print) -> int:
+    """Run every check (all of ``ALL_CHECKS`` by default); print one
+    PASS/FAIL line each.
 
     Returns 0 when everything passed, 1 otherwise.
     """
-    if suite not in ("quick", "full"):
-        raise ValueError(f"unknown suite {suite!r}")
-    selected = [c for c in (checks if checks is not None else ALL_CHECKS) if suite in c.suites]
+    selected = ALL_CHECKS if checks is None else checks
     failures = 0
     started = time.perf_counter()
     for check in selected:
@@ -660,8 +605,5 @@ def run_suite(suite: str, checks: list[Check] | None = None, out=print) -> int:
         else:
             out(f"PASS {check.name} ({(time.perf_counter() - t0) * 1000:.0f} ms)")
     elapsed = time.perf_counter() - started
-    out(
-        f"{len(selected) - failures}/{len(selected)} checks passed "
-        f"in {elapsed:.1f} s ({suite} suite)"
-    )
+    out(f"{len(selected) - failures}/{len(selected)} checks passed in {elapsed:.1f} s")
     return 1 if failures else 0

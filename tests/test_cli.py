@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from colorblocks import cli
 from colorblocks import closed_forms as cf
+from colorblocks import graphs
 from colorblocks import transfer
 
 from colorblocks.algebra import LaurentPoly2, RationalGF, series_expand
@@ -72,28 +73,39 @@ class TestDist:
         assert brute["distribution"] == transfer["distribution"]
         assert brute["expected"] == transfer["expected"]
 
-    def test_transfer_with_explicit_n(self, capsys):
-        doc = run_json(
-            capsys, "dist", "--graph", "complete:3", "--k", "2",
-            "--method", "transfer", "--n", "4",
-        )
-        assert doc["expected"] == "113/32"
-
     def test_transfer_needs_prism_or_n(self, capsys):
         code, _, err = run(
             capsys, "dist", "--graph", "complete:3", "--k", "2",
             "--method", "transfer",
         )
         assert code == 2
-        assert "--n" in err
+        assert "product(G,path:n)" in err
 
     def test_transfer_state_cap(self, capsys):
         code, _, err = run(
-            capsys, "dist", "--graph", "complete:3", "--k", "2",
-            "--method", "transfer", "--n", "3", "--cap", "4",
+            capsys, "dist", "--graph", "product(complete:3,path:3)", "--k", "2",
+            "--method", "transfer", "--cap", "4",
         )
         assert code == 3
         assert "cap" in err.lower()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--graph", "grid:2000,2000", "--k", "2"],
+         "2^4000000 colorings exceed the enumeration cap 16777216"),
+        (["--graph", "product(path:3000000,path:2)", "--k", "2", "--method", "transfer"],
+         "slice has 3000000 vertices, cap is 8"),
+        (["--graph", "pbt:100000000000", "--k", "2"],
+         "pbt at position 0 has more than 9223372036854775807 vertices"),
+    ], ids=["brute grid", "transfer long slice", "brute huge pbt"])
+    def test_caps_fire_before_any_graph_is_built(self, capsys, monkeypatch, argv, message):
+        def no_build(spec):
+            raise AssertionError("a graph was built before the cap check")
+
+        monkeypatch.setattr(cli, "build_graph", no_build)
+        monkeypatch.setattr(graphs, "build_graph", no_build)
+        code, out, err = run(capsys, "dist", *argv)
+        assert code == 3 and out == ""
+        assert message in err
 
     def test_closed_methods(self, capsys):
         for spec in ["path:5", "cycle:5", "complete:5", "star:3", "pbt:2"]:
@@ -310,13 +322,6 @@ def test_routes_agree_at_the_edge_of_a_family(capsys, spec, k, methods, message)
     else:
         (err,) = answers
         assert message in err
-
-
-def test_transfer_with_n_reports_the_spec_bound(capsys):
-    code, out, err = run(capsys, "dist", "--graph", "complete:0", "--k", "2",
-                         "--method", "transfer", "--n", "2")
-    assert code == 2 and out == ""
-    assert "complete graph needs n >= 1 (at position 0)" in err
 
 
 def run_fresh(source: str):
@@ -547,7 +552,13 @@ class TestClasses:
         assert "m and k must be >= 1" in err
 
 
+# options that dist and verify no longer take
+REMOVED_FLAG_ARGVS = [
+    ["dist", "--graph", "complete:3", "--k", "2", "--method", "transfer", "--n", "4"],
+    ["verify", "--suite", "quick"],
+]
 EDGE_ARGVS = [
+    *REMOVED_FLAG_ARGVS,
     [],
     ["-h"],
     *([command, "-h"] for command in ("dist", "expect", "series", "gf", "classes", "verify")),
@@ -563,6 +574,12 @@ class TestParser:
         monkeypatch.setattr(sys, "argv", ["colorblocks", "classes", "--m", "4", "--k", "2"])
         assert main() == 0
         assert json.loads(capsys.readouterr().out)["count"] == 3
+
+    @pytest.mark.parametrize("argv", REMOVED_FLAG_ARGVS, ids=" ".join)
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 def test_corpus_outputs_match_stored(capsys):
@@ -581,11 +598,11 @@ def test_corpus_outputs_match_stored(capsys):
 
 
 class TestVerify:
-    def test_quick_suite_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "quick")
+    def test_suite_passes(self, capsys):
+        code, out, _ = run(capsys, "verify")
         assert code == 0
         lines = [line for line in out.splitlines() if line.startswith("PASS")]
-        assert len(lines) >= 30
+        assert len(lines) == len(ALL_CHECKS) == 33
         assert "FAIL" not in out
 
     def test_induced_failure_reports_coefficient(self):
@@ -600,11 +617,7 @@ class TestVerify:
             )
 
         lines = []
-        code = run_suite(
-            "quick",
-            checks=[Check("corrupted fixture", ("quick",), corrupted_check)],
-            out=lines.append,
-        )
+        code = run_suite(checks=[Check("corrupted fixture", corrupted_check)], out=lines.append)
         assert code == 1
         report = "\n".join(lines)
         assert "FAIL corrupted fixture" in report
@@ -627,20 +640,6 @@ def test_no_command_is_usage_error(capsys):
 
 
 class TestUsageConflicts:
-    @pytest.mark.parametrize("command, method", [("dist", "brute"), ("dist", "closed"),
-                                                 ("expect", "brute"), ("expect", "closed")])
-    def test_n_needs_method_transfer(self, capsys, monkeypatch, command, method):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started despite --n")
-
-        monkeypatch.setattr(cli, "distribution_bruteforce", no_work)
-        monkeypatch.setattr(cf, "closed_form", no_work)
-        code, out, err = run(
-            capsys, command, "--graph", "complete:3", "--k", "2", "--method", method, "--n", "4"
-        )
-        assert code == 2 and out == ""
-        assert "--n" in err and "transfer" in err
-
     @pytest.mark.parametrize("command", ["gf", "series"])
     def test_fixed_k_fixture_rejects_k(self, capsys, command):
         extra = ("--N", "2") if command == "series" else ()
@@ -670,7 +669,6 @@ _GOOD = {
     "--graph": ["complete:3", "path:2", "product(complete:2,path:2)", "bogus", ""],
     "--k": ["1", "2", "3", " 2", "+2"],
     "--method": ["brute", "transfer", "closed"],
-    "--n": ["1", "2"],
     "--cap": ["1", "100", str(2**63 - 1)],
     "--threads": ["1", "2"],
     "--decimals": ["0", "3"],
@@ -678,7 +676,6 @@ _GOOD = {
     "--fixture": ["K4_k2", "K3_generic_k"],
     "--N": ["0", "2"],
     "--m": ["1", "3"],
-    "--suite": ["quick", "full"],
 }
 _MALFORMED = ["--gra", "--g", "--for", "--graph=complete:3", "--k=2", "-h", "--help", "--",
               "-k", "--bogus", "-", "-1", "-2", "x", "2.5", "", "xml", str(2**63)]

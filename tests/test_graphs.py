@@ -1,7 +1,9 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
-from colorblocks.errors import GraphSpecError
+from colorblocks.errors import CapExceededError, GraphSpecError
 from colorblocks.graphs import (
     Graph,
     SplitMix64,
@@ -21,6 +23,7 @@ from colorblocks.graphs import (
     random_tree,
     star,
     union_roots,
+    vertex_count,
 )
 from colorblocks.oracle import block_count
 
@@ -273,6 +276,34 @@ class TestSpecParser:
         with pytest.raises(GraphSpecError) as exc:
             parse_graph_spec("product(path:2,cycle:2)")
         assert exc.value.position == 15
+
+    def test_rejected_edges_are_found_without_building(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("the edge list was built")
+
+        monkeypatch.setattr(Graph, "from_edges", no_build)
+        for text, message in [("edges:3:[0-1,2-2]", "loop at vertex 2"),
+                              ("product(path:2,edges:2:[0-2])", "edge (0,2) out of range for n=2"),
+                              ("edges:0:[]", "graphs must have at least one vertex")]:
+            with pytest.raises(GraphSpecError, match=re.escape(message)):
+                parse_spec_tree(text)
+
+    @pytest.mark.parametrize("text", [
+        "path:5", "cycle:4", "complete:3", "star:0", "star:3", "pbt:0", "pbt:3", "bipartite:2,3",
+        "grid:3,4", "edges:4:[0-1]", "product(star:3,path:4)",
+        "product(product(path:2,pbt:1),grid:2,2)",
+    ])
+    def test_vertex_count_matches_build_graph(self, text):
+        spec = parse_spec_tree(text)
+        assert vertex_count(spec) == vertex_count(spec, limit=1000) == build_graph(spec).n
+
+    def test_vertex_count_past_the_limit(self):
+        assert vertex_count(parse_spec_tree("pbt:100")) == 2**101 - 1
+        assert vertex_count(parse_spec_tree("grid:4,4"), limit=16) == 16
+        for text, at in [("grid:4,5", 0), ("product(path:3,pbt:3)", 0),
+                         ("product(path:2,pbt:10000000000000000)", 15)]:
+            with pytest.raises(CapExceededError, match=f"at position {at} has more than 16 vertices"):
+                vertex_count(parse_spec_tree(text), limit=16)
 
     def test_split_prism_spec(self):
         left, n = prism_factors(parse_spec_tree("product(complete:3,path:4)"))

@@ -67,6 +67,17 @@ class TestDistribution:
             distribution_bruteforce(path(30), 2, cap=1 << 20)
         assert "transfer" in str(exc.value)
 
+    def test_cap_on_a_vertex_count_forms_no_huge_power(self):
+        # 2^(10^30) would not fit in memory; the bit length of the cap decides
+        with pytest.raises(CapExceededError, match=r"2\^10{30} colorings exceed"):
+            oracle.check_enumeration_cap(10**30, 2, 1 << 24)
+        assert oracle.check_enumeration_cap(10**30, 1, 1 << 24) == 1
+        assert oracle.check_enumeration_cap(24, 2, 1 << 24) == 1 << 24
+        with pytest.raises(CapExceededError):
+            oracle.check_enumeration_cap(25, 2, 1 << 24)
+        with pytest.raises(CapExceededError):
+            oracle.check_enumeration_cap(2, 5000, 1 << 24)
+
     def test_threads_agree(self):
         g = grid(2, 4)
         assert (
