@@ -5,8 +5,8 @@ Each check is a small function that raises CheckFailure with the exact
 mismatch detail (down to the offending coefficient).  ``ALL_CHECKS`` is the
 one home of every check that sets two routes (brute force, closed forms, the
 transfer engine, stored fixtures) against each other; ``colorblocks verify``
-runs it, about a second in all, and the test suite runs each check as its own
-case.  Nothing is built at import time.
+runs it, about a second in all.  The test suite runs each check as its own
+case, and each entry of ``CHECK_PARTS`` too.  Nothing is built at import time.
 """
 
 from __future__ import annotations
@@ -148,12 +148,9 @@ def check_partitions():
 # -- families vs enumeration ---------------------------------------------------
 
 
-def check_tree_theorem():
+def _expect_tree_theorem(trees, ks):
     y = LaurentPoly2.y()
-    trees = [(path(3), 3, (2, 3)), (star(3), 4, (2, 3)), (random_tree(7, 11), 7, (2, 3))]
-    trees += [(random_tree(n, seed), n, (2, 3)) for seed in range(3) for n in (5, 7)]
-    trees += [(random_tree(1 + seed % 9, seed), 1 + seed % 9, (2, 3, 4)) for seed in range(50)]
-    for g, n, ks in trees:
+    for g, n in trees:
         for k in ks:
             got = distribution_bruteforce(g, k).poly
             label = f"tree n={n} k={k}"
@@ -162,10 +159,29 @@ def check_tree_theorem():
             _expect_poly_equal(got, (k * y) * ((k - 1) * y + 1) ** (n - 1), f"{label} power form")
 
 
+def check_tree_theorem():
+    check_tree_theorem_small()
+    check_tree_theorem_random()
+
+
+def check_tree_theorem_small():
+    trees = [(path(3), 3), (star(3), 4), (random_tree(7, 11), 7)]
+    trees += [(random_tree(n, seed), n) for seed in range(3) for n in (5, 7)]
+    _expect_tree_theorem(trees, (2, 3))
+
+
+def check_tree_theorem_random():
+    _expect_tree_theorem([(random_tree(1 + s % 9, s), 1 + s % 9) for s in range(50)], (2, 3, 4))
+
+
 def check_pbt_lemma():
     displayed = parse_poly("2*y+12*y^2+30*y^3+40*y^4+30*y^5+12*y^6+2*y^7")
     _expect_poly_equal(cf.pbt_distribution(2, 2).poly, displayed, "pbt h=2 closed form")
-    for h, k in [(0, 2), (1, 2), (2, 2), (3, 2), (0, 3), (1, 3), (2, 3)]:
+    check_pbt_lemma_larger([(0, 2), (1, 2), (2, 2), (0, 3), (1, 3), (3, 2), (2, 3)])
+
+
+def check_pbt_lemma_larger(cases=((3, 2), (2, 3))):
+    for h, k in cases:
         got = distribution_bruteforce(perfect_binary_tree(h), k).poly
         _expect_poly_equal(got, cf.pbt_distribution(h, k).poly, f"pbt h={h} k={k}")
 
@@ -231,14 +247,24 @@ def _expect_series_is_engine(gf: RationalGF, g: Graph, k: int, nmax: int, label:
     return coeffs
 
 
-def check_engine_against_bruteforce():
-    cases = [(complete(3), 2, n) for n in range(1, 7)]
-    cases += [(g, k, n) for g, k in [(complete(3), 3), (star(3), 2)] for n in range(1, 5)]
-    cases += [(path(2), 2, 2), (path(3), 2, 3)]
+def _expect_engine_is_bruteforce(cases):
     for g, k, n in cases:
         eng = prism_distribution(g, k, n).poly
         bf = distribution_bruteforce(cartesian_product(g, path(n)), k).poly
         _expect_poly_equal(eng, bf, f"engine vs brute |slice|={g.n} k={k} n={n}")
+
+
+def check_engine_against_bruteforce():
+    # the larger list covers the triangle and star cases this one had
+    _expect_engine_is_bruteforce([(path(2), 2, 2), (path(3), 2, 3)])
+    check_engine_against_bruteforce_larger()
+
+
+def check_engine_against_bruteforce_larger():
+    _expect_engine_is_bruteforce(
+        [(complete(3), 2, n) for n in range(1, 7)]
+        + [(g, k, n) for g, k in [(complete(3), 3), (star(3), 2)] for n in range(1, 5)]
+    )
 
 
 def check_engine_mass_conservation():
@@ -340,7 +366,17 @@ def check_general_prism_expectation():
                 cf.complete_expected(ell, k),
                 f"prism formula at n=1, ell={ell} k={k}",
             )
-    for ell in range(1, 5):
+    check_general_prism_expectation_k4(range(1, 5))
+    for ell in range(1, 4):
+        for n in (1, 2):
+            bf = distribution_bruteforce(cartesian_product(complete(ell), path(n)), 2).expected()
+            _expect_equal(
+                cf.complete_prism_expected(ell, n, 2), bf, f"prism formula vs brute ell={ell} n={n}"
+            )
+
+
+def check_general_prism_expectation_k4(ells=(4,)):
+    for ell in ells:
         for k in (2, 3):
             for n in range(1, 5):
                 _expect_equal(
@@ -348,12 +384,6 @@ def check_general_prism_expectation():
                     prism_expected(complete(ell), k, n),
                     f"prism formula vs engine ell={ell} k={k} n={n}",
                 )
-    for ell in range(1, 4):
-        for n in (1, 2):
-            bf = distribution_bruteforce(cartesian_product(complete(ell), path(n)), 2).expected()
-            _expect_equal(
-                cf.complete_prism_expected(ell, n, 2), bf, f"prism formula vs brute ell={ell} n={n}"
-            )
 
 
 # -- fixtures --------------------------------------------------------------------
@@ -393,6 +423,10 @@ def check_fixture_series_vs_engine():
     for k in (2, 3):
         _expect_series_is_engine(cf.k3_prism_gf(k), complete(3), k, 4, f"triangle fixture k={k}")
     _expect_series_is_engine(fx.fixture_gf("STAR13_k2"), star(3), 2, 6, "star fixture")
+    check_fixture_series_vs_engine_large()
+
+
+def check_fixture_series_vs_engine_large():
     for fid in ("K4_k2", "K5_k2", "K6_k2", "K4_k3"):
         m, k = fx.fixture_slice_size(fid), fx.fixture_k(fid, None)
         _expect_series_is_engine(fx.fixture_gf(fid), complete(m), k, 5, f"{fid} series")
@@ -480,6 +514,12 @@ def check_distribution_properties():
         (Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]), 2),
         (Graph.from_edges(5, [(0, 1), (2, 3)]), 2),
     ]
+    _check_properties(pool, SplitMix64(2024))
+    check_distribution_properties_large()
+
+
+def check_distribution_properties_large():
+    pool = []
     for seed in range(40):
         n = 4 + seed % 9
         pool.append((random_tree(n, seed), 2 if n > 11 else 2 + seed % 2))
@@ -502,10 +542,12 @@ def check_distribution_properties():
         pool.append((Graph.from_edges(n, edges), 2))
     for g, n in [(complete(2), 4), (path(3), 3), (complete(3), 3)]:
         pool.append((cartesian_product(g, path(n)), 2))
-    pool = list(dict.fromkeys(pool))
     if len(pool) < 100 or max(k**g.n for g, k in pool) != 1 << 18:
         raise CheckFailure(f"pool of {len(pool)} is under 100 instances or not capped at 2^18")
-    shuffler = SplitMix64(2024)
+    _check_properties(pool, SplitMix64(2718))
+
+
+def _check_properties(pool, shuffler: SplitMix64):
     for g, k in pool:
         d = distribution_bruteforce(g, k)
         _expect_equal(d.total(), Fraction(k**g.n), f"mass |V|={g.n} k={k}")
@@ -583,6 +625,18 @@ ALL_CHECKS: list[Check] = [
     Check("graph builders and spec parser", check_graph_builders),
     Check("distribution properties", check_distribution_properties),
     Check("brute-force kernel vs union-find", check_bruteforce_kernel),
+]
+
+# the case lists that six checks above run one after another; the test suite
+# also runs each on its own, so that a failing or slow list shows by name
+CHECK_PARTS: list[Check] = [
+    Check("tree closed form, small cases", check_tree_theorem_small),
+    Check("tree closed form, 50 random trees", check_tree_theorem_random),
+    Check("binary-tree closed form, larger", check_pbt_lemma_larger),
+    Check("engine vs brute force, larger", check_engine_against_bruteforce_larger),
+    Check("general prism expectation, 4-clique", check_general_prism_expectation_k4),
+    Check("large-slice fixture series vs engine", check_fixture_series_vs_engine_large),
+    Check("distribution properties, 100+ instances", check_distribution_properties_large),
 ]
 
 

@@ -25,7 +25,7 @@ from colorblocks.cli import main
 from colorblocks.fixtures import fixture_gf
 from colorblocks.graphs import grid
 from colorblocks.oracle import distribution_bruteforce, proper_coloring_count
-from colorblocks.verify import ALL_CHECKS, Check, _expect_poly_equal, run_suite
+from colorblocks.verify import ALL_CHECKS, CHECK_PARTS, Check, _expect_poly_equal, run_suite
 
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "cli_corpus.json"
@@ -627,7 +627,7 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "nope")
         assert code == 2
 
-    @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.name)
+    @pytest.mark.parametrize("check", ALL_CHECKS + CHECK_PARTS, ids=lambda check: check.name)
     def test_check(self, check):
         started = time.perf_counter()
         check.fn()
