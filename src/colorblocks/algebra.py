@@ -15,16 +15,21 @@ denominator pairs), power-series coefficient extraction, cross-multiplication
 equality, and a division-free solver for systems ``t = b + x*M*t`` whose
 entries are polynomials in y: Berkowitz's characteristic polynomial gives the
 denominator and Krylov vectors the numerators, so ``x`` never enters the
-arithmetic.  Both it and ``series_expand`` accumulate their products in y
-alone through one sum-of-products kernel.  ``solution_defect`` checks a solve
-exactly, by substitution into its system and by comparing the denominator
-with integer (Bareiss) determinants on a grid of points.
+arithmetic.  The solver and ``gf_equal`` run on packed integers (Kronecker
+substitution): each polynomial is one ``int``, its value at y = 2**W (and
+x = 2**(W*S)), so a polynomial product is one big-integer product; W comes
+from a proven bound on the coefficients, and only the outputs are unpacked.
+``series_expand`` accumulates its products in y alone through a
+sum-of-products kernel.  ``solution_defect`` checks a solve exactly, by
+substitution into its system and by comparing the denominator with integer
+(Bareiss) determinants on a grid of points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import DimensionLimitError
@@ -267,9 +272,64 @@ class RationalGF:
         return f"RationalGF(({self.num!r}) / ({self.den!r}))"
 
 
+# -- packed integers (Kronecker substitution) ---------------------------------
+
+
+def _l1(p: LaurentPoly2) -> int:
+    """The sum of the absolute values of p's coefficients."""
+    return sum(map(abs, p._terms.values()))
+
+
+def _pack(p: LaurentPoly2, row: int, width: int, low: int) -> int:
+    """p at x = 2**row, y = 2**width, with its y exponents counted from low
+    (y**(-low) * p must be a polynomial)."""
+    return sum(c << row * i + width * (j - low) for (i, j), c in p._terms.items())
+
+
+def _unpack(value: int, width: int, offset: int) -> dict[int, int]:
+    """The polynomial whose value at y = 2**width is ``value``, read as signed
+    digits of ``width`` bits, each coefficient of absolute value below
+    2**(width - 1); the exponent of digit e is e + offset."""
+    mask, half, base = (1 << width) - 1, 1 << (width - 1), 1 << width
+    out = {}
+    e = offset
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= base
+        if digit:
+            out[e] = digit
+            value -= digit
+        value >>= width
+        e += 1
+    return out
+
+
 def gf_equal(a: RationalGF, b: RationalGF) -> bool:
-    """Equality by cross-multiplication: a.num*b.den == b.num*a.den."""
-    return a.num * b.den == b.num * a.den
+    """Equality by cross-multiplication: a.num*b.den == b.num*a.den.
+
+    Both products are compared as packed integers: each factor is taken at
+    x = 2**(W*S), y = 2**W (Kronecker substitution), its y exponents counted
+    from its own least one, and each product is shifted to the least y
+    exponent of the two.  S is the y span of both products, so every term of
+    either product, and of their difference, has a digit of its own; the
+    difference's coefficients are below
+    ||a.num||_1 ||b.den||_1 + ||b.num||_1 ||a.den||_1 < 2**(W-2) in
+    absolute value, so its packed value is 0 only when every digit is.
+    """
+    if not a.num or not b.num:
+        return not a.num and not b.num
+    products = ((a.num, b.den), (b.num, a.den))
+    lows = [p.min_y_exponent() + q.min_y_exponent() for p, q in products]
+    top = max(p.max_y_exponent() + q.max_y_exponent() for p, q in products)
+    low = min(lows)
+    width = (_l1(a.num) * _l1(b.den) + _l1(b.num) * _l1(a.den)).bit_length() + 2
+    row = width * (top - low + 1)
+    packed = []
+    for (p, q), first in zip(products, lows):
+        pq = _pack(p, row, width, p.min_y_exponent()) * _pack(q, row, width, q.min_y_exponent())
+        packed.append(pq << width * (first - low))
+    return packed[0] == packed[1]
 
 
 # -- arithmetic in y alone ----------------------------------------------------
@@ -325,12 +385,13 @@ def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
     return [LaurentPoly2._raw({(0, j): c for j, c in cn.items()}) for cn in coeffs]
 
 
-# -- solving t = b + x*M*t in y alone ---------------------------------------
+# -- solving t = b + x*M*t in packed integers ----------------------------------
 
 
-def _charpoly(m: list[list[dict[int, int]]]) -> list[dict[int, int]]:
+def _charpoly(m: list[list[int]]) -> list[int]:
     """[c_0 = 1, c_1, ..., c_n] with det(I - x*m) = sum c_k x^k, for an n x n
-    matrix of polynomials in y alone.
+    matrix over any commutative ring whose elements support ``*``, ``+`` and
+    ``-`` (here: packed integers).
 
     Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984): the
     leading (r+1) x (r+1) block [[A, C], [R, a]] has the coefficient vector
@@ -338,17 +399,17 @@ def _charpoly(m: list[list[dict[int, int]]]) -> list[dict[int, int]]:
     lower-triangular Toeplitz matrix with first column
     1, -a, -R C, -R A C, ..., -R A^(r-1) C.
     """
-    p: list[dict[int, int]] = [{0: 1}]
+    p = [1]
     for r in range(len(m)):
         row = m[r][:r]
         block = [line[:r] for line in m[:r]]
-        t = [{0: 1}, _neg(m[r][r])]
+        t = [1, -m[r][r]]
         v = [line[r] for line in m[:r]]  # A^k C
         for k in range(r):
             if k:
-                v = [_sum_of_products(zip(line, v)) for line in block]
-            t.append(_neg(_sum_of_products(zip(row, v))))
-        p = [_sum_of_products((t[i - j], p[j]) for j in range(min(i, r) + 1)) for i in range(r + 2)]
+                v = [sum(map(mul, line, v)) for line in block]
+            t.append(-sum(map(mul, row, v)))
+        p = [sum(t[i - j] * p[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
     return p
 
 
@@ -370,8 +431,26 @@ def bareiss_solve(
     M (``_charpoly``, Berkowitz), whose c_0 = 1 makes the system never
     singular.  With the Krylov vectors v_0 = b, v_k = M v_(k-1), the adjugate
     gives num_i = y**shift * sum_{k<n} x^k sum_{j<=k} c_j (v_(k-j))_i.
-    ``solution_defect`` checks the output exactly.  The name is kept for API
-    compatibility and because profilers and tracers hook it.
+
+    Every polynomial in y is one packed ``int`` (Kronecker substitution).
+    With h and g the largest negative y exponents of M and of b, y**h * M and
+    y**g * b are polynomials; c_k is homogeneous of degree k in M's entries
+    and (v_t)_i of degree t in them and 1 in b's, so the products run on their
+    values at y = 2**W, and only the outputs are unpacked, the x**k
+    coefficients of den shifted by y**(-h*k) and those of num by
+    y**(-h*k-g).  Unpacking reads signed digits of W bits, exact while every
+    output coefficient has absolute value below 2**(W-1).  With L the
+    largest L1 norm of an entry of M (at least 1) and L_b that of b:
+    c_k sums the C(n, k) principal k x k minors, each at most k! products of
+    k entries, so ||c_k||_1 <= C(n, k) k! L^k <= (nL)^k; each entry of M^t b
+    sums n^t products of t entries of M and one of b, so
+    ||(M^t b)_i||_1 <= (nL)^t L_b; and the x**k coefficient of num_i sums
+    k + 1 <= n products c_j (v_(k-j))_i, each of L1 norm at most
+    (nL)^k L_b.  Every output coefficient is therefore at most
+    bound = n * (nL)^n * max(1, L_b), and W = bound.bit_length() + 2 leaves
+    2**(W-1) >= 2 * bound.  ``solution_defect`` checks the output exactly.
+    The name is kept for API compatibility and because profilers and tracers
+    hook it.
     """
     n = len(matrix)
     if n == 0:
@@ -382,26 +461,32 @@ def bareiss_solve(
         raise ValueError("matrix must be square and match the rhs length")
     if any(entry.has_x() for row in (*matrix, rhs) for entry in row):
         raise ValueError("matrix and rhs entries must be polynomials in y alone")
-    m = [[_y_terms(entry) for entry in row] for row in matrix]
     shift = 0
     for row, b in zip(matrix, rhs):
         low = min((p.min_y_exponent() for p in (*row, b) if p), default=0)
         shift += max(0, -low)
+    entries = [p for row in matrix for p in row if p]
+    h = max(0, -min((p.min_y_exponent() for p in entries), default=0))
+    g = max(0, -min((p.min_y_exponent() for p in rhs if p), default=0))
+    norm = max(1, max(map(_l1, entries), default=0))
+    bound = n * (n * norm) ** n * max(1, max(map(_l1, rhs)))
+    width = bound.bit_length() + 2
+    m = [[_pack(p, 0, width, -h) for p in row] for row in matrix]
     c = _charpoly(m)
-    krylov = [[_y_terms(entry) for entry in rhs]]
+    krylov = [[_pack(p, 0, width, -g) for p in rhs]]
     for _ in range(n - 1):
         v = krylov[-1]
-        krylov.append([_sum_of_products(zip(line, v)) for line in m])
+        krylov.append([sum(map(mul, line, v)) for line in m])
     den = LaurentPoly2._raw(
-        {(k, j + shift): cj for k, ck in enumerate(c) for j, cj in ck.items()}
+        {(k, j): cj for k, ck in enumerate(c) for j, cj in _unpack(ck, width, shift - h * k).items()}
     )
     solutions = []
     for i in range(n):
         num: dict[Key, int] = {}
         for k in range(n):
-            coeff = _sum_of_products((c[j], krylov[k - j][i]) for j in range(k + 1))
-            for j, cj in coeff.items():
-                num[(k, j + shift)] = cj
+            packed = sum(c[j] * krylov[k - j][i] for j in range(k + 1))
+            for j, cj in _unpack(packed, width, shift - h * k - g).items():
+                num[(k, j)] = cj
         solutions.append(RationalGF(LaurentPoly2._raw(num), den))
     return solutions
 

@@ -80,9 +80,26 @@ def _decimal_string(value: Fraction, places: int) -> str:
         return str(d.quantize(quantum))
 
 
+def _json_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)``.  json writes an int with ``str``, which
+    stops at the interpreter's int -> str digit limit (``pbt:20000`` has more
+    vertices than that); past it, each top-level int is written by
+    ``format_rational``, which converts through ``Decimal``, in place of a 0
+    on its own line."""
+    try:
+        return json.dumps(doc, indent=2)
+    except ValueError:
+        numbers = {key: value for key, value in doc.items() if type(value) is int}
+        text = json.dumps({**doc, **dict.fromkeys(numbers, 0)}, indent=2)
+        for key, value in numbers.items():
+            entry = f"\n  {json.dumps(key)}: "
+            text = text.replace(entry + "0", entry + format_rational(value), 1)
+        return text
+
+
 def _emit(doc: dict, fmt: str, csv_rows=None, csv_header=None):
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(csv_header)
@@ -138,7 +155,8 @@ def cmd_blocks(args) -> int:
         rows = [(0, j, c) for j, c in doc["distribution"].items()]
         _emit(doc, args.format, rows, ("x_exp", "y_exp", "coefficient"))
     else:
-        _emit(doc, args.format, list(doc.items()), ("field", "value"))
+        rows = [(key, format_rational(v) if type(v) is int else v) for key, v in doc.items()]
+        _emit(doc, args.format, rows, ("field", "value"))
     return 0
 
 

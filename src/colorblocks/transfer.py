@@ -35,6 +35,8 @@ the table's component RGS as the new linkage.  The operator of the last 32
 For complete-graph slices the states can be reduced to color classes (colorings
 of the slice up to color permutation and same-size part swaps), giving a small
 linear system whose symbolic solution is the generating function in x and y.
+Each class row is counted by a DP over its representative's vertices, whose
+states do not grow with k, instead of listing the k^m colorings.
 """
 
 from __future__ import annotations
@@ -365,14 +367,24 @@ def step(
 def finalize(states: StateWeights) -> LaurentPoly2:
     """Close all still-open classes: sum of weight * y^(open classes).
 
-    The weights are summed term by term per open-class count, and the at most
-    |V| group sums are shifted and added.
+    The profiles are counted per (weight object, open-class count) -- after
+    a lumped step every member of an orbit holds one weight object -- and
+    each distinct weight's terms are added once per count, times the number
+    of its profiles.  The at most |V| group sums are shifted and added.
     """
-    groups: dict[int, dict] = {}
+    members: dict[tuple[int, int], list] = {}
     for profile, weight in states.items():
-        acc = groups.setdefault(max(profile.linkage) + 1, {})
+        key = (id(weight), max(profile.linkage) + 1)
+        entry = members.get(key)
+        if entry is None:
+            members[key] = [weight, 1]
+        else:
+            entry[1] += 1
+    groups: dict[int, dict] = {}
+    for (_, open_classes), (weight, count) in members.items():
+        acc = groups.setdefault(open_classes, {})
         for key, c in weight._terms.items():
-            acc[key] = acc.get(key, 0) + c
+            acc[key] = acc.get(key, 0) + c * count
     total = LaurentPoly2.zero()
     for open_classes, acc in groups.items():
         group = LaurentPoly2._raw({key: c for key, c in acc.items() if c})
@@ -440,6 +452,54 @@ def color_classes(m: int, k: int) -> list[ColorClass]:
     return classes
 
 
+def _class_row(parts: tuple[int, ...], k: int) -> dict[tuple[tuple[int, ...], int], int]:
+    """(target parts, closed parts) -> how many of the k^m target colorings
+    have those color-class parts and close that many parts of the
+    representative of the class ``parts`` (part i colored i).
+
+    A DP over the representative's vertices, part by part.  A state holds the
+    counts on the u own colors 0..u-1, the weakly decreasing counts on the
+    other colors used so far, the parts closed so far, and whether the
+    current part has met its own color.  A vertex takes an own color, an
+    other color in use (one choice per distinct count, times the number of
+    other colors with that count), or a new other color (k - u - others in
+    use choices), so the cost does not depend on k.
+    """
+    u = len(parts)
+    states = {((0,) * u, (), 0, False): 1}
+    for i, size in enumerate(parts):
+        for _ in range(size):
+            after: dict[tuple, int] = {}
+            for (own, others, closed, met), count in states.items():
+                moves = [
+                    ((*own[:c], own[c] + 1, *own[c + 1 :]), others, met or c == i, count)
+                    for c in range(u)
+                ]
+                for at, x in enumerate(others):
+                    if at and others[at - 1] == x:
+                        continue
+                    same = others.count(x)
+                    grown = (*others[:at], x + 1, *others[at + 1 :])
+                    moves.append((own, grown, met, count * same))
+                fresh = k - u - len(others)
+                if fresh:
+                    moves.append((own, (*others, 1), met, count * fresh))
+                for new_own, new_others, new_met, ways in moves:
+                    key = (new_own, new_others, closed, new_met)
+                    after[key] = after.get(key, 0) + ways
+            states = after
+        closing: dict[tuple, int] = {}
+        for (own, others, closed, met), count in states.items():
+            key = (own, others, closed + (not met), False)
+            closing[key] = closing.get(key, 0) + count
+        states = closing
+    row: dict[tuple[tuple[int, ...], int], int] = {}
+    for (own, others, closed, _), count in states.items():
+        key = (tuple(sorted((c for c in own + others if c), reverse=True)), closed)
+        row[key] = row.get(key, 0) + count
+    return row
+
+
 def km_transfer_system(
     m: int, k: int
 ) -> tuple[list[list[LaurentPoly2]], list[LaurentPoly2], list[int]]:
@@ -448,37 +508,23 @@ def km_transfer_system(
     M[a][cb] sums y^(closed classes) over every coloring in target class cb:
     an old color part closes exactly when the new slice reuses none of its
     vertices' color -- for complete slices, when part i of a's representative
-    meets the new color-i vertices nowhere.  b[a] = y^support(a); the full
-    generating function weights each class solution by its class size (and one
-    factor x per slice, applied by km_prism_gf).
+    meets the new color-i vertices nowhere.  Each row is counted by
+    ``_class_row``, a DP over the representative's m vertices, without
+    listing the k^m target colorings.  b[a] = y^support(a); the full
+    generating function weights each class solution by its class size (and
+    one factor x per slice, applied by km_prism_gf).
     """
     classes = color_classes(m, k)
     index_of_parts = {cls.parts: idx for idx, cls in enumerate(classes)}
-    rep_masks = []
+    matrix = []
     for cls in classes:
-        rep_masks.append(
-            [sum(1 << v for v in part) for part in cls.representative]
-        )
-    matrix = [
-        [dict() for _ in classes] for _ in classes
-    ]  # exponent -> multiplicity, per (row, col)
-    for target in itertools.product(range(k), repeat=m):
-        masks = {}  # only the colors the target uses
-        for v, color in enumerate(target):
-            masks[color] = masks.get(color, 0) | 1 << v
-        sizes = tuple(sorted((bin(mask).count("1") for mask in masks.values()), reverse=True))
-        col = index_of_parts[sizes]
-        for row, amasks in enumerate(rep_masks):
-            exp = sum(1 for i, amask in enumerate(amasks) if not amask & masks.get(i, 0))
-            cell = matrix[row][col]
-            cell[exp] = cell.get(exp, 0) + 1
-    poly_matrix = [
-        [LaurentPoly2({(0, e): c for e, c in cell.items()}) for cell in row]
-        for row in matrix
-    ]
+        cells: list[dict[tuple[int, int], int]] = [{} for _ in classes]
+        for (target, closed), count in _class_row(cls.parts, k).items():
+            cells[index_of_parts[target]][(0, closed)] = count
+        matrix.append([LaurentPoly2(cell) for cell in cells])
     rhs = [LaurentPoly2.monomial(0, cls.support) for cls in classes]
     weights = [cls.size for cls in classes]
-    return poly_matrix, rhs, weights
+    return matrix, rhs, weights
 
 
 def km_prism_gf(m: int, k: int) -> RationalGF:
@@ -486,7 +532,9 @@ def km_prism_gf(m: int, k: int) -> RationalGF:
 
     The system has one unknown per color class.  Its size is checked against
     the solver's limit, and m and k^m against the profile DP's state cap,
-    before any class is built or any of the k^m colorings is enumerated.
+    before any class is built.  The class rows are counted without listing
+    the k^m colorings, so their cost does not depend on k; the k^m cap is
+    kept so that the route accepts what the profile DP accepts.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")

@@ -331,6 +331,93 @@ class TestCoefficientTypes:
             make()
 
 
+big_y_polys = st.dictionaries(
+    st.tuples(st.just(0), st.integers(min_value=-3, max_value=5)),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    max_size=3,
+).map(LaurentPoly2)
+
+
+@st.composite
+def big_y_systems(draw):
+    # empty dictionaries give zero entries; the digit width of the packed
+    # solve grows with the 200-bit coefficients and the dimension
+    n = draw(st.integers(min_value=1, max_value=8))
+    matrix = [[draw(big_y_polys) for _ in range(n)] for _ in range(n)]
+    rhs = [draw(big_y_polys) for _ in range(n)]
+    return matrix, rhs
+
+
+class TestPackedKernels:
+    """The packed-integer solve and gf_equal against their definitions."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(big_y_systems())
+    @example(([[LaurentPoly2.zero()]], [LaurentPoly2.zero()]))
+    @example(([[P("-y^-3")] * 2, [P("y^5"), P("0")]], [P("0"), P("-(2^200)*y^-3")]))
+    def test_solve_satisfies_its_system(self, system):
+        assert solution_defect(*system, bareiss_solve(*system)) is None
+
+    def test_negative_leading_digits_unpack(self):
+        # every output coefficient negative at its top digit: a negative packed int
+        m, b = [[P("-3*y^2-y")]], [P("-5*y^4-2")]
+        (sol,) = bareiss_solve(m, b)
+        assert sol.num == P("-5*y^4-2")
+        assert sol.den == P("1+x*(3*y^2+y)")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        polys.filter(bool),
+        polys.filter(bool),
+        polys.filter(bool),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([1, -1, 2, -2, 2**64, -(2**300)]),
+        st.data(),
+    )
+    def test_gf_equal_is_cross_multiplication(self, num, den, factor, lift, delta, data):
+        # a pair scaled by a common factor is equal; one coefficient moved by
+        # +-1 or +-2^j in the scaled numerator or denominator changes the
+        # cross product by delta * y^j * x^i times the other nonzero part
+        factor = factor.shift_y(-lift)
+        a = RationalGF(num, den)
+        scaled = RationalGF(num * factor, den * factor)
+        assert gf_equal(a, scaled) and gf_equal(scaled, a)
+        part = data.draw(st.sampled_from(["num", "den"]))
+        poly = getattr(scaled, part)
+        key = data.draw(st.sampled_from(sorted(poly.terms)))
+        moved = poly + LaurentPoly2.monomial(*key, delta)
+        if part == "den" and not moved:
+            return
+        b = RationalGF(moved, scaled.den) if part == "num" else RationalGF(scaled.num, moved)
+        assert a.num * b.den != b.num * a.den
+        assert not gf_equal(a, b) and not gf_equal(b, a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polys, polys.filter(bool), polys, polys.filter(bool))
+    def test_gf_equal_matches_the_definition(self, n1, d1, n2, d2):
+        a, b = RationalGF(n1, d1), RationalGF(n2, d2)
+        assert gf_equal(a, b) == (n1 * d2 == n2 * d1)
+
+    def test_gf_equal_separates_what_a_narrow_packing_would_merge(self):
+        # y - 2^w vanishes at y = 2^w and x - y^t at x = y^t: a digit width or
+        # an x stride below the proven one would call these pairs equal
+        for w in range(300):
+            for lift in (0, -3):
+                low = Y**3 if lift else ONE
+                a = RationalGF(Y.shift_y(lift), low)
+                assert not gf_equal(a, RationalGF((2**w * ONE).shift_y(lift), low))
+                assert not gf_equal(RationalGF(X, ONE), RationalGF(2**w * ONE, ONE))
+        for t in range(-3, 6):
+            assert not gf_equal(RationalGF(X, ONE), RationalGF(Y.shift_y(t - 1), ONE))
+            assert not gf_equal(RationalGF(X, Y), RationalGF(ONE, Y.shift_y(-t)))
+
+    def test_gf_equal_with_zero_numerators(self):
+        zero = LaurentPoly2.zero()
+        assert gf_equal(RationalGF(zero, X), RationalGF(zero, Y))
+        assert not gf_equal(RationalGF(zero, X), RationalGF(Y, X))
+        assert not gf_equal(RationalGF(Y, X), RationalGF(zero, X))
+
+
 def leibniz_det(matrix) -> int:
     """The determinant as a signed sum over all permutations."""
     n = len(matrix)

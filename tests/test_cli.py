@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from colorblocks import cli
 from colorblocks import closed_forms as cf
 from colorblocks import graphs
+from colorblocks import polytext
 from colorblocks import transfer
 
 from colorblocks.algebra import LaurentPoly2, RationalGF, series_expand
@@ -281,6 +282,24 @@ class TestExpect:
         want = cf.complete_expected(1000, 1000000)
         # Decimal parses and converts digits without the int/str limit
         assert Fraction(int(Decimal(num)), int(Decimal(den))) == want
+
+    def test_vertex_count_beyond_the_int_str_limit(self, capsys):
+        # pbt:20000 has 2^20001 - 1 vertices, about 6000 digits
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "expect", "--graph", "pbt:20000", "--k", "2", "--method", "closed")
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        doc = json.loads(out, parse_int=polytext._decimal_int)
+        assert doc["vertices"] == 2**20001 - 1
+        assert Fraction(*map(polytext._decimal_int, doc["expected"].split("/"))) == Fraction(
+            2**20001, 2
+        )
+        code, out, err = run(
+            capsys, "expect", "--graph", "pbt:20000", "--k", "2", "--method", "closed", "--format", "csv"
+        )
+        assert code == 0, err
+        rows = dict(csv.reader(io.StringIO(out)))
+        assert polytext._decimal_int(rows["vertices"]) == 2**20001 - 1
 
     def test_unknown_closed_form(self, capsys):
         code, _, err = run(capsys, "expect", "--graph", "product(star:3,path:3)", "--k", "2")

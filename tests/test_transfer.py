@@ -135,6 +135,33 @@ class TestFinalize:
             want = want + weight.shift_y(max(profile.linkage) + 1)
         assert finalize(states) == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.tuples(st.integers(0, 2), st.integers(-3, 3)), st.integers(-4, 4), max_size=4
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.lists(
+            st.tuples(st.lists(st.integers(0, 3), min_size=1, max_size=4), st.integers(0, 2)),
+            max_size=10,
+        ),
+    )
+    def test_shared_weight_objects_are_counted_per_profile(self, pool, drawn):
+        # after a lumped step, profiles share one weight object; each still
+        # pays its own y^(open classes)
+        weights = [LaurentPoly2(terms) for terms in pool]
+        states = {}
+        for labels, pick in drawn:
+            profile = Profile(tuple(labels), transfer._canonical_rgs(labels))
+            states[profile] = weights[pick % len(weights)]
+        want = LaurentPoly2.zero()
+        for profile, weight in states.items():
+            want = want + weight.shift_y(max(profile.linkage) + 1)
+        assert finalize(states) == want
+
     def test_cancelling_weights_leave_no_zero_terms(self):
         w = LaurentPoly2({(1, -2): 3, (0, 0): 2})
         states = {Profile((0, 1), (0, 1)): w, Profile((1, 0), (0, 1)): -w}
@@ -279,7 +306,40 @@ class TestColorClasses:
                 assert cls.support == sum(1 for part in cls.representative if part)
 
 
+def _enumerated_km_system(m, k):
+    """km_transfer_system by listing all k^m target colorings for every class row."""
+    classes = color_classes(m, k)
+    index_of_parts = {cls.parts: idx for idx, cls in enumerate(classes)}
+    rep_masks = [[sum(1 << v for v in part) for part in cls.representative] for cls in classes]
+    matrix = [[{} for _ in classes] for _ in classes]
+    for target in itertools.product(range(k), repeat=m):
+        masks = {}
+        for v, color in enumerate(target):
+            masks[color] = masks.get(color, 0) | 1 << v
+        sizes = tuple(sorted((bin(mask).count("1") for mask in masks.values()), reverse=True))
+        col = index_of_parts[sizes]
+        for row, amasks in enumerate(rep_masks):
+            exp = sum(1 for i, amask in enumerate(amasks) if not amask & masks.get(i, 0))
+            cell = matrix[row][col]
+            cell[exp] = cell.get(exp, 0) + 1
+    poly_matrix = [[LaurentPoly2({(0, e): c for e, c in cell.items()}) for cell in row] for row in matrix]
+    rhs = [LaurentPoly2.monomial(0, cls.support) for cls in classes]
+    return poly_matrix, rhs, [cls.size for cls in classes]
+
+
 class TestReducedSystem:
+    @pytest.mark.parametrize(
+        "m, k",
+        [(m, k) for m in range(1, 7) for k in range(1, 6)] + [(2, 200), (3, 40)],
+    )
+    def test_rows_equal_the_enumeration(self, m, k):
+        got = transfer.km_transfer_system(m, k)
+        want = _enumerated_km_system(m, k)
+        assert [[p.terms for p in row] for row in got[0]] == [
+            [p.terms for p in row] for row in want[0]
+        ]
+        assert got[1:] == want[1:]
+
     def test_single_vertex_recovers_path_formula(self):
         for k in (2, 3, 5):
             coeffs = series_expand(km_prism_gf(1, k), 6)
