@@ -16,8 +16,7 @@ spec, before any graph is built; ``--method transfer`` takes a prism spec
 ``product(G,path:n)``.
 
 The ``verify`` module, the check registry, is imported by ``cmd_verify``
-alone, so no other subcommand loads it; numpy loads only with the first
-brute-force enumeration (see ``oracle``).
+alone, so no other subcommand loads it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap exceeded
 (an enumeration or state cap, the dimension limit of the symbolic solve, or

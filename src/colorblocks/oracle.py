@@ -5,19 +5,21 @@ partition: its blocks are the maximal monochromatic connected components.
 ``distribution_bruteforce`` tallies y^(number of blocks) over all colorings.
 
 Colorings are enumerated as mixed-radix counters over a fixed vertex order,
-range-partitioned into chunks; each chunk is a column-major numpy table (one
-row per coloring, one column per vertex).  The blocks of every row are counted
-in one union pass in vertex order (incremental set union, as in Tarjan, J.
-ACM 22, 1975): vertices are added one at a time, each monochromatic edge to an
-earlier vertex merges two labels, and only the frontier, the added vertices
-that still have a neighbour to come, keeps its labels up to date.  The
-per-chunk tallies are merged by addition, so chunking never affects the
-result.
+range-partitioned into chunks.  Each chunk is bit-sliced (as in Biham's
+bitslice DES, FSE 1997): one Python ``int`` per vertex and color bit, whose
+bit r - lo stands for coloring r, so one big-integer ``&``, ``|`` or ``^``
+acts on every coloring of the chunk at once.  The blocks of every row are
+counted in one union pass in vertex order (incremental set union, as in
+Tarjan, J. ACM 22, 1975): vertices are added one at a time, each
+monochromatic edge to an earlier vertex merges two labels, and only the
+frontier, the added vertices that still have a neighbour to come, keeps its
+labels up to date.  The per-chunk tallies are merged by addition, so chunking
+never affects the result.
 
-numpy is imported by the kernel functions themselves, at the first
-brute-force call, so that importing the package (and every route that never
-enumerates: the transfer engine, the closed forms, the symbolic solves) does
-not load it.
+No array library is involved: big-integer bit operations run in C, so a
+brute-force call, cold or warm, pays no import or first-call set-up beyond
+the standard library.  They hold the interpreter lock, so ``threads=2``
+splits the work between two threads that do not run in parallel.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import CapExceededError
 from .graphs import Graph, union_roots
 
 DEFAULT_ENUMERATION_CAP = 1 << 24
-_CHUNK_ROWS = 1 << 15
+_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -94,109 +96,198 @@ def check_enumeration_cap(vertices: int, k: int, cap: int) -> int:
     return total
 
 
-def _narrowest_int(top: int) -> type:
-    """The narrowest signed numpy integer dtype that holds 0..top."""
-    import numpy as np
-
-    for dtype in (np.int8, np.int16, np.int32):
-        if top <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64
+def _ones(start: int, stop: int) -> int:
+    """Bits start..stop-1."""
+    return ((1 << (stop - start)) - 1) << start
 
 
-def _color_chunk(lo: int, hi: int, n: int, k: int) -> np.ndarray:
-    """Rows lo..hi-1 of the mixed-radix coloring table (vertex 0 most significant).
+def _tile(unit: int, period: int, phase: int, length: int) -> int:
+    """Bits phase..phase+length-1 of ``unit`` repeated every ``period`` bits,
+    by shift-or doublings."""
+    span = period
+    while span < phase + length:
+        unit |= unit << span
+        span <<= 1
+    return (unit >> phase) & ((1 << length) - 1)
 
-    Column-major in the narrowest dtype that holds k-1, so each vertex's
-    colors are one contiguous column.  The digits come from a running
-    quotient, least significant digit first; numpy divides an integer array
-    by a scalar several times faster with ``//`` than with ``divmod``/``%``.
+
+def _upper_halves(half: int, period: int, start: int, length: int) -> int:
+    """Bit t - start, for t in start..start+length-1, set where t mod period >= half."""
+    phase = start % period
+    if period <= length:
+        return _tile(_ones(half, period), period, phase, length)
+    # the window meets at most two periods, each with one run of ones
+    plane = 0
+    for top in (start - phase + period, start - phase + 2 * period):
+        a, e = max(top - period + half, start), min(top, start + length)
+        if a < e:
+            plane |= _ones(a - start, e - start)
+    return plane
+
+
+def _digit_plane(lo: int, rows: int, place: int, k: int, j: int) -> int:
+    """Bit r - lo set where bit j of the digit (r // place) % k is set.
+
+    Within a period of k*place rows the digit c fills place rows, and bit j of
+    c is set exactly on the upper half of each 2^(j+1)-digit stretch; so the
+    plane is an inner pattern (period place*2^(j+1)) restarted every k*place
+    rows.  Each level is tiled by doublings, never one run per color, and a
+    period longer than the window is clipped to the window.
     """
-    import numpy as np
+    period = k * place
+    half = place << j
+    phase = lo % period
+    if period <= rows:
+        return _tile(_upper_halves(half, 2 * half, 0, period), period, phase, rows)
+    first = min(rows, period - phase)
+    plane = _upper_halves(half, 2 * half, phase, first)
+    if first < rows:
+        plane |= _upper_halves(half, 2 * half, 0, rows - first) << first
+    return plane
 
-    colors = np.empty((hi - lo, n), dtype=_narrowest_int(k - 1), order="F")
-    q = np.arange(lo, hi, dtype=np.int32 if max(hi, k) < 1 << 31 else np.int64)
-    for v in range(n - 1, -1, -1):
-        quotient = q // k
-        colors[:, v] = q - quotient * k
-        q = quotient
-    return colors
+
+@dataclass(frozen=True)
+class ColorPlanes:
+    """Rows lo..hi-1 of the coloring table, bit-sliced: bit ``r - lo`` of
+    ``planes[v][j]`` is bit j of vertex v's color in coloring r."""
+
+    planes: list[list[int]]
+    rows: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, len(self.planes))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the bit planes, one bit per row."""
+        return sum(map(len, self.planes)) * ((self.rows + 7) // 8)
 
 
-def _chunk_block_counts(colors: np.ndarray, edges: list[tuple[int, int]]) -> np.ndarray:
-    """Per-row component counts of the monochromatic subgraph.
+def _color_chunk(lo: int, hi: int, n: int, k: int) -> ColorPlanes:
+    """Rows lo..hi-1 of the mixed-radix coloring table (vertex 0 most
+    significant), as (k-1).bit_length() bit planes per vertex."""
+    width = (k - 1).bit_length()
+    planes = []
+    for v in range(n):
+        place = k ** (n - 1 - v)
+        planes.append([_digit_plane(lo, hi - lo, place, k, j) for j in range(width)])
+    return ColorPlanes(planes, hi - lo)
 
-    One union pass in vertex order, over all rows at once.  Every row starts
-    with n blocks and each vertex labelled by its own index.  Edges are taken
-    by (later endpoint, earlier endpoint); where an edge is monochromatic and
-    joins two different labels, the larger label becomes the smaller one and
-    the row loses a block.  Labels stay exact only on the frontier: vertices
-    added so far that still have a neighbour at the current vertex or later,
-    the only ones a later edge reads.  The frontier changes once per vertex.
-    At the first edge into a vertex, that vertex is alone in its block and
-    holds the largest label, so only its own label changes.
+
+def _differ(a: list[int], b: list[int]) -> int:
+    """The rows where two bit-sliced values differ."""
+    out = 0
+    for x, y in zip(a, b):
+        out |= x ^ y
+    return out
+
+
+def _chunk_block_counts(colors: ColorPlanes, edges: list[tuple[int, int]]) -> list[int]:
+    """Histogram of the monochromatic subgraph's component counts over the
+    chunk's rows: ``counts[b]`` rows have b blocks.
+
+    One union pass in vertex order, bit-sliced over all rows at once.  Every
+    row starts with n blocks and each vertex labelled by its own index, held
+    in (n-1).bit_length() planes.  Edges are taken by (later endpoint,
+    earlier endpoint); where an edge is monochromatic and joins two different
+    labels, every label equal to v's takes u's, and the row counts one merge.
+    Labels stay exact only on the frontier: vertices added so far that still
+    have a neighbour at the current vertex or later, the only ones a later
+    edge reads.  The frontier changes once per vertex.  At the first edge into
+    a vertex, that vertex is alone in its block, so only its own label
+    changes.  A new vertex's index is larger than every label in use, so
+    labels name blocks one to one.  The merges per row are a bit-sliced
+    counter; a row with m merges has n - m blocks.
     """
-    import numpy as np
-
     rows, n = colors.shape
+    planes = colors.planes
+    full = (1 << rows) - 1
+    width = (n - 1).bit_length()
     edges = sorted(((min(e), max(e)) for e in edges), key=lambda e: (e[1], e[0]))
     last = [-1] * n  # a vertex's latest later neighbour
     for u, v in edges:
         last[u] = v
-    blocks = np.full(rows, n, dtype=_narrowest_int(n))
-    labels = np.empty((rows, n), dtype=_narrowest_int(n - 1), order="F")
-    same = np.empty(rows, dtype=bool)
-    hit = np.empty(rows, dtype=bool)
+    labels: list[list[int]] = [[]] * n
+    merges: list[int] = []  # counter planes, least significant first
     frontier: list[int] = []
     added = 0
     current = -1
     for u, v in edges:
-        lu, lv = labels[:, u], labels[:, v]
-        np.equal(colors[:, u], colors[:, v], out=same)
+        same = full ^ _differ(planes[u], planes[v])
         if v != current:
             current = v
             frontier = [w for w in frontier if last[w] >= v]
-            for w in range(added, v + 1):
-                if last[w] >= v or w == v:
-                    labels[:, w] = w
+            for w in range(added, v):
+                if last[w] >= v:
+                    labels[w] = [full if w >> i & 1 else 0 for i in range(width)]
                     frontier.append(w)
             added = v + 1
-            blocks -= same
-            lv -= (v - lu) * same
-            continue
-        high = np.maximum(lu, lv)
-        drop = high - np.minimum(lu, lv)
-        drop *= same  # 0 where nothing merges
-        np.not_equal(drop, 0, out=hit)
-        if not hit.any():
-            continue
-        blocks -= hit
-        for w in frontier:
-            lw = labels[:, w]
-            np.equal(lw, high, out=hit)
-            lw -= hit * drop
-    return blocks
-
-
-def _tally_range(g: Graph, k: int, lo: int, hi: int) -> np.ndarray:
-    import numpy as np
-
-    edges = g.edges()
-    counts = np.zeros(g.n + 1, dtype=np.int64)
-    for start in range(lo, hi, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, hi)
-        colors = _color_chunk(start, stop, g.n, k)
-        blocks = _chunk_block_counts(colors, edges)
-        counts += np.bincount(blocks, minlength=g.n + 1)
+            frontier.append(v)
+            apart = full ^ same
+            labels[v] = [a & same | (apart if v >> i & 1 else 0) for i, a in enumerate(labels[u])]
+            hit = same
+            if not hit:
+                continue
+        else:
+            lu, lv = labels[u], labels[v]
+            delta = [a ^ b for a, b in zip(lu, lv)]
+            hit = 0
+            for d in delta:
+                hit |= d
+            hit &= same
+            if not hit:
+                continue
+            # every frontier label equal to v's takes u's, which differs from
+            # it by delta; a ^ b below is set where a equals v's label
+            unlv = [full ^ b for b in lv]
+            for w in frontier:
+                lw = labels[w]
+                match = hit
+                for a, b in zip(lw, unlv):
+                    match &= a ^ b
+                    if not match:
+                        break
+                else:
+                    for i, d in enumerate(delta):
+                        lw[i] ^= d & match
+        carry = hit
+        for i, c in enumerate(merges):
+            merges[i] = c ^ carry
+            carry &= c
+            if not carry:
+                break
+        else:
+            merges.append(carry)
+    # split the rows by the counter, top plane first
+    groups = [(full, 0)]
+    for i in range(len(merges) - 1, -1, -1):
+        plane, split = merges[i], []
+        for rows_in, value in groups:
+            one = rows_in & plane
+            if one:
+                split.append((one, value | 1 << i))
+            if one != rows_in:
+                split.append((rows_in ^ one, value))
+        groups = split
+    counts = [0] * (n + 1)
+    for rows_in, value in groups:
+        counts[n - value] = rows_in.bit_count()
     return counts
 
 
-def _tally_threads(g: Graph, k: int, total: int, threads: int) -> np.ndarray:
-    """``_tally_range(g, k, 0, total)`` split into equal ranges, one thread each.
+def _tally_range(g: Graph, k: int, lo: int, hi: int) -> list[int]:
+    edges = g.edges()
+    counts = [0] * (g.n + 1)
+    for start in range(lo, hi, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, hi)
+        chunk = _chunk_block_counts(_color_chunk(start, stop, g.n, k), edges)
+        counts = [a + b for a, b in zip(counts, chunk)]
+    return counts
 
-    numpy is imported here, on the calling thread, before any worker starts."""
-    import numpy as np
 
+def _tally_threads(g: Graph, k: int, total: int, threads: int) -> list[int]:
+    """``_tally_range(g, k, 0, total)`` split into equal ranges, one thread each."""
     bounds = [total * i // threads for i in range(threads + 1)]
     ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     partials: list = [None] * len(ranges)
@@ -215,7 +306,7 @@ def _tally_threads(g: Graph, k: int, total: int, threads: int) -> np.ndarray:
     for partial in partials:
         if isinstance(partial, BaseException):
             raise partial
-    return sum(partials, np.zeros(g.n + 1, dtype=np.int64))
+    return [sum(column) for column in zip(*partials)]
 
 
 def distribution_bruteforce(
@@ -230,22 +321,20 @@ def distribution_bruteforce(
         counts = _tally_threads(g, k, total, threads)
     else:
         counts = _tally_range(g, k, 0, total)
-    poly = LaurentPoly2({(0, b): int(counts[b]) for b in range(1, g.n + 1)})
+    poly = LaurentPoly2({(0, b): counts[b] for b in range(1, g.n + 1)})
     return BlockDistribution(poly, g.n, k)
 
 
 def proper_coloring_count(g: Graph, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Colorings with every edge bichromatic, by direct filtering."""
-    import numpy as np
-
     total = check_enumeration_cap(g.n, k, cap)
     edges = g.edges()
     count = 0
     for start in range(0, total, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, total)
-        colors = _color_chunk(start, stop, g.n, k)
-        ok = np.ones(stop - start, dtype=bool)
+        planes = _color_chunk(start, stop, g.n, k).planes
+        proper = (1 << (stop - start)) - 1
         for u, v in edges:
-            ok &= colors[:, u] != colors[:, v]
-        count += int(ok.sum())
+            proper &= _differ(planes[u], planes[v])
+        count += proper.bit_count()
     return count

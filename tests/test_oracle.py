@@ -3,7 +3,6 @@ from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -167,6 +166,27 @@ def _enumerated(g, k):
     return dict(Counter(block_count(g, c) for c in itertools.product(range(k), repeat=g.n)))
 
 
+def _digits(r, n, k):
+    """Coloring r of the mixed-radix table, vertex 0 most significant."""
+    return [(r // k ** (n - 1 - v)) % k for v in range(n)]
+
+
+def _decoded(colors):
+    """The coloring table that a chunk's bit planes hold, one row per coloring."""
+    return [
+        [sum((plane >> i & 1) << j for j, plane in enumerate(planes)) for planes in colors.planes]
+        for i in range(colors.rows)
+    ]
+
+
+def _histogram(g, table):
+    """counts[b]: the rows of ``table`` whose coloring has b blocks."""
+    counts = [0] * (g.n + 1)
+    for coloring in table:
+        counts[block_count(g, coloring)] += 1
+    return counts
+
+
 @st.composite
 def any_graphs(draw, max_vertices=8):
     """Any simple graph, edgeless and disconnected ones included."""
@@ -174,6 +194,17 @@ def any_graphs(draw, max_vertices=8):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def connected_graphs(draw, min_vertices=17, max_vertices=24):
+    """A random tree on the vertices, each vertex joined to an earlier one,
+    plus any further edges."""
+    n = draw(st.integers(min_vertices, max_vertices))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=3 * n))
+    return Graph.from_edges(n, sorted(set(tree + extra)))
 
 
 class TestKernel:
@@ -209,15 +240,43 @@ class TestKernel:
     @pytest.mark.parametrize("lo,hi,n,k", [(37, 250, 5, 3), (2**40 - 3, 2**40 + 3, 45, 2), (5, 9, 1, 1000)])
     def test_color_chunk_is_mixed_radix(self, lo, hi, n, k):
         colors = oracle._color_chunk(lo, hi, n, k)
-        want = [[(i // k ** (n - 1 - v)) % k for v in range(n)] for i in range(lo, hi)]
-        assert colors.tolist() == want
-        assert colors.flags.f_contiguous and np.iinfo(colors.dtype).max >= k - 1
+        assert colors.shape == (hi - lo, n)
+        assert all(len(planes) == (k - 1).bit_length() for planes in colors.planes)
+        assert _decoded(colors) == [_digits(r, n, k) for r in range(lo, hi)]
+
+    @pytest.mark.parametrize("n,k", [(1, 7), (3, 2), (3, 3), (3, 4), (3, 5), (2, 6), (2, 9)])
+    def test_every_window_is_a_slice_of_the_whole_table(self, n, k):
+        # every [lo, hi), so that each run of a digit is cut at both ends
+        total = k**n
+        table = [
+            [sum(1 << r for r in range(total) if _digits(r, n, k)[v] >> j & 1) for j in range((k - 1).bit_length())]
+            for v in range(n)
+        ]
+        for lo in range(total):
+            for hi in range(lo + 1, total + 1):
+                mask = (1 << (hi - lo)) - 1
+                want = [[plane >> lo & mask for plane in planes] for planes in table]
+                assert oracle._color_chunk(lo, hi, n, k).planes == want, (lo, hi)
 
     def test_kernel_rows_are_block_counts(self):
         g = Graph.from_edges(5, [(3, 4), (0, 1), (1, 2), (0, 2)])
+        colors = oracle._color_chunk(0, 2**g.n, g.n, 2)
         table = list(itertools.product(range(2), repeat=g.n))
-        blocks = oracle._chunk_block_counts(np.array(table), g.edges())
-        assert blocks.tolist() == [block_count(g, c) for c in table]
+        assert _decoded(colors) == [list(c) for c in table]
+        assert oracle._chunk_block_counts(colors, g.edges()) == _histogram(g, table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(), st.integers(1, 5), st.data())
+    def test_unaligned_ranges_of_large_graphs(self, g, k, data):
+        # 17+ vertices: the labels need five or more planes, and so does the
+        # merge counter on a row with 16 or more merges (every row at k = 1)
+        total = k**g.n
+        lo = data.draw(st.integers(0, total - 1))
+        hi = data.draw(st.integers(lo + 1, min(total, lo + 300)))
+        table = [_digits(r, g.n, k) for r in range(lo, hi)]
+        colors = oracle._color_chunk(lo, hi, g.n, k)
+        assert _decoded(colors) == table
+        assert oracle._chunk_block_counts(colors, g.edges()) == _histogram(g, table)
 
     def test_worker_errors_reach_the_caller(self, monkeypatch):
         def fail(colors, edges):
