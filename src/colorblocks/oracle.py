@@ -16,6 +16,31 @@ frontier, the added vertices that still have a neighbour to come, keeps its
 labels up to date.  The per-chunk tallies are merged by addition, so chunking
 never affects the result.
 
+Only the colorings that use their colors in first-use order are enumerated.
+The blocks of a coloring depend on its partition of V into color classes
+alone, so a permutation of the k colors keeps every block count.  Fix a
+prefix of vertices 0..r-1; each coloring's prefix has one first-use
+(restricted-growth) pattern p, the prefix relabelled so that colors appear in
+the order 0, 1, 2, ... .  If p uses u(p) colors, exactly (k)_u(p) =
+k(k-1)...(k-u(p)+1) prefixes share it, one per injective choice of its
+colors, and a color permutation that takes one of them to p maps its
+colorings one to one onto the colorings whose prefix is p itself, block
+counts kept.  Vertex 0 is the most significant digit, so those are one
+contiguous range [idx(p)*k^(n-r), (idx(p)+1)*k^(n-r)), idx(p) being p read
+in base k.  Hence
+
+    sum over colorings of y^blocks = sum over p of (k)_u(p) * (p's range),
+
+and the same holds for any count closed under color permutation, such as the
+proper colorings.  The rows tallied fall from k^n to
+(sum over u <= k of S(r, u)) * k^(n-r), S the Stirling numbers of the second
+kind: at most k^n / k, and about k^n / k! once r passes k.  The prefix grows
+from r = 1 while the next tail k^(n-r-1) still fills a chunk
+(``_CHUNK_ROWS`` rows), so past r = 1 each range holds at least one whole
+chunk and there are at most k^n / ``_CHUNK_ROWS`` ranges.
+``_tally_range(g, k, 0, k**n)`` is the plain enumeration, the tests'
+reference.
+
 No array library is involved: big-integer bit operations run in C, so a
 brute-force call, cold or warm, pays no import or first-call set-up beyond
 the standard library.  They hold the interpreter lock, so ``threads=2``
@@ -24,6 +49,7 @@ splits the work between two threads that do not run in parallel.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -276,6 +302,23 @@ def _chunk_block_counts(colors: ColorPlanes, edges: list[tuple[int, int]]) -> li
     return counts
 
 
+def _prefix_ranges(n: int, k: int) -> list[tuple[int, int, int]]:
+    """(lo, hi, weight) for each first-use coloring p of vertices 0..r-1, in
+    increasing lo: rows lo..hi-1 of the coloring table are the colorings whose
+    prefix is p, and weight is (k)_u(p), the number of prefixes that a color
+    permutation takes to p.  The weighted row counts sum to k^n."""
+    r = min(1, n)
+    while r < n and k ** (n - r - 1) >= _CHUNK_ROWS:
+        r += 1
+    prefixes = [(0, 0)]  # (p read in base k, colors p uses)
+    for _ in range(r):
+        prefixes = [
+            (idx * k + c, max(used, c + 1)) for idx, used in prefixes for c in range(min(used + 1, k))
+        ]
+    tail = k ** (n - r)
+    return [(idx * tail, (idx + 1) * tail, math.perm(k, used)) for idx, used in prefixes]
+
+
 def _tally_range(g: Graph, k: int, lo: int, hi: int) -> list[int]:
     edges = g.edges()
     counts = [0] * (g.n + 1)
@@ -286,10 +329,10 @@ def _tally_range(g: Graph, k: int, lo: int, hi: int) -> list[int]:
     return counts
 
 
-def _tally_threads(g: Graph, k: int, total: int, threads: int) -> list[int]:
-    """``_tally_range(g, k, 0, total)`` split into equal ranges, one thread each."""
-    bounds = [total * i // threads for i in range(threads + 1)]
-    ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+def _tally_threads(g: Graph, k: int, lo: int, hi: int, threads: int) -> list[int]:
+    """``_tally_range(g, k, lo, hi)`` split into equal ranges, one thread each."""
+    bounds = [lo + (hi - lo) * i // threads for i in range(threads + 1)]
+    ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
     partials: list = [None] * len(ranges)
 
     def work(i: int, lo: int, hi: int):
@@ -315,26 +358,44 @@ def distribution_bruteforce(
     cap: int = DEFAULT_ENUMERATION_CAP,
     threads: int = 1,
 ) -> BlockDistribution:
-    """Exact block distribution of (g, k) by full enumeration."""
-    total = check_enumeration_cap(g.n, k, cap)
-    if threads > 1:
-        counts = _tally_threads(g, k, total, threads)
-    else:
-        counts = _tally_range(g, k, 0, total)
+    """Exact block distribution of (g, k), enumerated modulo color permutations.
+
+    A color permutation keeps every block count, so the colorings whose
+    first r vertices follow one first-use pattern p, which use u(p) colors,
+    have the same histogram as p's own range of the table, (k)_u(p) times
+    over.  Each range of ``_prefix_ranges`` is tallied (split between
+    ``threads`` threads when more than one) and weighted by (k)_u(p); the sum
+    is the histogram over all k^n colorings.  ``cap`` bounds k^n.
+    """
+    check_enumeration_cap(g.n, k, cap)
+    counts = [0] * (g.n + 1)
+    for lo, hi, weight in _prefix_ranges(g.n, k):
+        if threads > 1:
+            part = _tally_threads(g, k, lo, hi, threads)
+        else:
+            part = _tally_range(g, k, lo, hi)
+        counts = [a + weight * b for a, b in zip(counts, part)]
     poly = LaurentPoly2({(0, b): counts[b] for b in range(1, g.n + 1)})
     return BlockDistribution(poly, g.n, k)
 
 
-def proper_coloring_count(g: Graph, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """Colorings with every edge bichromatic, by direct filtering."""
-    total = check_enumeration_cap(g.n, k, cap)
+def _proper_range(g: Graph, k: int, lo: int, hi: int) -> int:
+    """Rows lo..hi-1 of the coloring table with every edge bichromatic."""
     edges = g.edges()
     count = 0
-    for start in range(0, total, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, total)
+    for start in range(lo, hi, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, hi)
         planes = _color_chunk(start, stop, g.n, k).planes
         proper = (1 << (stop - start)) - 1
         for u, v in edges:
             proper &= _differ(planes[u], planes[v])
         count += proper.bit_count()
     return count
+
+
+def proper_coloring_count(g: Graph, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+    """Colorings with every edge bichromatic, by filtering the ranges of
+    ``_prefix_ranges``, each weighted by (k)_u(p): a color permutation keeps a
+    coloring proper.  ``cap`` bounds k^n."""
+    check_enumeration_cap(g.n, k, cap)
+    return sum(weight * _proper_range(g, k, lo, hi) for lo, hi, weight in _prefix_ranges(g.n, k))

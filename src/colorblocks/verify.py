@@ -44,7 +44,7 @@ from .graphs import (
     random_tree,
     star,
 )
-from .oracle import block_count, distribution_bruteforce, proper_coloring_count
+from .oracle import _tally_range, block_count, distribution_bruteforce, proper_coloring_count
 from .polytext import format_poly, parse_poly
 from .transfer import (
     color_classes,
@@ -551,6 +551,7 @@ def _check_properties(pool, shuffler: SplitMix64):
     for g, k in pool:
         d = distribution_bruteforce(g, k)
         _expect_equal(d.total(), Fraction(k**g.n), f"mass |V|={g.n} k={k}")
+        # both routes weight one first-use prefix per color class by (k)_u
         _expect_equal(
             d.coefficient(g.n), Fraction(proper_coloring_count(g, k)),
             f"top coefficient |V|={g.n} k={k}",
@@ -586,6 +587,9 @@ def check_bruteforce_kernel():
         for coloring in itertools.product(range(k), repeat=g.n):
             blocks = block_count(g, coloring)
             want[blocks] = want.get(blocks, 0) + 1
+        # the plain tally over all k^n rows, against the one modulo color permutations
+        plain = {b: c for b, c in enumerate(_tally_range(g, k, 0, k**g.n)) if c}
+        _expect_equal(plain, want, f"plain tally vs union-find |V|={g.n} k={k}")
         for threads in (1, 2):
             got = distribution_bruteforce(g, k, threads=threads).coefficients()
             _expect_equal(got, want, f"brute force vs union-find |V|={g.n} k={k} threads={threads}")

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from colorblocks import oracle
 from colorblocks.algebra import LaurentPoly2
+from colorblocks.combinatorics import stirling2
 from colorblocks.errors import CapExceededError
 from colorblocks.graphs import Graph, complete, cycle, grid, path, perfect_binary_tree
 from colorblocks.oracle import (
@@ -285,3 +287,56 @@ class TestKernel:
         monkeypatch.setattr(oracle, "_chunk_block_counts", fail)
         with pytest.raises(MemoryError):
             distribution_bruteforce(path(4), 2, threads=2)
+
+
+@st.composite
+def colored_graphs(draw, max_vertices=12, max_rows=1 << 12):
+    """k in 1..6 and any simple graph on at most ``max_vertices`` vertices,
+    connected or not, with k^n at most ``max_rows``."""
+    k = draw(st.integers(1, 6))
+    top = max(n for n in range(1, max_vertices + 1) if k**n <= max_rows)
+    g = draw(any_graphs(max_vertices=top))
+    return g, k
+
+
+class TestColorPermutations:
+    """The reduced enumeration (one first-use prefix per class of colorings,
+    weighted by (k)_u) against the plain one over all k^n rows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(colored_graphs(), st.sampled_from([3, 40, 1 << 16]))
+    def test_reduced_equals_plain_enumeration(self, graph_and_k, chunk):
+        g, k = graph_and_k
+        table = list(itertools.product(range(k), repeat=g.n))
+        proper = sum(all(c[u] != c[v] for u, v in g.edges()) for c in table)
+        # small chunks make the prefix longer than one vertex
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_CHUNK_ROWS", chunk)
+            plain = oracle._tally_range(g, k, 0, k**g.n)
+            reduced = distribution_bruteforce(g, k)
+            assert distribution_bruteforce(g, k, threads=2) == reduced
+            assert proper_coloring_count(g, k) == proper
+        assert plain == _histogram(g, table)
+        assert [reduced.coefficient(b) for b in range(g.n + 1)] == plain
+
+    @pytest.mark.parametrize(
+        "n,k,chunk",
+        [(1, 5, 1 << 16), (6, 2, 1 << 16), (12, 4, 1 << 16), (24, 2, 1 << 16),
+         (9, 6, 1 << 16), (5, 3, 7), (8, 4, 1), (7, 7, 10), (40, 1, 1 << 16)],
+    )
+    def test_prefix_ranges_count_every_coloring_once(self, monkeypatch, n, k, chunk):
+        monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk)
+        ranges = oracle._prefix_ranges(n, k)
+        assert sum(weight * (hi - lo) for lo, hi, weight in ranges) == k**n
+        tail = ranges[0][1] - ranges[0][0]
+        assert all(hi - lo == tail for lo, hi, _ in ranges)
+        assert all(hi <= lo2 for (_, hi, _), (lo2, _, _) in zip(ranges, ranges[1:]))
+        assert tail >= min(chunk, k ** (n - 1)) and len(ranges) * tail <= k ** (n - 1)
+        for lo, _, weight in ranges:
+            # a range starts at its prefix followed by color 0, itself first-use
+            digits = _digits(lo, n, k)
+            assert all(d <= max(digits[:i], default=-1) + 1 for i, d in enumerate(digits))
+            assert weight == math.perm(k, len(set(digits)))
+        if k > 1:
+            r = next(r for r in range(n + 1) if k ** (n - r) == tail)
+            assert len(ranges) == sum(stirling2(r, u) for u in range(1, k + 1))
