@@ -280,7 +280,8 @@ def _int_in_range(low: int, high: int | None = None):
 
 _THREADS = _int_in_range(1)
 _DECIMALS = _int_in_range(0)
-# the enumeration indexes colorings in int64 arithmetic
+# a cap below 2^63 keeps check_enumeration_cap's `vertices < cap.bit_length()`
+# test, the one that lets k^vertices be formed for k > 1, below 63 vertices
 _CAP = _int_in_range(1, 2**63 - 1)
 
 

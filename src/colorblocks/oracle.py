@@ -5,16 +5,15 @@ partition: its blocks are the maximal monochromatic connected components.
 ``distribution_bruteforce`` tallies y^(number of blocks) over all colorings.
 
 Colorings are enumerated as mixed-radix counters over a fixed vertex order,
-range-partitioned into chunks.  Each chunk is bit-sliced (as in Biham's
+vertex 0 most significant, in chunks.  Each chunk is bit-sliced (as in Biham's
 bitslice DES, FSE 1997): one Python ``int`` per vertex and color bit, whose
-bit r - lo stands for coloring r, so one big-integer ``&``, ``|`` or ``^``
-acts on every coloring of the chunk at once.  The blocks of every row are
-counted in one union pass in vertex order (incremental set union, as in
+bit t stands for the chunk's coloring t, so one big-integer ``&``, ``|`` or
+``^`` acts on every coloring of the chunk at once.  The blocks of every row
+are counted in one union pass in vertex order (incremental set union, as in
 Tarjan, J. ACM 22, 1975): vertices are added one at a time, each
 monochromatic edge to an earlier vertex merges two labels, and only the
 frontier, the added vertices that still have a neighbour to come, keeps its
-labels up to date.  The per-chunk tallies are merged by addition, so chunking
-never affects the result.
+labels up to date.  The per-chunk tallies are merged by addition.
 
 Only the colorings that use their colors in first-use order are enumerated.
 The blocks of a coloring depend on its partition of V into color classes
@@ -24,27 +23,28 @@ prefix of vertices 0..r-1; each coloring's prefix has one first-use
 the order 0, 1, 2, ... .  If p uses u(p) colors, exactly (k)_u(p) =
 k(k-1)...(k-u(p)+1) prefixes share it, one per injective choice of its
 colors, and a color permutation that takes one of them to p maps its
-colorings one to one onto the colorings whose prefix is p itself, block
-counts kept.  Vertex 0 is the most significant digit, so those are one
-contiguous range [idx(p)*k^(n-r), (idx(p)+1)*k^(n-r)), idx(p) being p read
-in base k.  Hence
+colorings one to one onto the colorings that start with p itself, block
+counts kept.  Hence
 
-    sum over colorings of y^blocks = sum over p of (k)_u(p) * (p's range),
+    sum over colorings of y^blocks = sum over p of (k)_u(p) * (p's chunk),
 
-and the same holds for any count closed under color permutation, such as the
-proper colorings.  The rows tallied fall from k^n to
+p's chunk being p followed by each of the k^(n-r) colorings of vertices
+r..n-1, and the same holds for any count closed under color permutation,
+such as the proper colorings.  The rows tallied fall from k^n to
 (sum over u <= k of S(r, u)) * k^(n-r), S the Stirling numbers of the second
 kind: at most k^n / k, and about k^n / k! once r passes k.  The prefix grows
-from r = 1 while the next tail k^(n-r-1) still fills a chunk
-(``_CHUNK_ROWS`` rows), so past r = 1 each range holds at least one whole
-chunk and there are at most k^n / ``_CHUNK_ROWS`` ranges.
-``_tally_range(g, k, 0, k**n)`` is the plain enumeration, the tests'
-reference.
+from r = 1 while the tail k^(n-r) holds more than ``_CHUNK_ROWS`` rows, so
+each prefix is exactly one chunk.  The bit planes of the tail colorings are
+built once per call and shared by every chunk, which only puts one constant
+plane per prefix color bit in front.  The prefix () of weight 1 is the plain
+enumeration of all k^n rows, the tests' reference.
 
 No array library is involved: big-integer bit operations run in C, so a
 brute-force call, cold or warm, pays no import or first-call set-up beyond
 the standard library.  They hold the interpreter lock, so ``threads=2``
-splits the work between two threads that do not run in parallel.
+deals the prefixes out to two threads, started once per call, that do not
+run in parallel; the prefix also grows while it has fewer first-use
+patterns than threads.
 """
 
 from __future__ import annotations
@@ -122,60 +122,43 @@ def check_enumeration_cap(vertices: int, k: int, cap: int) -> int:
     return total
 
 
-def _ones(start: int, stop: int) -> int:
-    """Bits start..stop-1."""
-    return ((1 << (stop - start)) - 1) << start
+def _tile(unit: int, period: int, length: int) -> int:
+    """Bits 0..length-1 of ``unit`` repeated every ``period`` bits, by shift-or
+    doublings."""
+    while period < length:
+        unit |= unit << period
+        period <<= 1
+    return unit & ((1 << length) - 1)
 
 
-def _tile(unit: int, period: int, phase: int, length: int) -> int:
-    """Bits phase..phase+length-1 of ``unit`` repeated every ``period`` bits,
-    by shift-or doublings."""
-    span = period
-    while span < phase + length:
-        unit |= unit << span
-        span <<= 1
-    return (unit >> phase) & ((1 << length) - 1)
+def _table_planes(m: int, k: int) -> list[list[int]]:
+    """All k^m colorings of m vertices in mixed radix (vertex 0 most
+    significant), bit-sliced: bit t of ``planes[v][j]`` is bit j of vertex v's
+    color in coloring t.
 
-
-def _upper_halves(half: int, period: int, start: int, length: int) -> int:
-    """Bit t - start, for t in start..start+length-1, set where t mod period >= half."""
-    phase = start % period
-    if period <= length:
-        return _tile(_ones(half, period), period, phase, length)
-    # the window meets at most two periods, each with one run of ones
-    plane = 0
-    for top in (start - phase + period, start - phase + 2 * period):
-        a, e = max(top - period + half, start), min(top, start + length)
-        if a < e:
-            plane |= _ones(a - start, e - start)
-    return plane
-
-
-def _digit_plane(lo: int, rows: int, place: int, k: int, j: int) -> int:
-    """Bit r - lo set where bit j of the digit (r // place) % k is set.
-
-    Within a period of k*place rows the digit c fills place rows, and bit j of
-    c is set exactly on the upper half of each 2^(j+1)-digit stretch; so the
-    plane is an inner pattern (period place*2^(j+1)) restarted every k*place
-    rows.  Each level is tiled by doublings, never one run per color, and a
-    period longer than the window is clipped to the window.
+    Vertex v's digit is c on rows c*place..(c+1)*place-1 of each period of
+    k*place rows, place = k^(m-1-v); bit j of c is set exactly on the upper
+    half of each 2^(j+1)-digit stretch.  So each plane is one run of ones,
+    tiled over a digit period, and that period tiled over the table.
     """
-    period = k * place
-    half = place << j
-    phase = lo % period
-    if period <= rows:
-        return _tile(_upper_halves(half, 2 * half, 0, period), period, phase, rows)
-    first = min(rows, period - phase)
-    plane = _upper_halves(half, 2 * half, phase, first)
-    if first < rows:
-        plane |= _upper_halves(half, 2 * half, 0, rows - first) << first
-    return plane
+    rows = k**m
+    width = (k - 1).bit_length()
+    planes = []
+    for v in range(m):
+        place = k ** (m - 1 - v)
+        bits = []
+        for j in range(width):
+            half = place << j
+            digit = _tile(((1 << half) - 1) << half, 2 * half, k * place)
+            bits.append(_tile(digit, k * place, rows))
+        planes.append(bits)
+    return planes
 
 
 @dataclass(frozen=True)
 class ColorPlanes:
-    """Rows lo..hi-1 of the coloring table, bit-sliced: bit ``r - lo`` of
-    ``planes[v][j]`` is bit j of vertex v's color in coloring r."""
+    """A chunk of colorings, bit-sliced: bit t of ``planes[v][j]`` is bit j of
+    vertex v's color in the chunk's coloring t."""
 
     planes: list[list[int]]
     rows: int
@@ -190,15 +173,14 @@ class ColorPlanes:
         return sum(map(len, self.planes)) * ((self.rows + 7) // 8)
 
 
-def _color_chunk(lo: int, hi: int, n: int, k: int) -> ColorPlanes:
-    """Rows lo..hi-1 of the mixed-radix coloring table (vertex 0 most
-    significant), as (k-1).bit_length() bit planes per vertex."""
+def _color_chunk(prefix: tuple[int, ...], table: list[list[int]], rows: int, k: int) -> ColorPlanes:
+    """The colorings that give vertices 0..r-1 the colors ``prefix`` and the
+    rest each row of ``table`` (``rows`` rows): one constant plane, no rows or
+    all of them, per bit of each prefix color, then the table's planes."""
+    full = (1 << rows) - 1
     width = (k - 1).bit_length()
-    planes = []
-    for v in range(n):
-        place = k ** (n - 1 - v)
-        planes.append([_digit_plane(lo, hi - lo, place, k, j) for j in range(width)])
-    return ColorPlanes(planes, hi - lo)
+    head = [[full if c >> j & 1 else 0 for j in range(width)] for c in prefix]
+    return ColorPlanes(head + table, rows)
 
 
 def _differ(a: list[int], b: list[int]) -> int:
@@ -302,46 +284,59 @@ def _chunk_block_counts(colors: ColorPlanes, edges: list[tuple[int, int]]) -> li
     return counts
 
 
-def _prefix_ranges(n: int, k: int) -> list[tuple[int, int, int]]:
-    """(lo, hi, weight) for each first-use coloring p of vertices 0..r-1, in
-    increasing lo: rows lo..hi-1 of the coloring table are the colorings whose
-    prefix is p, and weight is (k)_u(p), the number of prefixes that a color
-    permutation takes to p.  The weighted row counts sum to k^n."""
-    r = min(1, n)
-    while r < n and k ** (n - r - 1) >= _CHUNK_ROWS:
+def _prefixes(n: int, k: int, threads: int = 1) -> list[tuple[tuple[int, ...], int]]:
+    """(p, (k)_u(p)) for each first-use coloring p of vertices 0..r-1, u(p)
+    the colors p uses: (k)_u(p) is the number of prefixes that a color
+    permutation takes to p.  r grows from 1 while the tail k^(n-r) holds more
+    than ``_CHUNK_ROWS`` rows, or while there are fewer prefixes than
+    ``threads`` (at k = 1 there is only ever one)."""
+    found = [((), 0)]  # (p, colors p uses)
+    r = 0
+    while r < n and (r == 0 or k ** (n - r) > _CHUNK_ROWS or k > 1 and len(found) < threads):
+        found = [(p + (c,), max(used, c + 1)) for p, used in found for c in range(min(used + 1, k))]
         r += 1
-    prefixes = [(0, 0)]  # (p read in base k, colors p uses)
-    for _ in range(r):
-        prefixes = [
-            (idx * k + c, max(used, c + 1)) for idx, used in prefixes for c in range(min(used + 1, k))
-        ]
-    tail = k ** (n - r)
-    return [(idx * tail, (idx + 1) * tail, math.perm(k, used)) for idx, used in prefixes]
+    return [(p, math.perm(k, used)) for p, used in found]
 
 
-def _tally_range(g: Graph, k: int, lo: int, hi: int) -> list[int]:
+def _proper_rows(colors: ColorPlanes, edges: list[tuple[int, int]]) -> list[int]:
+    """The number of the chunk's rows with every edge bichromatic, as a
+    one-term list for ``_sum_chunks``."""
+    planes = colors.planes
+    proper = (1 << colors.rows) - 1
+    for u, v in edges:
+        proper &= _differ(planes[u], planes[v])
+    return [proper.bit_count()]
+
+
+def _sum_chunks(g: Graph, k: int, prefixes, count, threads: int = 1) -> list[int]:
+    """The sum of weight * count(chunk, edges), term by term (at most n + 1
+    terms), over (p, weight) in ``prefixes`` (all of one length r), p's chunk
+    being p followed by every coloring of vertices r..n-1.  The table of those colorings is built once.
+    With ``threads`` > 1 the prefixes are dealt out to that many threads,
+    started once.  ``[((), 1)]`` is the plain enumeration of all k^n rows."""
     edges = g.edges()
-    counts = [0] * (g.n + 1)
-    for start in range(lo, hi, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, hi)
-        chunk = _chunk_block_counts(_color_chunk(start, stop, g.n, k), edges)
-        counts = [a + b for a, b in zip(counts, chunk)]
-    return counts
+    table = _table_planes(g.n - len(prefixes[0][0]), k)
+    rows = k ** len(table)
 
+    def total(share) -> list[int]:
+        sums = [0] * (g.n + 1)
+        for p, weight in share:
+            part = count(_color_chunk(p, table, rows, k), edges)
+            sums = [a + weight * b for a, b in zip(sums, part)]
+        return sums
 
-def _tally_threads(g: Graph, k: int, lo: int, hi: int, threads: int) -> list[int]:
-    """``_tally_range(g, k, lo, hi)`` split into equal ranges, one thread each."""
-    bounds = [lo + (hi - lo) * i // threads for i in range(threads + 1)]
-    ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-    partials: list = [None] * len(ranges)
+    shares = [prefixes[i::threads] for i in range(min(threads, len(prefixes)))]
+    if len(shares) == 1:
+        return total(prefixes)
+    partials: list = [None] * len(shares)
 
-    def work(i: int, lo: int, hi: int):
+    def work(i: int):
         try:
-            partials[i] = _tally_range(g, k, lo, hi)
+            partials[i] = total(shares[i])
         except BaseException as exc:  # re-raised on the calling thread
             partials[i] = exc
 
-    workers = [threading.Thread(target=work, args=(i, *r)) for i, r in enumerate(ranges)]
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(len(shares))]
     for worker in workers:
         worker.start()
     for worker in workers:
@@ -362,40 +357,21 @@ def distribution_bruteforce(
 
     A color permutation keeps every block count, so the colorings whose
     first r vertices follow one first-use pattern p, which use u(p) colors,
-    have the same histogram as p's own range of the table, (k)_u(p) times
-    over.  Each range of ``_prefix_ranges`` is tallied (split between
-    ``threads`` threads when more than one) and weighted by (k)_u(p); the sum
-    is the histogram over all k^n colorings.  ``cap`` bounds k^n.
+    have the same histogram as the colorings that start with p itself,
+    (k)_u(p) times over.  Each prefix of ``_prefixes`` is tallied as one
+    chunk (the prefixes dealt out to ``threads`` threads when more than one)
+    and weighted by (k)_u(p); the sum is the histogram over all k^n
+    colorings.  ``cap`` bounds k^n.
     """
     check_enumeration_cap(g.n, k, cap)
-    counts = [0] * (g.n + 1)
-    for lo, hi, weight in _prefix_ranges(g.n, k):
-        if threads > 1:
-            part = _tally_threads(g, k, lo, hi, threads)
-        else:
-            part = _tally_range(g, k, lo, hi)
-        counts = [a + weight * b for a, b in zip(counts, part)]
+    counts = _sum_chunks(g, k, _prefixes(g.n, k, threads), _chunk_block_counts, threads)
     poly = LaurentPoly2({(0, b): counts[b] for b in range(1, g.n + 1)})
     return BlockDistribution(poly, g.n, k)
 
 
-def _proper_range(g: Graph, k: int, lo: int, hi: int) -> int:
-    """Rows lo..hi-1 of the coloring table with every edge bichromatic."""
-    edges = g.edges()
-    count = 0
-    for start in range(lo, hi, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, hi)
-        planes = _color_chunk(start, stop, g.n, k).planes
-        proper = (1 << (stop - start)) - 1
-        for u, v in edges:
-            proper &= _differ(planes[u], planes[v])
-        count += proper.bit_count()
-    return count
-
-
 def proper_coloring_count(g: Graph, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """Colorings with every edge bichromatic, by filtering the ranges of
-    ``_prefix_ranges``, each weighted by (k)_u(p): a color permutation keeps a
+    """Colorings with every edge bichromatic, by filtering the chunk of each
+    prefix of ``_prefixes``, weighted by (k)_u(p): a color permutation keeps a
     coloring proper.  ``cap`` bounds k^n."""
     check_enumeration_cap(g.n, k, cap)
-    return sum(weight * _proper_range(g, k, lo, hi) for lo, hi, weight in _prefix_ranges(g.n, k))
+    return _sum_chunks(g, k, _prefixes(g.n, k), _proper_rows)[0]

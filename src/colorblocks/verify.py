@@ -44,7 +44,13 @@ from .graphs import (
     random_tree,
     star,
 )
-from .oracle import _tally_range, block_count, distribution_bruteforce, proper_coloring_count
+from .oracle import (
+    _chunk_block_counts,
+    _sum_chunks,
+    block_count,
+    distribution_bruteforce,
+    proper_coloring_count,
+)
 from .polytext import format_poly, parse_poly
 from .transfer import (
     color_classes,
@@ -587,8 +593,9 @@ def check_bruteforce_kernel():
         for coloring in itertools.product(range(k), repeat=g.n):
             blocks = block_count(g, coloring)
             want[blocks] = want.get(blocks, 0) + 1
-        # the plain tally over all k^n rows, against the one modulo color permutations
-        plain = {b: c for b, c in enumerate(_tally_range(g, k, 0, k**g.n)) if c}
+        # the plain tally, the prefix () of weight 1 (all k^n rows in one chunk),
+        # against the one modulo color permutations
+        plain = {b: c for b, c in enumerate(_sum_chunks(g, k, [((), 1)], _chunk_block_counts)) if c}
         _expect_equal(plain, want, f"plain tally vs union-find |V|={g.n} k={k}")
         for threads in (1, 2):
             got = distribution_bruteforce(g, k, threads=threads).coefficients()

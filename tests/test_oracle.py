@@ -1,11 +1,12 @@
 import itertools
 import math
+import threading
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from colorblocks import oracle
 from colorblocks.algebra import LaurentPoly2
@@ -217,16 +218,6 @@ class TestKernel:
         for threads in (1, 2, 3):
             assert distribution_bruteforce(g, k, threads=threads).coefficients() == want
 
-    def test_chunks_split_a_shared_prefix(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_CHUNK_ROWS", 7)
-        pool = [
-            (cycle(5), 3), (grid(2, 3), 2),
-            (Graph.from_edges(6, [(0, 5), (1, 2), (2, 4)]), 2),
-        ]
-        for g, k in pool:
-            for threads in (1, 2):
-                assert distribution_bruteforce(g, k, threads=threads).coefficients() == _enumerated(g, k)
-
     @pytest.mark.parametrize("k", [200, 300])
     def test_colors_wider_than_int8(self, k):
         assert distribution_bruteforce(path(2), k).coefficients() == {1: k, 2: k * (k - 1)}
@@ -239,46 +230,73 @@ class TestKernel:
         # one coloring, 2999 edges: each edge touches a frontier of two vertices
         assert distribution_bruteforce(path(3000), 1).poly == parse_poly("y")
 
-    @pytest.mark.parametrize("lo,hi,n,k", [(37, 250, 5, 3), (2**40 - 3, 2**40 + 3, 45, 2), (5, 9, 1, 1000)])
-    def test_color_chunk_is_mixed_radix(self, lo, hi, n, k):
-        colors = oracle._color_chunk(lo, hi, n, k)
-        assert colors.shape == (hi - lo, n)
-        assert all(len(planes) == (k - 1).bit_length() for planes in colors.planes)
-        assert _decoded(colors) == [_digits(r, n, k) for r in range(lo, hi)]
+    @pytest.mark.parametrize("m,k", [(0, 3), (1, 1000), (5, 3), (3, 7), (24, 1)])
+    def test_table_planes_are_mixed_radix(self, m, k):
+        table = oracle._table_planes(m, k)
+        rows = k**m
+        assert len(table) == m
+        assert all(len(planes) == (k - 1).bit_length() for planes in table)
+        assert _decoded(oracle.ColorPlanes(table, rows)) == [_digits(t, m, k) for t in range(rows)]
+        # a prefix chunk puts one constant plane per bit of each prefix color in front
+        prefix = tuple(range(k))[-3:]
+        colors = oracle._color_chunk(prefix, table, rows, k)
+        assert colors.shape == (rows, len(prefix) + m)
+        full = (1 << rows) - 1
+        for c, planes in zip(prefix, colors.planes):
+            assert planes == [full if c >> j & 1 else 0 for j in range((k - 1).bit_length())]
+        assert _decoded(colors) == [list(prefix) + _digits(t, m, k) for t in range(rows)]
 
     @pytest.mark.parametrize("n,k", [(1, 7), (3, 2), (3, 3), (3, 4), (3, 5), (2, 6), (2, 9)])
     def test_every_window_is_a_slice_of_the_whole_table(self, n, k):
-        # every [lo, hi), so that each run of a digit is cut at both ends
+        # the chunk of every prefix p, of every length r, is rows
+        # idx(p)*k^(n-r)..(idx(p)+1)*k^(n-r)-1 of the whole table
         total = k**n
         table = [
             [sum(1 << r for r in range(total) if _digits(r, n, k)[v] >> j & 1) for j in range((k - 1).bit_length())]
             for v in range(n)
         ]
-        for lo in range(total):
-            for hi in range(lo + 1, total + 1):
-                mask = (1 << (hi - lo)) - 1
-                want = [[plane >> lo & mask for plane in planes] for planes in table]
-                assert oracle._color_chunk(lo, hi, n, k).planes == want, (lo, hi)
+        assert oracle._table_planes(n, k) == table
+        for r in range(n + 1):
+            tail = k ** (n - r)
+            rest = oracle._table_planes(n - r, k)
+            mask = (1 << tail) - 1
+            for idx in range(k**r):
+                want = [[plane >> idx * tail & mask for plane in planes] for planes in table]
+                prefix = tuple(_digits(idx, r, k))
+                assert oracle._color_chunk(prefix, rest, tail, k).planes == want, prefix
 
     def test_kernel_rows_are_block_counts(self):
         g = Graph.from_edges(5, [(3, 4), (0, 1), (1, 2), (0, 2)])
-        colors = oracle._color_chunk(0, 2**g.n, g.n, 2)
+        # the r = 0 chunk: the prefix () before the table of all 2^5 colorings
+        colors = oracle._color_chunk((), oracle._table_planes(g.n, 2), 2**g.n, 2)
         table = list(itertools.product(range(2), repeat=g.n))
         assert _decoded(colors) == [list(c) for c in table]
         assert oracle._chunk_block_counts(colors, g.edges()) == _histogram(g, table)
 
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(), st.integers(1, 5), st.data())
-    def test_unaligned_ranges_of_large_graphs(self, g, k, data):
+    def test_prefix_chunks_of_large_graphs(self, g, k, data):
         # 17+ vertices: the labels need five or more planes, and so does the
         # merge counter on a row with 16 or more merges (every row at k = 1)
-        total = k**g.n
-        lo = data.draw(st.integers(0, total - 1))
-        hi = data.draw(st.integers(lo + 1, min(total, lo + 300)))
-        table = [_digits(r, g.n, k) for r in range(lo, hi)]
-        colors = oracle._color_chunk(lo, hi, g.n, k)
+        m = data.draw(st.integers(0, max(m for m in range(6) if k**m <= 400)))
+        prefix = tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=g.n - m, max_size=g.n - m)))
+        table = [list(prefix) + _digits(t, m, k) for t in range(k**m)]
+        colors = oracle._color_chunk(prefix, oracle._table_planes(m, k), k**m, k)
         assert _decoded(colors) == table
         assert oracle._chunk_block_counts(colors, g.edges()) == _histogram(g, table)
+
+    def test_threads_start_once_per_call(self, monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(oracle.threading, "Thread", Counted)
+        g = grid(3, 4)
+        assert distribution_bruteforce(g, 4, threads=2) == distribution_bruteforce(g, 4)
+        assert len(started) <= 2
 
     def test_worker_errors_reach_the_caller(self, monkeypatch):
         def fail(colors, edges):
@@ -305,19 +323,24 @@ class TestColorPermutations:
 
     @settings(max_examples=100, deadline=None)
     @given(colored_graphs(), st.sampled_from([3, 40, 1 << 16]))
+    @example((cycle(5), 3), 7)
+    @example((grid(2, 3), 2), 7)
+    @example((Graph.from_edges(6, [(0, 5), (1, 2), (2, 4)]), 2), 7)
     def test_reduced_equals_plain_enumeration(self, graph_and_k, chunk):
         g, k = graph_and_k
         table = list(itertools.product(range(k), repeat=g.n))
-        proper = sum(all(c[u] != c[v] for u, v in g.edges()) for c in table)
+        # the plain route: the prefix () of weight 1, all k^n rows in one chunk
+        plain = oracle._sum_chunks(g, k, [((), 1)], oracle._chunk_block_counts)
+        proper = oracle._sum_chunks(g, k, [((), 1)], oracle._proper_rows)
+        assert plain == _histogram(g, table)
+        assert proper == [sum(all(c[u] != c[v] for u, v in g.edges()) for c in table)]
         # small chunks make the prefix longer than one vertex
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_CHUNK_ROWS", chunk)
-            plain = oracle._tally_range(g, k, 0, k**g.n)
-            reduced = distribution_bruteforce(g, k)
-            assert distribution_bruteforce(g, k, threads=2) == reduced
-            assert proper_coloring_count(g, k) == proper
-        assert plain == _histogram(g, table)
-        assert [reduced.coefficient(b) for b in range(g.n + 1)] == plain
+            for threads in (1, 2):
+                reduced = distribution_bruteforce(g, k, threads=threads)
+                assert [reduced.coefficient(b) for b in range(g.n + 1)] == plain
+            assert [proper_coloring_count(g, k)] == proper
 
     @pytest.mark.parametrize(
         "n,k,chunk",
@@ -326,17 +349,17 @@ class TestColorPermutations:
     )
     def test_prefix_ranges_count_every_coloring_once(self, monkeypatch, n, k, chunk):
         monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk)
-        ranges = oracle._prefix_ranges(n, k)
-        assert sum(weight * (hi - lo) for lo, hi, weight in ranges) == k**n
-        tail = ranges[0][1] - ranges[0][0]
-        assert all(hi - lo == tail for lo, hi, _ in ranges)
-        assert all(hi <= lo2 for (_, hi, _), (lo2, _, _) in zip(ranges, ranges[1:]))
-        assert tail >= min(chunk, k ** (n - 1)) and len(ranges) * tail <= k ** (n - 1)
-        for lo, _, weight in ranges:
-            # a range starts at its prefix followed by color 0, itself first-use
-            digits = _digits(lo, n, k)
-            assert all(d <= max(digits[:i], default=-1) + 1 for i, d in enumerate(digits))
-            assert weight == math.perm(k, len(set(digits)))
-        if k > 1:
-            r = next(r for r in range(n + 1) if k ** (n - r) == tail)
-            assert len(ranges) == sum(stirling2(r, u) for u in range(1, k + 1))
+        for threads in (1, 2, 5):
+            prefixes = oracle._prefixes(n, k, threads)
+            r = len(prefixes[0][0])
+            assert all(len(p) == r for p, _ in prefixes)
+            assert sum(weight for _, weight in prefixes) * k ** (n - r) == k**n
+            assert k ** (n - r) <= chunk or r == n
+            assert len(prefixes) >= threads or r == n or k == 1
+            assert len(set(prefixes)) == len(prefixes)
+            for p, weight in prefixes:
+                # first-use form: each color is at most one past those before it
+                assert all(c <= max(p[:i], default=-1) + 1 for i, c in enumerate(p))
+                assert weight == math.perm(k, len(set(p)))
+            if k > 1:
+                assert len(prefixes) == sum(stirling2(r, u) for u in range(1, k + 1))
