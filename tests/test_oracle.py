@@ -6,7 +6,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from colorblocks import oracle
 from colorblocks.algebra import LaurentPoly2
@@ -211,6 +211,18 @@ def connected_graphs(draw, min_vertices=17, max_vertices=24):
 
 
 class TestKernel:
+    def test_chunks_split_a_shared_prefix(self, monkeypatch):
+        # at 7 rows a chunk, the colorings split over several first-use prefixes
+        monkeypatch.setattr(oracle, "_CHUNK_ROWS", 7)
+        pool = [
+            (cycle(5), 3), (grid(2, 3), 2),
+            (Graph.from_edges(6, [(0, 5), (1, 2), (2, 4)]), 2),
+        ]
+        for g, k in pool:
+            assert len(oracle._prefixes(g.n, k, 1)) > 1
+            for threads in (1, 2):
+                assert distribution_bruteforce(g, k, threads=threads).coefficients() == _enumerated(g, k)
+
     @settings(max_examples=100, deadline=None)
     @given(any_graphs(), st.integers(1, 3))
     def test_equals_union_find_over_all_colorings(self, g, k):
@@ -323,9 +335,6 @@ class TestColorPermutations:
 
     @settings(max_examples=100, deadline=None)
     @given(colored_graphs(), st.sampled_from([3, 40, 1 << 16]))
-    @example((cycle(5), 3), 7)
-    @example((grid(2, 3), 2), 7)
-    @example((Graph.from_edges(6, [(0, 5), (1, 2), (2, 4)]), 2), 7)
     def test_reduced_equals_plain_enumeration(self, graph_and_k, chunk):
         g, k = graph_and_k
         table = list(itertools.product(range(k), repeat=g.n))
