@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from decimal import Decimal, localcontext
@@ -119,9 +118,7 @@ def _compute(args) -> tuple[BlockDistribution | Fraction, int]:
     if args.method == "brute":
         cap = args.cap if args.cap else DEFAULT_ENUMERATION_CAP
         check_enumeration_cap(vertex_count(spec, _MAX_VERTICES), args.k, cap)
-        # never more worker threads than cores
-        threads = min(args.threads, os.cpu_count() or 1)
-        dist = distribution_bruteforce(build_graph(spec), args.k, cap=cap, threads=threads)
+        dist = distribution_bruteforce(build_graph(spec), args.k, cap=cap)
         return dist, dist.vertex_count
     prism = prism_factors(spec)
     if prism is None:
@@ -216,8 +213,9 @@ def cmd_gf(args) -> int:
 
 def _check_class_listing(m: int, k: int) -> None:
     """Exit 3 before ``color_classes`` lists more than ``DEFAULT_STATE_CAP``
-    entries, counting m + k per class: a bound on its parts (at most k) plus
-    its representative (the m vertices, split into the parts)."""
+    entries, counting m + k per class.  A class holds only its parts (at most
+    min(m, k) of them) and its size, so m + k is a conservative bound; it is
+    kept as it stands so that no request changes its exit code."""
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
 
@@ -278,7 +276,6 @@ def _int_in_range(low: int, high: int | None = None):
     return parse
 
 
-_THREADS = _int_in_range(1)
 _DECIMALS = _int_in_range(0)
 # a cap below 2^63 keeps check_enumeration_cap's `vertices < cap.bit_length()`
 # test, the one that lets k^vertices be formed for k > 1, below 63 vertices
@@ -295,7 +292,6 @@ def _blocks_options(method: str) -> tuple:
         ("--k", int, True, None, None, "number of colors"),
         ("--method", str, False, ("brute", "transfer", "closed"), method, None),
         ("--cap", _CAP, False, None, None, "enumeration / state cap override"),
-        ("--threads", _THREADS, False, None, 1, "worker threads, at most the core count"),
         ("--decimals", _DECIMALS, False, None, None, "add a rounded decimal rendering"),
     )
 

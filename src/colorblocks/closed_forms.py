@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .algebra import LaurentPoly2, RationalGF, series_expand
-from .combinatorics import binomial, partition_count, stirling2
+from .combinatorics import binomial, partition_count, stirling2, stirling_row
 from .graphs import GraphSpec, parse_spec_tree, prism_factors, vertex_count
 from .oracle import BlockDistribution
 from .transfer import km_prism_gf
@@ -139,9 +139,8 @@ def complete_block_count(n: int, i: int, k: int) -> int:
 def complete_distribution(n: int, k: int) -> BlockDistribution:
     _require(n >= 1, "n must be >= 1")
     _require(k >= 1, "k must be >= 1")
-    poly = LaurentPoly2(
-        {(0, i): complete_block_count(n, i, k) for i in range(1, min(n, k) + 1)}
-    )
+    row = stirling_row(n, min(n, k))
+    poly = LaurentPoly2({(0, i): row[i] * math.perm(k, i) for i in range(1, len(row))})
     return BlockDistribution(poly, n, k)
 
 

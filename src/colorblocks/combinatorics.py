@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 
 def binomial(n: int, r: int) -> int:
@@ -13,25 +12,27 @@ def binomial(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
-@lru_cache(maxsize=None)
-def _stirling_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    rows: list[tuple[int, ...]] = [(1,)]  # row 0: S(0,0) = 1
+def stirling_row(n: int, width: int) -> list[int]:
+    """S(n, 0), ..., S(n, width): one row of Stirling numbers of the second
+    kind, cut at column ``width``.  It is built in place by
+    S(m, i) = i*S(m-1, i) + S(m-1, i-1) for m = 1..n, in O(n*width) time and
+    O(width) memory, and nothing is kept between calls."""
+    if n < 0 or width < 0:
+        raise ValueError("arguments must be >= 0")
+    row = [1] + [0] * width  # row 0: S(0, 0) = 1
     for m in range(1, n + 1):
-        prev = rows[m - 1]
-        row = [0] * (m + 1)
-        for i in range(1, m + 1):
-            row[i] = i * (prev[i] if i < m else 0) + prev[i - 1]
-        rows.append(tuple(row))
-    return tuple(rows)
+        # right to left, so row[i - 1] is still S(m-1, i-1); S(m, i) = 0 for i > m
+        for i in range(min(m, width), 0, -1):
+            row[i] = i * row[i] + row[i - 1]
+        row[0] = 0
+    return row
 
 
 def stirling2(n: int, i: int) -> int:
     """Stirling number of the second kind: partitions of an n-set into i blocks."""
-    if n < 0 or i < 0:
-        raise ValueError("arguments must be >= 0")
-    if i > n:
+    if i > n >= 0:  # zero, without a row of width i
         return 0
-    return _stirling_rows(n)[n][i]
+    return stirling_row(n, i)[i]
 
 
 def _partition_counts(n: int, largest: int) -> list[int]:
@@ -45,16 +46,11 @@ def _partition_counts(n: int, largest: int) -> list[int]:
     return p
 
 
-@lru_cache(maxsize=None)
-def _partition_counts_upto(n: int) -> tuple[int, ...]:
-    return tuple(_partition_counts(n, n))
-
-
 def partition_count(n: int) -> int:
     """p(n), the number of integer partitions of n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _partition_counts_upto(n)[n]
+    return _partition_counts(n, n)[n]
 
 
 def partition_count_at_most_k_parts(m: int, k: int) -> int:

@@ -35,8 +35,8 @@ the table's component RGS as the new linkage.  The operator of the last 32
 For complete-graph slices the states can be reduced to color classes (colorings
 of the slice up to color permutation and same-size part swaps), giving a small
 linear system whose symbolic solution is the generating function in x and y.
-Each class row is counted by a DP over its representative's vertices, whose
-states do not grow with k, instead of listing the k^m colorings.
+Each class row is counted by a DP over the vertices of one coloring in the
+class, whose states do not grow with k, instead of listing the k^m colorings.
 """
 
 from __future__ import annotations
@@ -414,26 +414,24 @@ def prism_expected(g: Graph, k: int, n: int) -> Fraction:
 @dataclass(frozen=True)
 class ColorClass:
     """An orbit of colorings of the complete graph on m vertices under color
-    permutation; identified by its weakly decreasing nonzero part sizes.  The
-    representative holds one vertex set per part: part i is colored i."""
+    permutation; identified by its weakly decreasing nonzero part sizes.
+    Part i, colored i, is the next ``parts[i]`` vertices in order."""
 
     parts: tuple[int, ...]
-    representative: tuple[frozenset, ...]
     size: int
-    support: int
+
+    @property
+    def support(self) -> int:
+        """The number of colors the class uses."""
+        return len(self.parts)
 
 
 def color_classes(m: int, k: int) -> list[ColorClass]:
-    """One representative per class; sizes sum to k^m."""
+    """One entry per class; sizes sum to k^m."""
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
     classes = []
     for parts in partitions_at_most_k_parts(m, k):
-        rep = []
-        start = 0
-        for size in parts:
-            rep.append(frozenset(range(start, start + size)))
-            start += size
         # set partitions of shape parts, times injective colorings of the
         # parts, over the reorderings of equal parts
         class_size = math.factorial(m) * math.perm(k, len(parts))
@@ -441,23 +439,16 @@ def color_classes(m: int, k: int) -> list[ColorClass]:
             class_size //= math.factorial(size)
         for count in Counter(parts).values():
             class_size //= math.factorial(count)
-        classes.append(
-            ColorClass(
-                parts=parts,
-                representative=tuple(rep),
-                size=class_size,
-                support=len(parts),
-            )
-        )
+        classes.append(ColorClass(parts=parts, size=class_size))
     return classes
 
 
 def _class_row(parts: tuple[int, ...], k: int) -> dict[tuple[tuple[int, ...], int], int]:
     """(target parts, closed parts) -> how many of the k^m target colorings
-    have those color-class parts and close that many parts of the
-    representative of the class ``parts`` (part i colored i).
+    have those color-class parts and close that many parts of one coloring
+    of the class ``parts``: part i, colored i, is the next parts[i] vertices.
 
-    A DP over the representative's vertices, part by part.  A state holds the
+    A DP over that coloring's vertices, part by part.  A state holds the
     counts on the u own colors 0..u-1, the weakly decreasing counts on the
     other colors used so far, the parts closed so far, and whether the
     current part has met its own color.  A vertex takes an own color, an
@@ -507,9 +498,9 @@ def km_transfer_system(
 
     M[a][cb] sums y^(closed classes) over every coloring in target class cb:
     an old color part closes exactly when the new slice reuses none of its
-    vertices' color -- for complete slices, when part i of a's representative
+    vertices' color -- for complete slices, when part i of one coloring in a
     meets the new color-i vertices nowhere.  Each row is counted by
-    ``_class_row``, a DP over the representative's m vertices, without
+    ``_class_row``, a DP over that coloring's m vertices, without
     listing the k^m target colorings.  b[a] = y^support(a); the full
     generating function weights each class solution by its class size (and
     one factor x per slice, applied by km_prism_gf).

@@ -201,12 +201,6 @@ class TestDist:
                 main([command, "--graph", "complete:4", "--k", "2",
                       "--decimals", str(cli.MAX_DECIMALS)])
 
-    def test_threads_flag(self, capsys):
-        doc = run_json(
-            capsys, "dist", "--graph", "path:8", "--k", "2", "--threads", "3"
-        )
-        assert doc["total"] == str(2**8)
-
 
 class TestOptionValidation:
     @pytest.mark.parametrize(
@@ -238,19 +232,6 @@ class TestOptionValidation:
     def test_largest_cap_is_accepted(self, capsys):
         doc = run_json(capsys, "dist", "--graph", "complete:3", "--k", "2", "--cap", str(2**63 - 1))
         assert doc["total"] == "8"
-
-    def test_threads_above_core_count_are_not_started(self, capsys, monkeypatch):
-        asked = []
-
-        def record(g, k, cap, threads):
-            asked.append(threads)
-            raise cli.UsageError("recorded")
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "distribution_bruteforce", record)
-        for threads in ("1", "2", "3", "100000"):
-            run(capsys, "dist", "--graph", "complete:3", "--k", "2", "--threads", threads)
-        assert asked == [1, 2, 2, 2]
 
 
 class TestExpect:
@@ -577,6 +558,7 @@ class TestClasses:
 REMOVED_FLAG_ARGVS = [
     ["dist", "--graph", "complete:3", "--k", "2", "--method", "transfer", "--n", "4"],
     ["verify", "--suite", "quick"],
+    ["dist", "--graph", "complete:3", "--k", "2", "--threads", "2"],
 ]
 EDGE_ARGVS = [
     *REMOVED_FLAG_ARGVS,
@@ -691,7 +673,6 @@ _GOOD = {
     "--k": ["1", "2", "3", " 2", "+2"],
     "--method": ["brute", "transfer", "closed"],
     "--cap": ["1", "100", str(2**63 - 1)],
-    "--threads": ["1", "2"],
     "--decimals": ["0", "3"],
     "--format": ["json", "csv"],
     "--fixture": ["K4_k2", "K3_generic_k"],

@@ -1,13 +1,18 @@
 """Combinatorics helpers against enumeration and tabulated values."""
 
 import itertools
+import tracemalloc
 
+import pytest
+
+from colorblocks.closed_forms import complete_distribution
 from colorblocks.combinatorics import (
     binomial,
     partition_count,
     partition_count_at_most_k_parts,
     partitions_at_most_k_parts,
     stirling2,
+    stirling_row,
 )
 
 
@@ -51,6 +56,42 @@ def test_stirling_against_enumeration():
 def test_stirling_row_sums_are_bell_numbers():
     bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570]
     assert [sum(stirling2(n, i) for i in range(n + 1)) for n in range(12)] == bell
+
+
+def test_stirling_row_matches_triangle():
+    # the full triangle, row by row, built here independently of stirling_row
+    triangle = [[1]]
+    for n in range(1, 41):
+        prev = triangle[-1] + [0]
+        triangle.append([0] + [i * prev[i] + prev[i - 1] for i in range(1, n + 1)])
+    for n, full in enumerate(triangle):
+        for width in range(n + 3):
+            want = (full + [0] * 3)[: width + 1]
+            assert stirling_row(n, width) == want, (n, width)
+
+
+@pytest.mark.parametrize("n, width", [(-1, 0), (0, -1), (-3, -3), (5, -1)])
+def test_stirling_row_rejects_negative_arguments(n, width):
+    with pytest.raises(ValueError):
+        stirling_row(n, width)
+
+
+@pytest.mark.parametrize("n, i", [(-1, 0), (0, -1), (-1, 2)])
+def test_stirling2_rejects_negative_arguments(n, i):
+    with pytest.raises(ValueError):
+        stirling2(n, i)
+
+
+def test_complete_distribution_keeps_no_triangle():
+    # two coefficients of K_2000 need one row of width 2, not the triangle
+    tracemalloc.start()
+    try:
+        coefficients = complete_distribution(2000, 2).coefficients()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert coefficients == {1: 2, 2: 2**2000 - 2}
+    assert peak < 1 << 20, peak
 
 
 def test_binomial_symmetry():

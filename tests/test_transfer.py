@@ -259,6 +259,7 @@ class TestColorClasses:
         assert [c.parts for c in classes] == [(4,), (3, 1), (2, 2)]
         assert [c.size for c in classes] == [2, 8, 6]
         assert [c.support for c in classes] == [1, 2, 2]
+        assert all(c.support == len(c.parts) for c in classes)
 
     def test_degenerate(self):
         classes = color_classes(1, 1)
@@ -287,7 +288,6 @@ class TestColorClasses:
     def test_single_vertex_with_many_colors(self):
         (cls,) = color_classes(1, 10**5)
         assert cls.size == 10**5 and cls.support == 1
-        assert cls.representative == (frozenset({0}),)
 
     def test_single_vertex_system_with_many_colors(self):
         # the largest k the state cap lets through at m = 1: the path closed form
@@ -295,22 +295,19 @@ class TestColorClasses:
         x, y = LaurentPoly2.x(), LaurentPoly2.y()
         assert gf_equal(km_prism_gf(1, k), RationalGF(k * x * y, ONE - x * (1 + (k - 1) * y)))
 
-    def test_representative_partitions_ground_set(self):
-        for m, k in [(4, 2), (5, 3), (3, 4)]:
-            for cls in color_classes(m, k):
-                union = set()
-                for part in cls.representative:
-                    assert union.isdisjoint(part)
-                    union |= part
-                assert union == set(range(m))
-                assert cls.support == sum(1 for part in cls.representative if part)
-
 
 def _enumerated_km_system(m, k):
     """km_transfer_system by listing all k^m target colorings for every class row."""
     classes = color_classes(m, k)
     index_of_parts = {cls.parts: idx for idx, cls in enumerate(classes)}
-    rep_masks = [[sum(1 << v for v in part) for part in cls.representative] for cls in classes]
+    # one coloring per class: part i, colored i, is the next parts[i] vertices
+    rep_masks = []
+    for cls in classes:
+        masks, start = [], 0
+        for size in cls.parts:
+            masks.append(((1 << size) - 1) << start)
+            start += size
+        rep_masks.append(masks)
     matrix = [[{} for _ in classes] for _ in classes]
     for target in itertools.product(range(k), repeat=m):
         masks = {}
