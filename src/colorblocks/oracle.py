@@ -41,16 +41,15 @@ enumeration of all k^n rows, the tests' reference.
 
 No array library is involved: big-integer bit operations run in C, so a
 brute-force call, cold or warm, pays no import or first-call set-up beyond
-the standard library.  They hold the interpreter lock, so ``threads=2``
-deals the prefixes out to two threads, started once per call, that do not
-run in parallel; the prefix also grows while it has fewer first-use
-patterns than threads.
+the standard library.  They hold the interpreter lock, so no thread is
+started: every chunk is tallied in turn on the calling thread.  The
+``threads`` argument of ``distribution_bruteforce`` only grows the prefix
+while it has fewer first-use patterns than ``threads``.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -289,7 +288,9 @@ def _prefixes(n: int, k: int, threads: int = 1) -> list[tuple[tuple[int, ...], i
     the colors p uses: (k)_u(p) is the number of prefixes that a color
     permutation takes to p.  r grows from 1 while the tail k^(n-r) holds more
     than ``_CHUNK_ROWS`` rows, or while there are fewer prefixes than
-    ``threads`` (at k = 1 there is only ever one)."""
+    ``threads`` (at k = 1 there is only ever one).  The prefixes are all
+    tallied on the calling thread; ``threads`` only sets how many there are
+    at least."""
     found = [((), 0)]  # (p, colors p uses)
     r = 0
     while r < n and (r == 0 or k ** (n - r) > _CHUNK_ROWS or k > 1 and len(found) < threads):
@@ -308,43 +309,21 @@ def _proper_rows(colors: ColorPlanes, edges: list[tuple[int, int]]) -> list[int]
     return [proper.bit_count()]
 
 
-def _sum_chunks(g: Graph, k: int, prefixes, count, threads: int = 1) -> list[int]:
+def _sum_chunks(g: Graph, k: int, prefixes, count) -> list[int]:
     """The sum of weight * count(chunk, edges), term by term (at most n + 1
     terms), over (p, weight) in ``prefixes`` (all of one length r), p's chunk
-    being p followed by every coloring of vertices r..n-1.  The table of those colorings is built once.
-    With ``threads`` > 1 the prefixes are dealt out to that many threads,
-    started once.  ``[((), 1)]`` is the plain enumeration of all k^n rows."""
+    being p followed by every coloring of vertices r..n-1.  The table of those
+    colorings is built once, and the chunks are tallied one after another on
+    the calling thread.  ``[((), 1)]`` is the plain enumeration of all k^n
+    rows."""
     edges = g.edges()
     table = _table_planes(g.n - len(prefixes[0][0]), k)
     rows = k ** len(table)
-
-    def total(share) -> list[int]:
-        sums = [0] * (g.n + 1)
-        for p, weight in share:
-            part = count(_color_chunk(p, table, rows, k), edges)
-            sums = [a + weight * b for a, b in zip(sums, part)]
-        return sums
-
-    shares = [prefixes[i::threads] for i in range(min(threads, len(prefixes)))]
-    if len(shares) == 1:
-        return total(prefixes)
-    partials: list = [None] * len(shares)
-
-    def work(i: int):
-        try:
-            partials[i] = total(shares[i])
-        except BaseException as exc:  # re-raised on the calling thread
-            partials[i] = exc
-
-    workers = [threading.Thread(target=work, args=(i,)) for i in range(len(shares))]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
-    for partial in partials:
-        if isinstance(partial, BaseException):
-            raise partial
-    return [sum(column) for column in zip(*partials)]
+    sums = [0] * (g.n + 1)
+    for p, weight in prefixes:
+        part = count(_color_chunk(p, table, rows, k), edges)
+        sums = [a + weight * b for a, b in zip(sums, part)]
+    return sums
 
 
 def distribution_bruteforce(
@@ -359,12 +338,15 @@ def distribution_bruteforce(
     first r vertices follow one first-use pattern p, which use u(p) colors,
     have the same histogram as the colorings that start with p itself,
     (k)_u(p) times over.  Each prefix of ``_prefixes`` is tallied as one
-    chunk (the prefixes dealt out to ``threads`` threads when more than one)
-    and weighted by (k)_u(p); the sum is the histogram over all k^n
-    colorings.  ``cap`` bounds k^n.
+    chunk on the calling thread and weighted by (k)_u(p); the sum is the
+    histogram over all k^n colorings.  ``cap`` bounds k^n.  No thread is
+    started: ``threads`` (at least 1) only asks for at least that many
+    prefixes.
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     check_enumeration_cap(g.n, k, cap)
-    counts = _sum_chunks(g, k, _prefixes(g.n, k, threads), _chunk_block_counts, threads)
+    counts = _sum_chunks(g, k, _prefixes(g.n, k, threads), _chunk_block_counts)
     poly = LaurentPoly2({(0, b): counts[b] for b in range(1, g.n + 1)})
     return BlockDistribution(poly, g.n, k)
 

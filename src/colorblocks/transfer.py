@@ -229,7 +229,6 @@ class _LumpedOperator:
         self.generators = _automorphism_generators(g)
         self.orbit_of: dict[tuple, int] = {}  # (colors, linkage) of every member
         self.reps: list[tuple] = []
-        self.sizes: list[int] = []
         self.members: list[list[Profile]] = []
         self.rows: list[list[tuple[int, int, int]] | None] = []
 
@@ -271,7 +270,6 @@ class _LumpedOperator:
         for profile in members:
             self.orbit_of[(profile.colors, profile.linkage)] = index
         self.reps.append(canon)
-        self.sizes.append(len(members))
         self.members.append(members)
         self.rows.append(None)
         return index
@@ -294,7 +292,7 @@ class _LumpedOperator:
             multiplicity[key] = multiplicity.get(key, 0) + 1
         row = []
         for (target, closed), m in multiplicity.items():
-            count, remainder = divmod(self.sizes[source] * m, self.sizes[target])
+            count, remainder = divmod(len(self.members[source]) * m, len(self.members[target]))
             if remainder:
                 raise ArithmeticError("orbit sums are not lumpable")
             row.append((target, closed, count))
@@ -327,7 +325,7 @@ def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeigh
             present[orbit] += 1
         else:
             return None
-    if any(count != op.sizes[orbit] for orbit, count in present.items()):
+    if any(count != len(op.members[orbit]) for orbit, count in present.items()):
         return None
     sums: dict[int, dict] = {}
     for orbit, weight in weights.items():

@@ -91,6 +91,11 @@ class TestDistribution:
         with pytest.raises(ValueError):
             distribution_bruteforce(path(2), 0)
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_threads_below_one(self, threads):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            distribution_bruteforce(path(3), 2, threads=threads)
+
 
 class TestExpectedBlocks:
     def test_edge(self):
@@ -297,18 +302,23 @@ class TestKernel:
         assert _decoded(colors) == table
         assert oracle._chunk_block_counts(colors, g.edges()) == _histogram(g, table)
 
-    def test_threads_start_once_per_call(self, monkeypatch):
-        started = []
+    def test_threads_run_on_the_calling_thread(self, monkeypatch):
+        def refuse(self):
+            raise RuntimeError("distribution_bruteforce started a thread")
 
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(oracle.threading, "Thread", Counted)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         g = grid(3, 4)
-        assert distribution_bruteforce(g, 4, threads=2) == distribution_bruteforce(g, 4)
-        assert len(started) <= 2
+        want = distribution_bruteforce(g, 4)
+        calls = []
+        kernel = oracle._chunk_block_counts
+
+        def counted(colors, edges):
+            calls.append(colors.rows)
+            return kernel(colors, edges)
+
+        monkeypatch.setattr(oracle, "_chunk_block_counts", counted)
+        assert distribution_bruteforce(g, 4, threads=2) == want
+        assert len(calls) >= 2
 
     def test_worker_errors_reach_the_caller(self, monkeypatch):
         def fail(colors, edges):
