@@ -258,18 +258,31 @@ def _chunk_block_counts(colors: ColorPlanes, edges: list[tuple[int, int]]) -> li
                 else:
                     for i, d in enumerate(delta):
                         lw[i] ^= d & match
-        carry = hit
-        for i, c in enumerate(merges):
-            merges[i] = c ^ carry
-            carry &= c
-            if not carry:
-                break
-        else:
-            merges.append(carry)
-    # split the rows by the counter, top plane first
-    groups = [(full, 0)]
-    for i in range(len(merges) - 1, -1, -1):
-        plane, split = merges[i], []
+        _count_rows(merges, hit)
+    counts = [0] * (n + 1)
+    for rows_in, value in _counter_groups(merges, full):
+        counts[n - value] = rows_in.bit_count()
+    return counts
+
+
+def _count_rows(counter: list[int], plane: int):
+    """Add one to a bit-sliced counter (planes least significant first) on
+    the rows of ``plane``, by ripple carry."""
+    carry = plane
+    for i, c in enumerate(counter):
+        counter[i] = c ^ carry
+        carry &= c
+        if not carry:
+            return
+    counter.append(carry)
+
+
+def _counter_groups(counter: list[int], rows: int) -> list[tuple[int, int]]:
+    """(rows, value): the rows of ``rows`` split by their counter value, top
+    plane first."""
+    groups = [(rows, 0)]
+    for i in range(len(counter) - 1, -1, -1):
+        plane, split = counter[i], []
         for rows_in, value in groups:
             one = rows_in & plane
             if one:
@@ -277,10 +290,7 @@ def _chunk_block_counts(colors: ColorPlanes, edges: list[tuple[int, int]]) -> li
             if one != rows_in:
                 split.append((rows_in ^ one, value))
         groups = split
-    counts = [0] * (n + 1)
-    for rows_in, value in groups:
-        counts[n - value] = rows_in.bit_count()
-    return counts
+    return groups
 
 
 def _prefixes(n: int, k: int, threads: int = 1) -> list[tuple[tuple[int, ...], int]]:

@@ -26,11 +26,23 @@ source orbit O that land on any one profile of the target orbit O'.  The
 summed weight is then written back to every member profile, so step returns
 exactly the keys and values of the general path.  Any other input (one
 profile, unequal weights, a partly present orbit) takes the general path, one
-transition per (profile, coloring).  The slice table labels its components
-with ``graphs.union_roots``; a transition calls it, on the new components
-alone, only when an old class meets two new components, and otherwise keeps
-the table's component RGS as the new linkage.  The operator of the last 32
-(slice, k) pairs is kept, so later steps reuse its rows.
+transition per (profile, coloring).  The operator of the last 32 (slice, k)
+pairs is kept, so later steps reuse its rows.
+
+A row is one bit-sliced pass over the k^|V| rows of the slice table, bit r of
+a Python int standing for table row r (as in Biham's bitslice DES, FSE 1997,
+and the oracle's kernel).  Once per operator the table gives masks: the rows
+that give vertex v color c, the rows where v and w lie in different
+components, and the rows whose own profile (colors, component RGS) lies in
+each first-slice orbit.  For a representative, vertex v agrees on the rows
+that keep its color; an old class closes on the rows where none of its
+vertices agree, and a bit-sliced counter holds each row's closed classes.
+Only where two agreeing vertices of one old class lie in different new
+components do classes merge; every other row keeps its component RGS as the
+new linkage, so it lands on its own first-slice profile, and its entries are
+popcounts of (orbit mask & rows with c closed & not merge).  The merge rows
+alone go through the transition, which labels components with
+``graphs.union_roots`` on the new components.
 
 For complete-graph slices the states can be reduced to color classes (colorings
 of the slice up to color permutation and same-size part swaps), giving a small
@@ -52,7 +64,7 @@ from .algebra import MAX_SYSTEM_DIM, LaurentPoly2, RationalGF, weighted_solution
 from .combinatorics import partition_count_at_most_k_parts, partitions_at_most_k_parts
 from .errors import CapExceededError, DimensionLimitError
 from .graphs import Graph, union_roots
-from .oracle import BlockDistribution, expected_blocks
+from .oracle import BlockDistribution, _count_rows, _counter_groups, expected_blocks
 
 DEFAULT_VERTEX_CAP = 8
 DEFAULT_STATE_CAP = 1 << 16
@@ -226,11 +238,13 @@ class _LumpedOperator:
     def __init__(self, g: Graph, k: int):
         self.nv = g.n
         self.k = k
+        self.edges = g.edges()
         self.generators = _automorphism_generators(g)
         self.orbit_of: dict[tuple, int] = {}  # (colors, linkage) of every member
         self.reps: list[tuple] = []
         self.members: list[list[Profile]] = []
         self.rows: list[list[tuple[int, int, int]] | None] = []
+        self.masks: tuple | None = None  # built on the first row
 
     def orbit(self, colors: tuple[int, ...], linkage: tuple[int, ...]) -> int | None:
         """Orbit id of a profile, or None if it is not a well-formed profile."""
@@ -245,6 +259,11 @@ class _LumpedOperator:
         ):
             return None
         return self._register((_canonical_rgs(colors), linkage))
+
+    def _target(self, colors: tuple[int, ...], linkage: tuple[int, ...]) -> int:
+        """Orbit id of a profile a transition produced (always well formed)."""
+        found = self.orbit_of.get((colors, linkage))
+        return self._register((_canonical_rgs(colors), linkage)) if found is None else found
 
     def _register(self, canon: tuple) -> int:
         # closure of one S_k-canonical profile under the automorphism
@@ -274,21 +293,101 @@ class _LumpedOperator:
         self.rows.append(None)
         return index
 
+    def _slice_masks(self, table):
+        """The slice table bit-sliced, bit r standing for row r, as (full,
+        color, split, profiles): ``color[v*k + c]`` the rows that give v
+        color c, ``split[v*n + w]`` the rows where v and w lie in different
+        components, and (orbit, rows) for each first-slice orbit, the rows
+        whose own profile (colors, component RGS) lies in it.
+
+        The table lists the colorings in mixed radix, vertex 0 most
+        significant, so vertex v has color c on one run of k^(n-1-v) rows in
+        each period of k^(n-v) rows.  Two vertices lie in one component on
+        the rows where a path of monochromatic edges joins them: Warshall's
+        transitive closure (J. ACM 9, 1962), on every row at once.
+        """
+        nv, k, rows = self.nv, self.k, len(table)
+        full = (1 << rows) - 1
+        color = []
+        for v in range(nv):
+            place = k ** (nv - 1 - v)
+            run = ((1 << place) - 1) * (full // ((1 << k * place) - 1))
+            for c in range(k):
+                color.append(run << c * place)
+        same = [0] * (nv * nv)
+        for v in range(nv):
+            same[v * nv + v] = full
+        for u, v in self.edges:
+            mono = 0
+            for c in range(k):
+                mono |= color[u * k + c] & color[v * k + c]
+            same[u * nv + v] = same[v * nv + u] = mono
+        for m in range(nv):
+            for v in range(nv):
+                via = same[v * nv + m]
+                if via and v != m:
+                    for w in range(nv):
+                        same[v * nv + w] |= via & same[m * nv + w]
+        split = same
+        for i in range(nv * nv):
+            split[i] ^= full
+        profiles: dict[int, int] = {}
+        for r, (colors, comp) in enumerate(table):
+            target = self._target(colors, comp)
+            profiles[target] = profiles.get(target, 0) | 1 << r
+        return full, color, split, list(profiles.items())
+
     def row(self, source: int, table) -> list[tuple[int, int, int]]:
         """(target orbit, y shift, count): the count is the number of
         (profile, coloring) pairs from the source orbit that land on any one
-        profile of the target orbit with that shift."""
+        profile of the target orbit with that shift.
+
+        One bit-sliced pass over the slice table from the representative's
+        colors and linkage (see the module docstring): popcounts of the
+        first-slice orbit masks for the rows where no old class merges, and
+        one _transition per merge row.  The pass and the masks are plain
+        loops, without comprehensions: most operators are built in a fresh
+        process, where each code object's first run costs more than these
+        small loops.
+        """
         row = self.rows[source]
         if row is not None:
             return row
+        if self.masks is None:
+            self.masks = self._slice_masks(table)
+        full, color, split, profiles = self.masks
+        nv, k = self.nv, self.k
         colors, linkage = self.reps[source]
+        classes: list[list[int]] = []  # linkage is an RGS
+        for v in range(nv):
+            a = linkage[v]
+            if a == len(classes):
+                classes.append([v])
+            else:
+                classes[a].append(v)
+        closed_count: list[int] = []  # counter planes, least significant first
+        merge = 0
+        for vertices in classes:
+            alive = 0
+            for i, w in enumerate(vertices):
+                at_w = color[w * k + colors[w]]
+                for v in vertices[:i]:
+                    merge |= color[v * k + colors[v]] & at_w & split[v * nv + w]
+                alive |= at_w
+            if alive != full:
+                _count_rows(closed_count, full ^ alive)
         multiplicity: dict[tuple[int, int], int] = {}
-        for new_colors, new_comp in table:
-            new_link, closed = _transition(self.nv, colors, linkage, new_colors, new_comp)
-            target = self.orbit_of.get((new_colors, new_link))
-            if target is None:
-                target = self._register((_canonical_rgs(new_colors), new_link))
-            key = (target, closed)
+        for rows_in, closed in _counter_groups(closed_count, full ^ merge):
+            for target, mask in profiles:
+                m = (mask & rows_in).bit_count()
+                if m:
+                    multiplicity[(target, closed)] = m
+        while merge:
+            low = merge & -merge
+            merge ^= low
+            new_colors, new_comp = table[low.bit_length() - 1]
+            new_link, closed = _transition(nv, colors, linkage, new_colors, new_comp)
+            key = (self._target(new_colors, new_link), closed)
             multiplicity[key] = multiplicity.get(key, 0) + 1
         row = []
         for (target, closed), m in multiplicity.items():

@@ -292,7 +292,11 @@ def check_complete_slice_states():
 
 def check_lumped_step():
     """The orbit-lumped step equals the general path on symmetric input."""
-    for g, k in [(star(3), 2), (cycle(4), 3), (path(4), 2)]:
+    # two slices of two components: the first has no merge rows (an old
+    # class never spans two components), the second has them in its path
+    two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
+    path_and_edge = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    for g, k in [(star(3), 2), (cycle(4), 3), (path(4), 2), (two_edges, 3), (path_and_edge, 2)]:
         table = transfer._slice_table(g, k)
         op = transfer._operator(g, k)
         states = initial_states(g, k)

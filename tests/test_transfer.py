@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from colorblocks import closed_forms as cf
 from colorblocks import transfer
@@ -182,6 +182,12 @@ class TestPrismDistribution:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             prism_distribution(complete(3), 2, 0)
+
+    @pytest.mark.parametrize("a,b,k", [(2, 8, 2), (3, 7, 2), (5, 6, 2), (3, 5, 3), (4, 5, 3)])
+    def test_grid_transposition(self, a, b, k):
+        # grid(a, b) sliced either way: products past the enumeration cap
+        # checked by the engine against itself
+        assert prism_distribution(path(a), k, b).poly == prism_distribution(path(b), k, a).poly
 
 
 def _engine_vs_bruteforce_cases():
@@ -452,6 +458,22 @@ def transition_cases(draw):
     return g.n, old_colors, old_link, new_colors, new_comp
 
 
+def _reference_row(op, source, table):
+    """The row by one _transition per slice coloring, as the operator once
+    built it: the reference for the bit-sliced pass."""
+    colors, linkage = op.reps[source]
+    multiplicity = Counter()
+    for new_colors, new_comp in table:
+        new_link, closed = transfer._transition(op.nv, colors, linkage, new_colors, new_comp)
+        multiplicity[op.orbit(new_colors, new_link), closed] += 1
+    row = []
+    for (target, closed), m in multiplicity.items():
+        count, remainder = divmod(len(op.members[source]) * m, len(op.members[target]))
+        assert remainder == 0
+        row.append((target, closed, count))
+    return row
+
+
 def _orbit_invariant_weights(states):
     """Weights that are equal on every orbit but differ between them."""
     out = {}
@@ -536,6 +558,35 @@ class TestLumpedStep:
         got, general_outputs = _step_and_general_outputs(g, k, states)
         assert general_outputs == []
         assert got == _general(g, k, states)
+
+    @settings(max_examples=40, deadline=None)
+    @given(slices(), st.integers(1, 4))
+    # a disconnected slice and a path whose old classes span vertices that a
+    # new coloring splits, so that merge rows occur
+    @example(Graph.from_edges(4, [(0, 1), (1, 2)]), 3)
+    @example(path(5), 2)
+    def test_rows_equal_the_per_coloring_reference(self, g, k):
+        op = transfer._operator(g, k)
+        table = transfer._slice_table(g, k)
+        for orbit in _reachable_orbits(g, k):
+            assert Counter(op.row(orbit, table)) == Counter(_reference_row(op, orbit, table))
+
+    @settings(max_examples=40, deadline=None)
+    @given(slices(), st.integers(1, 4))
+    def test_slice_masks_match_the_table(self, g, k):
+        op = transfer._LumpedOperator(g, k)
+        table = transfer._slice_table(g, k)
+        full, color, split, profiles = op._slice_masks(table)
+        assert full == (1 << len(table)) - 1
+        orbit_rows = dict(profiles)
+        for r, (colors, comp) in enumerate(table):
+            for v in range(g.n):
+                for c in range(k):
+                    assert color[v * k + c] >> r & 1 == (colors[v] == c)
+                for w in range(g.n):
+                    assert split[v * g.n + w] >> r & 1 == (comp[v] != comp[w])
+            assert orbit_rows[op.orbit(colors, comp)] >> r & 1
+        assert sum(mask.bit_count() for mask in orbit_rows.values()) == len(table)
 
     def test_scaled_input_scales_the_output(self):
         # the orbit-lumped step sums c * count, linear in the weights
