@@ -36,7 +36,7 @@ from fractions import Fraction
 from . import closed_forms as cf
 from .algebra import series_expand
 from .combinatorics import partition_count_at_most_k_parts
-from .errors import CapExceededError, DimensionLimitError, GraphSpecError, PolyParseError
+from .errors import CapExceededError, DimensionLimitError
 from .fixtures import FIXTURE_IDS, fixture_gf, fixture_k
 from .graphs import build_graph, parse_spec_tree, prism_factors, vertex_count
 from .oracle import (
@@ -379,7 +379,7 @@ def main(argv=None) -> int:
     except (CapExceededError, DimensionLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, GraphSpecError, PolyParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -243,27 +243,21 @@ class _LumpedOperator:
         self.orbit_of: dict[tuple, int] = {}  # (colors, linkage) of every member
         self.reps: list[tuple] = []
         self.members: list[list[Profile]] = []
-        self.rows: list[list[tuple[int, int, int]] | None] = []
+        self.rows: dict[int, list[tuple[int, int, int]]] = {}
         self.masks: tuple | None = None  # built on the first row
 
     def orbit(self, colors: tuple[int, ...], linkage: tuple[int, ...]) -> int | None:
-        """Orbit id of a profile, or None if it is not a well-formed profile."""
+        """Orbit id of a profile, registered on first sight, or None if malformed."""
         found = self.orbit_of.get((colors, linkage))
         if found is not None:
             return found
-        nv, k = self.nv, self.k
         if not (
-            len(colors) == nv == len(linkage)
-            and all(type(c) is int and 0 <= c < k for c in colors)
+            len(colors) == self.nv == len(linkage)
+            and all(type(c) is int and 0 <= c < self.k for c in colors)
             and _canonical_rgs(linkage) == linkage
         ):
             return None
         return self._register((_canonical_rgs(colors), linkage))
-
-    def _target(self, colors: tuple[int, ...], linkage: tuple[int, ...]) -> int:
-        """Orbit id of a profile a transition produced (always well formed)."""
-        found = self.orbit_of.get((colors, linkage))
-        return self._register((_canonical_rgs(colors), linkage)) if found is None else found
 
     def _register(self, canon: tuple) -> int:
         # closure of one S_k-canonical profile under the automorphism
@@ -290,7 +284,6 @@ class _LumpedOperator:
             self.orbit_of[(profile.colors, profile.linkage)] = index
         self.reps.append(canon)
         self.members.append(members)
-        self.rows.append(None)
         return index
 
     def _slice_masks(self, table):
@@ -333,7 +326,7 @@ class _LumpedOperator:
             split[i] ^= full
         profiles: dict[int, int] = {}
         for r, (colors, comp) in enumerate(table):
-            target = self._target(colors, comp)
+            target = self.orbit(colors, comp)
             profiles[target] = profiles.get(target, 0) | 1 << r
         return full, color, split, list(profiles.items())
 
@@ -350,7 +343,7 @@ class _LumpedOperator:
         process, where each code object's first run costs more than these
         small loops.
         """
-        row = self.rows[source]
+        row = self.rows.get(source)
         if row is not None:
             return row
         if self.masks is None:
@@ -387,7 +380,7 @@ class _LumpedOperator:
             merge ^= low
             new_colors, new_comp = table[low.bit_length() - 1]
             new_link, closed = _transition(nv, colors, linkage, new_colors, new_comp)
-            key = (self._target(new_colors, new_link), closed)
+            key = (self.orbit(new_colors, new_link), closed)
             multiplicity[key] = multiplicity.get(key, 0) + 1
         row = []
         for (target, closed), m in multiplicity.items():
@@ -407,9 +400,10 @@ def _operator(g: Graph, k: int) -> _LumpedOperator:
 
 def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeights | None:
     """The step computed on orbits, or None unless the input is symmetric:
-    every orbit it touches fully present, with one weight on all members."""
+    one weight per touched orbit, and as many profiles as those orbits have
+    members.  Each profile is a distinct member, so then none is missing."""
     weights: dict[int, LaurentPoly2] = {}
-    present: dict[int, int] = {}
+    size = 0
     for profile, weight in states.items():
         orbit = op.orbit(profile.colors, profile.linkage)
         if orbit is None:
@@ -419,12 +413,10 @@ def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeigh
             if not isinstance(weight, LaurentPoly2):
                 return None
             weights[orbit] = weight
-            present[orbit] = 1
-        elif first is weight or (isinstance(weight, LaurentPoly2) and first == weight):
-            present[orbit] += 1
-        else:
+            size += len(op.members[orbit])
+        elif first is not weight and not (isinstance(weight, LaurentPoly2) and first == weight):
             return None
-    if any(count != len(op.members[orbit]) for orbit, count in present.items()):
+    if size != len(states):
         return None
     sums: dict[int, dict] = {}
     for orbit, weight in weights.items():

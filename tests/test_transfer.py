@@ -610,6 +610,31 @@ class TestLumpedStep:
             got, general_outputs = _step_and_general_outputs(g, k, states)
             assert len(general_outputs) == 1 and got is general_outputs[0]
 
+    @settings(max_examples=40, deadline=None)
+    @given(slices(), st.integers(1, 3), st.sets(st.integers(0, 63)), st.sets(st.integers(0, 10**4)))
+    # one whole orbit dropped leaves the rest symmetric; one member dropped does not
+    @example(path(3), 2, {0}, set())
+    @example(path(3), 2, set(), {0})
+    def test_fast_path_needs_whole_orbits(self, g, k, drop_orbits, drop_profiles):
+        op = transfer._operator(g, k)
+        table = transfer._slice_table(g, k)
+        symmetric = step(g, k, initial_states(g, k))
+        profiles = list(symmetric)
+        orbits = list(dict.fromkeys(op.orbit(p.colors, p.linkage) for p in profiles))
+        dropped = {orbits[i % len(orbits)] for i in drop_orbits}
+        cut = {profiles[i % len(profiles)] for i in drop_profiles}
+        states = {
+            p: w
+            for p, w in symmetric.items()
+            if p not in cut and op.orbit(p.colors, p.linkage) not in dropped
+        }
+        present = Counter(op.orbit(p.colors, p.linkage) for p in states)
+        partial = any(count != len(op.members[o]) for o, count in present.items())
+        got = transfer._lumped_step(op, table, states)
+        assert (got is None) == partial
+        if got is not None:
+            assert got == transfer._general_step(g.n, table, states)
+
     def test_ill_formed_profiles_take_the_general_path(self):
         # a non-RGS linkage leaves class 0 empty, so it always closes
         odd = {Profile((0, 0), (1, 1)): ONE, Profile((1, 1), (1, 1)): ONE}
