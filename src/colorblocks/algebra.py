@@ -15,14 +15,15 @@ denominator pairs), power-series coefficient extraction, cross-multiplication
 equality, and a division-free solver for systems ``t = b + x*M*t`` whose
 entries are polynomials in y: Berkowitz's characteristic polynomial gives the
 denominator and Krylov vectors the numerators, so ``x`` never enters the
-arithmetic.  The solver and ``gf_equal`` run on packed integers (Kronecker
-substitution): each polynomial is one ``int``, its value at y = 2**W (and
-x = 2**(W*S)), so a polynomial product is one big-integer product; W comes
-from a proven bound on the coefficients, and only the outputs are unpacked.
-``series_expand`` accumulates its products in y alone through a
-sum-of-products kernel.  ``solution_defect`` checks a solve exactly, by
-substitution into its system and by comparing the denominator with integer
-(Bareiss) determinants on a grid of points.
+arithmetic.  The solver, ``gf_equal`` and ``series_expand`` run on packed
+integers (Kronecker substitution): each polynomial in y is one ``int``, its
+value at y = 2**W (and x = 2**(W*S) in ``gf_equal``), so a polynomial product
+is one big-integer product, and ``series_expand``'s product with a
+denominator coefficient is a few shifted small multiples; W comes from a
+proven bound on the coefficients, and only the outputs are unpacked.
+``solution_defect`` checks a solve exactly, by substitution into its system
+and by comparing the denominator with integer (Bareiss) determinants on a
+grid of points.
 """
 
 from __future__ import annotations
@@ -289,7 +290,13 @@ def _pack(p: LaurentPoly2, row: int, width: int, low: int) -> int:
 def _unpack(value: int, width: int, offset: int) -> dict[int, int]:
     """The polynomial whose value at y = 2**width is ``value``, read as signed
     digits of ``width`` bits, each coefficient of absolute value below
-    2**(width - 1); the exponent of digit e is e + offset."""
+    2**(width - 1); the exponent of digit e is e + offset.
+
+    Each step copies the rest of the value, so the time is quadratic in the
+    digit count.  ``bareiss_solve`` reads its outputs here: they are a few
+    hundred bits, where this loop is faster than building the byte image
+    that ``_read_digits`` reads in linear time.  ``series_expand`` reads its
+    long outputs there."""
     mask, half, base = (1 << width) - 1, 1 << (width - 1), 1 << width
     out = {}
     e = offset
@@ -332,32 +339,44 @@ def gf_equal(a: RationalGF, b: RationalGF) -> bool:
     return packed[0] == packed[1]
 
 
-# -- arithmetic in y alone ----------------------------------------------------
+# -- power series on packed integers --------------------------------------------
 
 
-def _sum_of_products(pairs, start: Mapping[int, int] | None = None) -> dict[int, int]:
-    """start + sum(a * b) over pairs of polynomials in y alone, each a map
-    from y exponent to coefficient: one accumulation into one term dict, then
-    the zeros dropped."""
-    out: dict[int, int] = dict(start) if start else {}
-    get = out.get
-    for a, b in pairs:
-        if len(a) > len(b):
-            a, b = b, a
-        for j1, c1 in a.items():
-            for j2, c2 in b.items():
-                j = j1 + j2
-                out[j] = get(j, 0) + c1 * c2
-    return {j: c for j, c in out.items() if c}
+def _digit_width(bound: int) -> int:
+    """The least W, a whole number of bytes and at least 64 bits, with
+    2**(W - 1) > bound: signed digits of W bits hold every |c| <= bound."""
+    return max(64, 8 * ((bound.bit_length() + 8) // 8))
 
 
-def _y_terms(p: LaurentPoly2) -> dict[int, int]:
-    """A polynomial in y alone as a map from y exponent to coefficient."""
-    return {j: c for (_, j), c in p._terms.items()}
+def _read_digits(value: int, width: int, offset: int) -> dict[int, int]:
+    """``_unpack(value, width, offset)`` in time linear in the size of
+    ``value``, for a width that is a whole number of bytes.
 
-
-def _neg(a: dict[int, int]) -> dict[int, int]:
-    return {j: -c for j, c in a.items()}
+    ``_unpack``'s shift loop copies the rest of the value at every digit, so
+    it is quadratic in the digit count; it is the faster of the two below 16
+    digits, where it is used.  Here ``value`` is written out once in two's
+    complement, and each field of ``width`` bits is read as a signed integer.
+    With b_e = 1 when the digits below e sum to a negative number, else 0,
+    field e holds d_e - b_e, which lies in -2**(width-1) .. 2**(width-1) - 1
+    and so reads back exactly; b_(e+1) = b_e when d_e = 0, and otherwise
+    whether d_e < 0.  With E digits up to the last nonzero one,
+    |value| < 2**(width*E - 1), and |value| > 2**(width*(E-1) - 1), so
+    ``count`` below is at least E and the fields past E read 0.
+    """
+    count = abs(value).bit_length() // width + 1
+    if count < 16:
+        return _unpack(value, width, offset)
+    size = width // 8
+    data = value.to_bytes(size * count, "little", signed=True)
+    from_bytes = int.from_bytes
+    out = {}
+    borrow = 0
+    for e, k in enumerate(range(0, len(data), size), offset):
+        digit = from_bytes(data[k : k + size], "little", signed=True) + borrow
+        if digit:
+            out[e] = digit
+            borrow = digit < 0
+    return out
 
 
 def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
@@ -365,8 +384,35 @@ def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
 
     The x**0 coefficient of the denominator must be a unit of Z[y, 1/y],
     +-y**j; num and den are first divided by it exactly, which leaves the
-    constant 1 there.  The coefficients then satisfy
-    c_n = p_n - sum_{i>=1} q_i * c_{n-i}, one accumulation per coefficient.
+    constant 1 there.  With p_n and q_i the x**n and x**i coefficients of num
+    and den, and d the x-degree of den, the coefficients then satisfy
+    c_n = p_n - sum_{1<=i<=min(n,d)} q_i * c_(n-i).
+
+    The recurrence runs on packed integers (Kronecker substitution): c_n is
+    one ``int``, the value of y**(-o_n) * c_n at y = 2**W.  o_n bounds c_n's
+    y exponents from below: o_n = min(low(p_n), o_(n-i) + low(q_i)) over the
+    nonzero p_n, q_i and c_(n-i), low the least y exponent.  So
+    y**(-o_n) * p_n and y**(-o_n) * q_i * c_(n-i) are polynomials, and each
+    product q_i * c_(n-i) is a sum over q_i's few terms c * y**j: c times the
+    packed c_(n-i), shifted by W * (o_(n-i) + j - o_n) >= 0 bits.  q_i itself
+    is not packed, which would pad it to the width of c_(n-i).  Evaluation at
+    y = 2**W is a ring map, so the packed recurrence is exact whatever the
+    carries between digits; only reading the outputs back needs a bound.
+
+    The bound: with ||.||_inf the largest and ||.||_1 the sum of the absolute
+    values of a polynomial's coefficients, let
+    A_n = ||p_n||_inf + sum_{1<=i<=min(n,d)} ||q_i||_1 * A_(n-i).  Each
+    coefficient of q_i * c_(n-i) is at most ||q_i||_1 * ||c_(n-i)||_inf, so
+    by induction on n every coefficient of c_n is at most A_n in absolute
+    value.  The bounds are computed before any packing.  Output digits are
+    read as signed digits of W bits, exact while 2**(W-1) > A_n; W is a
+    whole number of bytes, for ``_read_digits``, and at least 64 bits.
+
+    A_n grows with n, and a width fit for the last n would pad every earlier
+    product, so W is chosen once per segment of n (0..7, then doubling:
+    8..15, 16..31, ...) from the largest A_m up to the segment's end.  Where
+    W grows, the values packed so far are read back, and only the d that the
+    next segment multiplies are packed again at the new width.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -377,12 +423,68 @@ def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
         if len(unit) != 1 or sign not in (1, -1):
             raise ValueError("series_expand requires [x^0] den = +-y^j, a unit of Z[y, 1/y]")
         num, den = num.shift_y(-j) * sign, den.shift_y(-j) * sign
-    neg_q = [_neg(_y_terms(den.x_coefficient(i))) for i in range(1, den.x_degree() + 1)]
-    coeffs: list[dict[int, int]] = []
-    for n in range(n_max + 1):
-        pairs = ((neg_q[i - 1], coeffs[n - i]) for i in range(1, min(n, len(neg_q)) + 1))
-        coeffs.append(_sum_of_products(pairs, _y_terms(num.x_coefficient(n))))
-    return [LaurentPoly2._raw({(0, j): c for j, c in cn.items()}) for cn in coeffs]
+    d = min(den.x_degree(), n_max)
+    neg_q: dict[int, dict[int, int]] = {}
+    for (i, j), c in den._terms.items():
+        if 0 < i <= d:
+            neg_q.setdefault(i, {})[j] = -c
+    # (i, ||q_i||_1, low(q_i), -q_i) for each nonzero q_i, i ascending
+    qs = [(i, sum(map(abs, t.values())), min(t), t) for i, t in sorted(neg_q.items())]
+    p: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
+    for (i, j), c in num._terms.items():
+        if i <= n_max:
+            p[i][j] = c
+    bounds: list[int] = []
+    lows: list[int] = []
+    for n, pn in enumerate(p):
+        if pn:
+            bound, low = max(map(abs, pn.values())), min(pn)
+        else:
+            bound, low = 0, None
+        for i, norm, q_low, _ in qs:
+            if i > n:
+                break
+            if bounds[n - i]:
+                bound += norm * bounds[n - i]
+                e = lows[n - i] + q_low
+                if low is None or e < low:
+                    low = e
+        bounds.append(bound)
+        lows.append(low or 0)
+    coeffs: list[LaurentPoly2] = []
+    packed: list[int] = []
+
+    def read(width: int) -> None:
+        """Read back the values packed since the last read."""
+        for n in range(len(coeffs), len(packed)):
+            row = _read_digits(packed[n], width, lows[n])
+            coeffs.append(LaurentPoly2._raw({(0, j): c for j, c in row.items()}))
+
+    width = top = end = 0
+    for n, pn in enumerate(p):
+        if n == end:  # a segment n .. end - 1 starts: 0..7, 8..15, 16..31, ...
+            end = max(8, 2 * n)
+            top = max(top, *bounds[n:end])
+            new_width = _digit_width(top)
+            if new_width > width:
+                read(width)
+                width = new_width
+                for m in range(max(0, n - d), n):
+                    packed[m] = _pack(coeffs[m], 0, width, lows[m])
+                terms = [(i, [(c, width * j) for j, c in t.items()]) for i, _, _, t in qs]
+        o = lows[n]
+        v = sum(c << width * (j - o) for j, c in pn.items()) if pn else 0
+        for i, q in terms:
+            if i > n:
+                break
+            prev = packed[n - i]
+            if prev:
+                s = width * (lows[n - i] - o)
+                for c, wj in q:
+                    v += (c * prev) << (s + wj)
+        packed.append(v)
+    read(width)
+    return coeffs
 
 
 # -- solving t = b + x*M*t in packed integers ----------------------------------

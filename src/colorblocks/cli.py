@@ -157,8 +157,6 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_series(args) -> int:
-    if args.N > 64:
-        raise UsageError("--N is capped at 64")
     t0 = time.perf_counter()
     gf = fixture_gf(args.fixture, args.k)
     coeffs = series_expand(gf, args.N)
@@ -304,7 +302,7 @@ _COMMANDS = {
     "series": ("series coefficients of a fixture", cmd_series, (
         ("--fixture", str, True, FIXTURE_IDS, None, None),
         ("--k", int, False, None, None, "k for K3_generic_k"),
-        ("--N", int, True, None, None, "highest x power (<= 64)"),
+        ("--N", _int_in_range(0, 64), True, None, None, "highest x power (<= 64)"),
         _FORMAT,
     )),
     "gf": ("print a generating function", cmd_gf, (

@@ -13,9 +13,11 @@ from colorblocks.algebra import (
     series_expand,
     weighted_solution_gf,
 )
+from colorblocks import algebra
 from colorblocks.algebra import _bareiss_det, _div_exact, solution_defect
+from colorblocks.algebra import _pack, _read_digits, _unpack
 from colorblocks.errors import DimensionLimitError
-from colorblocks.fixtures import star_system
+from colorblocks.fixtures import fixture_gf, star_system
 from colorblocks.polytext import parse_poly
 from colorblocks.transfer import km_prism_gf
 
@@ -114,7 +116,60 @@ class TestRingProperties:
         assert a * b == b * a
 
 
+def _reference_series(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
+    """c_n = p_n - sum_{i>=1} q_i * c_(n-i) on term dicts, one multiply per
+    pair of terms, after dividing num and den by the unit [x^0] den."""
+    num, den = gf.num, gf.den
+    ((_, j), sign), = den.x_coefficient(0).terms.items()
+    assert sign in (1, -1)
+    num, den = num.shift_y(-j) * sign, den.shift_y(-j) * sign
+
+    def y_terms(p: LaurentPoly2) -> dict[int, int]:
+        return {jj: c for (_, jj), c in p.terms.items()}
+
+    neg_q = [{jj: -c for jj, c in y_terms(den.x_coefficient(i)).items()}
+             for i in range(1, den.x_degree() + 1)]
+    coeffs: list[dict[int, int]] = []
+    for n in range(n_max + 1):
+        out = y_terms(num.x_coefficient(n))
+        for i in range(1, min(n, len(neg_q)) + 1):
+            for j1, c1 in neg_q[i - 1].items():
+                for j2, c2 in coeffs[n - i].items():
+                    out[j1 + j2] = out.get(j1 + j2, 0) + c1 * c2
+        coeffs.append({jj: c for jj, c in out.items() if c})
+    return [LaurentPoly2({(0, jj): c for jj, c in cn.items()}) for cn in coeffs]
+
+
+big_coefficients = st.integers(min_value=-(2**70), max_value=2**70)
+
+
+@st.composite
+def series_gfs(draw):
+    """num/den with [x^0] den = +-y^j, j in -3..3, x-degree of den 0..4, and
+    signed coefficients up to 2^70 at y exponents -3..3."""
+    j = draw(st.integers(min_value=-3, max_value=3))
+    den = {(0, j): draw(st.sampled_from([1, -1]))}
+    for i in range(1, draw(st.integers(min_value=0, max_value=4)) + 1):
+        terms = draw(st.dictionaries(st.integers(min_value=-3, max_value=3), big_coefficients, max_size=3))
+        den.update(((i, e), c) for e, c in terms.items())
+    num = draw(st.dictionaries(
+        st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=-3, max_value=3)),
+        big_coefficients,
+        max_size=6,
+    ))
+    return RationalGF(LaurentPoly2(num), LaurentPoly2(den))
+
+
 class TestSeries:
+    # n_max up to 40 crosses the digit-width segments 0..7, 8..15, 16..31, 32..63
+    @settings(max_examples=40, deadline=None)
+    @given(series_gfs(), st.integers(min_value=0, max_value=40))
+    @example(RationalGF(LaurentPoly2.zero(), P("1-x*y+x^2")), 12)
+    @example(RationalGF(ONE, ONE - 2**62 * Y * X), 40)
+    @example(fixture_gf("STAR13_matrix"), 40)
+    def test_matches_the_term_recurrence(self, gf, n_max):
+        assert series_expand(gf, n_max) == _reference_series(gf, n_max)
+
     def test_geometric(self):
         assert series_expand(RationalGF(X, ONE - X), 6) == [LaurentPoly2.zero()] + [ONE] * 6
         assert series_expand(RationalGF(ONE, ONE - 2 * X), 5) == [2**n * ONE for n in range(6)]
@@ -416,6 +471,61 @@ class TestPackedKernels:
         assert gf_equal(RationalGF(zero, X), RationalGF(zero, Y))
         assert not gf_equal(RationalGF(zero, X), RationalGF(Y, X))
         assert not gf_equal(RationalGF(Y, X), RationalGF(zero, X))
+
+
+def _alternating(length: int, size: int) -> dict[int, int]:
+    return {e: -size if e % 2 else size for e in range(length)}
+
+
+class TestDigitReader:
+    """_read_digits against _pack and _unpack: short values go through
+    _unpack's loop, values of 16 digits or more through bytes."""
+
+    @pytest.mark.parametrize("width", [8, 64, 200])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda half: {},
+            lambda half: {0: 5, 1: -1},
+            lambda half: {0: 5, 7: 3, 19: -1},
+            lambda half: _alternating(3, half - 1),
+            lambda half: _alternating(20, half - 1),
+            lambda half: {e: -(half - 1) for e in range(17)},
+            lambda half: {e: half - 1 for e in range(17)},
+            lambda half: {17: 3, 18: -(half - 1)},
+            lambda half: {2: 1, 30: 1},
+        ],
+        ids=[
+            "zero", "negative-top-short", "negative-top-long", "extremes-short",
+            "extremes-long", "all-most-negative", "all-most-positive",
+            "low-zero-digits", "zero-digits-inside",
+        ],
+    )
+    def test_reads_what_pack_wrote(self, width, make):
+        terms = {e - 2: c for e, c in make(1 << (width - 1)).items()}
+        p = LaurentPoly2({(0, e): c for e, c in terms.items()})
+        value = _pack(p, 0, width, -2)
+        assert _read_digits(value, width, -2) == terms == _unpack(value, width, -2)
+
+    @pytest.mark.parametrize("digits", [1, 20])
+    def test_a_width_one_byte_narrower_misreads_a_series_at_its_bound(self, monkeypatch, digits):
+        # 1/(1 - 2^65*y*x) times num has c_n = 2^(65n) * y^n * num: with
+        # coefficients +-1 in num, every coefficient of c_7 is at the bound
+        # A_7 = 2^455, whose bit length 456 is a multiple of 8, so the
+        # proven width is 464 bits and one byte less holds no +2^455
+        num = LaurentPoly2({(0, e): c for e, c in _alternating(digits, 1).items()})
+        gf = RationalGF(num, ONE - 2**65 * Y * X)
+        want = _reference_series(gf, 7)
+        assert want[7] == 2**455 * num.shift_y(7)
+        assert algebra._digit_width(2**455) == 464
+        assert series_expand(gf, 7) == want
+        width = algebra._digit_width
+        monkeypatch.setattr(algebra, "_digit_width", lambda bound: width(bound) - 8)
+        try:
+            narrow = series_expand(gf, 7)
+        except OverflowError:  # a digit past the byte image of the value
+            narrow = None
+        assert narrow != want
 
 
 def leibniz_det(matrix) -> int:

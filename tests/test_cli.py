@@ -398,6 +398,12 @@ class TestSeries:
         code, _, _ = run(capsys, "series", "--fixture", "K4_k2", "--N", "65")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["65", "-1"])
+    def test_n_out_of_range_names_the_option_and_the_value(self, capsys, value):
+        code, out, err = run(capsys, "series", "--fixture", "K4_k2", "--N", value)
+        assert code == 2 and out == ""
+        assert f"argument --N: must be in 0..64, got {value}" in err
+
     def test_unknown_fixture_rejected_by_argparse(self, capsys):
         code, _, _ = run(capsys, "series", "--fixture", "K9", "--N", "1")
         assert code == 2
