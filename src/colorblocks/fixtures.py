@@ -13,20 +13,18 @@ Available ids:
 * ``K4_k2``, ``K5_k2``, ``K6_k2`` -- complete slices of 4..6 vertices, k=2
 * ``K4_k3``         -- 4-vertex complete slice, k=3
 * ``STAR13_k2``     -- 3-leaf star slice, k=2
-* ``STAR13_matrix`` -- same model, derived by solving the 7x7 boundary system
+* ``STAR13_matrix`` -- same model, solving the engine's lumped 7x7 system
 """
 
 from __future__ import annotations
 
 from .algebra import LaurentPoly2, RationalGF, weighted_solution_gf
 from .closed_forms import k3_prism_gf
+from .graphs import star
+from .transfer import Profile, orbit_system
 
 _X = LaurentPoly2.x()
 _Y = LaurentPoly2.y()
-
-
-def _ypoly(coeffs: dict[int, int]) -> LaurentPoly2:
-    return LaurentPoly2({(0, j): c for j, c in coeffs.items()})
 
 
 def _xypoly(table: dict[int, dict[int, int]]) -> LaurentPoly2:
@@ -261,51 +259,16 @@ def star_system() -> tuple[list[list[LaurentPoly2]], list[LaurentPoly2], list[in
     of the base cases is stripped into the solver convention, and the model's
     generating function is x * sum(combo[i] * t[i]).
     """
-    rows = [
-        [{4: 1, 0: 1}, {4: 3}, {4: 1}, {3: 3, 1: 3}, {3: 3}, {2: 3}, {3: 1}],
-        [{}, {0: 1}, {}, {}, {1: 1}, {2: 1}, {}],
-        [{}, {}, {0: 1}, {}, {}, {}, {1: 1}],
-        [
-            {2: 1, 0: 1},
-            {2: 3, 0: 2},
-            {2: 1},
-            {3: 1, 1: 4, 0: 1},
-            {3: 1, 1: 4},
-            {2: 3, 1: 2},
-            {2: 1},
-        ],
-        [{}, {0: 1}, {0: 1}, {}, {0: 1}, {0: 1}, {1: 1}],
-        [
-            {0: 2},
-            {1: 1, 0: 5},
-            {1: 1, 0: 1},
-            {1: 3, 0: 2, -1: 1},
-            {1: 3, 0: 3},
-            {2: 1, 1: 2, 0: 3},
-            {1: 2},
-        ],
-        [
-            {0: 1, -2: 1},
-            {0: 3, -1: 3},
-            {0: 2},
-            {0: 3, -1: 3},
-            {0: 6},
-            {0: 6},
-            {1: 1, 0: 1},
-        ],
+    configurations = [  # published (colors, linkage), center vertex 0
+        ((0, 1, 1, 1), (0, 1, 2, 3)),
+        ((0, 1, 1, 1), (0, 1, 1, 2)),
+        ((0, 1, 1, 1), (0, 1, 1, 1)),
+        ((0, 0, 1, 1), (0, 0, 1, 2)),
+        ((0, 1, 1, 0), (0, 1, 1, 0)),
+        ((0, 0, 0, 1), (0, 0, 0, 1)),
+        ((0, 0, 0, 0), (0, 0, 0, 0)),
     ]
-    matrix = [[_ypoly(cell) for cell in row] for row in rows]
-    rhs = [
-        _ypoly({4: 1}),
-        _ypoly({}),
-        _ypoly({}),
-        _ypoly({3: 1}),
-        _ypoly({}),
-        _ypoly({2: 1}),
-        _ypoly({1: 1}),
-    ]
-    combo = [2, 6, 2, 6, 6, 6, 2]
-    return matrix, rhs, combo
+    return orbit_system(star(3), 2, [Profile(*c) for c in configurations])
 
 
 def _star13_from_matrix() -> RationalGF:

@@ -246,8 +246,8 @@ class _LumpedOperator:
         self.rows: dict[int, list[tuple[int, int, int]]] = {}
         self.masks: tuple | None = None  # built on the first row
 
-    def orbit(self, colors: tuple[int, ...], linkage: tuple[int, ...]) -> int | None:
-        """Orbit id of a profile, registered on first sight, or None if malformed."""
+    def orbit(self, colors: tuple[int, ...], linkage: tuple[int, ...]) -> int:
+        """Orbit id of a profile, registered on first sight; ValueError if malformed."""
         found = self.orbit_of.get((colors, linkage))
         if found is not None:
             return found
@@ -255,8 +255,9 @@ class _LumpedOperator:
             len(colors) == self.nv == len(linkage)
             and all(type(c) is int and 0 <= c < self.k for c in colors)
             and _canonical_rgs(linkage) == linkage
+            and len(set(zip(linkage, colors))) == len(set(linkage))
         ):
-            return None
+            raise ValueError(f"malformed profile {colors}, {linkage} at k={self.k}")
         return self._register((_canonical_rgs(colors), linkage))
 
     def _register(self, canon: tuple) -> int:
@@ -404,19 +405,17 @@ def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeigh
     members.  Each profile is a distinct member, so then none is missing."""
     weights: dict[int, LaurentPoly2] = {}
     size = 0
+    symmetric = True
     for profile, weight in states.items():
-        orbit = op.orbit(profile.colors, profile.linkage)
-        if orbit is None:
-            return None
+        orbit = op.orbit(profile.colors, profile.linkage)  # ValueError if malformed, on either path
         first = weights.get(orbit)
         if first is None:
-            if not isinstance(weight, LaurentPoly2):
-                return None
+            symmetric = symmetric and isinstance(weight, LaurentPoly2)
             weights[orbit] = weight
             size += len(op.members[orbit])
-        elif first is not weight and not (isinstance(weight, LaurentPoly2) and first == weight):
-            return None
-    if size != len(states):
+        elif symmetric and first is not weight:
+            symmetric = isinstance(weight, LaurentPoly2) and first == weight
+    if not symmetric or size != len(states):
         return None
     sums: dict[int, dict] = {}
     for orbit, weight in weights.items():
@@ -451,6 +450,42 @@ def step(
     table = _slice_table(g, k)
     out = _lumped_step(_operator(g, k), table, states)
     return _general_step(g.n, table, states) if out is None else out
+
+
+def orbit_system(
+    g: Graph, k: int, profiles
+) -> tuple[list[list[LaurentPoly2]], list[LaurentPoly2], list[int]]:
+    """The lumped step as t = b + x*M*t over the orbits of ``profiles``, in
+    order, for ``weighted_solution_gf``.  With a_i the open classes of orbit
+    i and A[i][j] the sum of count*y^closed over the rows from orbit j to i,
+    one profile of orbit i weighs (A^(n-1)*u)[i] after n slices (u = 1 on
+    first-slice orbits, whose linkage is the coloring's component RGS), and
+    B_n(G x P_n) = sum_i |O_i|*y^(a_i)*(A^(n-1)*u)[i].  With D = diag(y^a),
+    M = D*A*D^-1 moves each class's y from its closing to its opening, and
+    b = D*u, so x*sum_i |O_i|*t_i = sum_n x^n*B_n(G x P_n).  ValueError
+    unless the profiles are well formed, lie in distinct orbits, and include
+    every first-slice orbit and every orbit their rows reach."""
+    check_slice_caps(g.n, k, DEFAULT_STATE_CAP)
+    op = _operator(g, k)
+    table = _slice_table(g, k)
+    if op.masks is None:
+        op.masks = op._slice_masks(table)
+    index = {op.orbit(p.colors, p.linkage): i for i, p in enumerate(profiles)}
+    first = {orbit for orbit, _ in op.masks[3]}
+    if len(index) != len(profiles) or not first.issubset(index):
+        raise ValueError("the profiles must lie in distinct orbits and list every first-slice one")
+    opened = [max(op.reps[orbit][1]) + 1 for orbit in index]
+    cells: list[list[dict]] = [[{} for _ in index] for _ in index]
+    for j, source in enumerate(index):
+        for target, closed, count in op.row(source, table):  # one entry per (target, closed)
+            if target not in index:
+                raise ValueError(f"orbit of {op.reps[target]} is reached but not listed")
+            i = index[target]
+            cells[i][j][(0, closed + opened[i] - opened[j])] = count
+    matrix = [[LaurentPoly2._raw(cell) for cell in row] for row in cells]
+    zero = LaurentPoly2.zero()
+    rhs = [LaurentPoly2.monomial(0, a) if o in first else zero for o, a in zip(index, opened)]
+    return matrix, rhs, [len(op.members[orbit]) for orbit in index]
 
 
 def finalize(states: StateWeights) -> LaurentPoly2:
@@ -614,7 +649,8 @@ def km_prism_gf(m: int, k: int) -> RationalGF:
     the solver's limit, and m and k^m against the profile DP's state cap,
     before any class is built.  The class rows are counted without listing
     the k^m colorings, so their cost does not depend on k; the k^m cap is
-    kept so that the route accepts what the profile DP accepts.
+    the DP's state cap all the same.  The DP's slice vertex cap is not
+    applied: m = 9 at k = 1 passes here, and the DP rejects it.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")

@@ -1,14 +1,22 @@
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from colorblocks import closed_forms as cf
 from colorblocks import transfer
-from colorblocks.algebra import LaurentPoly2, RationalGF, gf_equal, series_expand
+from colorblocks.algebra import (
+    MAX_SYSTEM_DIM,
+    LaurentPoly2,
+    RationalGF,
+    gf_equal,
+    series_expand,
+    weighted_solution_gf,
+)
 from colorblocks.errors import CapExceededError
 from colorblocks.fixtures import fixture_gf
 from colorblocks.graphs import (
@@ -446,8 +454,8 @@ def _reference_transition(nv, old_colors, old_link, new_colors, new_comp):
 @st.composite
 def transition_cases(draw):
     """A slice of at most 6 vertices, k in 1..3, an old coloring and linkage
-    (RGS or not, like the ill-formed profiles step must also take), and a row
-    of the slice table."""
+    (RGS or not: step rejects a non-RGS linkage, but the transition itself
+    only needs labels below |V| + 1), and a row of the slice table."""
     g = draw(slices(6))
     k = draw(st.integers(1, 3))
     old_colors = tuple(draw(st.lists(st.integers(0, k - 1), min_size=g.n, max_size=g.n)))
@@ -635,19 +643,37 @@ class TestLumpedStep:
         if got is not None:
             assert got == transfer._general_step(g.n, table, states)
 
-    def test_ill_formed_profiles_take_the_general_path(self):
-        # a non-RGS linkage leaves class 0 empty, so it always closes
-        odd = {Profile((0, 0), (1, 1)): ONE, Profile((1, 1), (1, 1)): ONE}
-        got, general_outputs = _step_and_general_outputs(path(2), 2, odd)
-        assert len(general_outputs) == 1 and got is general_outputs[0]
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Profile((0,), (0,)),  # one vertex short
+            Profile((0, 0), (0, 0, 0)),  # a linkage label too many
+            Profile((0, 5), (0, 1)),  # a color outside 0..k-1
+            Profile((0, -1), (0, 1)),
+            Profile((0, 0), (1, 1)),  # not an RGS: class 0 would be empty and close
+            Profile((0, 1), (0, 0)),  # one class over two colors
+        ],
+        ids=["short", "long", "color-5", "color-minus-1", "non-rgs", "two-color-class"],
+    )
+    def test_malformed_profiles_raise(self, bad):
+        g, k = path(2), 2
+        symmetric = initial_states(g, k)
+        asymmetric = dict(symmetric)
+        asymmetric[next(iter(asymmetric))] = ONE * 2
+        for states in ({bad: ONE}, {**symmetric, bad: ONE}, {**asymmetric, bad: ONE}):
+            with pytest.raises(ValueError, match="malformed profile"):
+                step(g, k, states)
+        with pytest.raises(ValueError, match="malformed profile"):
+            transfer.orbit_system(g, k, [*symmetric, bad])
 
     def test_output_shares_one_weight_per_orbit(self):
         states = step(star(3), 2, initial_states(star(3), 2))
         assert len({id(w) for w in states.values()}) == 7
 
 
-def _reachable_orbits(g, k):
-    """Orbits the DP reaches, expanded from the first slice until none is new."""
+def _reachable_orbit_list(g, k):
+    """Orbits the DP reaches, in the order they are discovered by expanding
+    from the first slice until none is new."""
     op = transfer._operator(g, k)
     table = transfer._slice_table(g, k)
     frontier = list(dict.fromkeys(op.orbit(p.colors, p.linkage) for p in initial_states(g, k)))
@@ -657,7 +683,11 @@ def _reachable_orbits(g, k):
             if target not in seen:
                 seen.add(target)
                 frontier.append(target)
-    return seen
+    return frontier
+
+
+def _reachable_orbits(g, k):
+    return set(_reachable_orbit_list(g, k))
 
 
 def _valid_profiles(g, k):
@@ -706,3 +736,51 @@ class TestOrbitCounts:
         reached = _reachable_orbits(g, 2)
         assert reached <= valid
         assert len(reached) == 1 + m * (m + 1) // 2
+
+
+# the seven published boundary configurations of the 3-leaf star slice, k=2
+STAR_CONFIGURATIONS = [
+    Profile(colors, linkage)
+    for colors, linkage in [
+        ((0, 1, 1, 1), (0, 1, 2, 3)),
+        ((0, 1, 1, 1), (0, 1, 1, 2)),
+        ((0, 1, 1, 1), (0, 1, 1, 1)),
+        ((0, 0, 1, 1), (0, 0, 1, 2)),
+        ((0, 1, 1, 0), (0, 1, 1, 0)),
+        ((0, 0, 0, 1), (0, 0, 0, 1)),
+        ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ]
+]
+
+
+class TestOrbitSystem:
+    @settings(max_examples=60, deadline=None)
+    @given(slices(4), st.integers(1, 3), st.randoms(use_true_random=False))
+    @example(star(3), 2, random.Random(0))
+    @example(Graph.from_edges(4, [(0, 1), (2, 3)]), 2, random.Random(1))
+    def test_series_equals_the_profile_dp(self, g, k, rnd):
+        op = transfer._operator(g, k)
+        profiles = [Profile(*op.reps[orbit]) for orbit in _reachable_orbit_list(g, k)]
+        assume(len(profiles) <= MAX_SYSTEM_DIM)
+        gf = weighted_solution_gf(*transfer.orbit_system(g, k, profiles))
+        coeffs = series_expand(gf, 4)
+        assert coeffs[0] == LaurentPoly2.zero()
+        for n in range(1, 5):
+            assert coeffs[n] == prism_distribution(g, k, n).poly
+        rnd.shuffle(profiles)
+        assert gf_equal(gf, weighted_solution_gf(*transfer.orbit_system(g, k, profiles)))
+
+    def test_an_unlisted_orbit_raises(self):
+        # configuration 1 is reached from the first-slice orbits
+        with pytest.raises(ValueError, match="reached but not listed"):
+            transfer.orbit_system(star(3), 2, STAR_CONFIGURATIONS[:1] + STAR_CONFIGURATIONS[2:])
+
+    def test_a_missing_first_slice_orbit_raises(self):
+        # configuration 0 is the first slice's coloring (0, 1, 1, 1)
+        with pytest.raises(ValueError, match="every first-slice one"):
+            transfer.orbit_system(star(3), 2, STAR_CONFIGURATIONS[1:])
+
+    def test_two_profiles_of_one_orbit_raise(self):
+        twin = Profile((1, 0, 0, 0), (0, 1, 2, 3))  # configuration 0, colors swapped
+        with pytest.raises(ValueError, match="distinct orbits"):
+            transfer.orbit_system(star(3), 2, STAR_CONFIGURATIONS + [twin])
