@@ -379,6 +379,28 @@ def _read_digits(value: int, width: int, offset: int) -> dict[int, int]:
     return out
 
 
+def _write_digits(digits: Mapping[int, int], width: int, offset: int) -> int:
+    """The value at y = 2**width of sum c * y**(e - offset) over the digits
+    e: c, each e >= offset and |c| < 2**(width - 1), in time linear in the
+    size of the result, for a width that is a whole number of bytes: the
+    inverse of ``_read_digits``.  The positive and the negative digits are
+    each written into one byte image, where no field carries into the next,
+    and the two images are subtracted.  Below 16 digits a sum of shifts,
+    quadratic in the digit count, is the faster."""
+    if len(digits) < 16:
+        return sum(c << width * (e - offset) for e, c in digits.items())
+    size = width // 8
+    length = size * (max(digits) - offset + 1)
+    plus, minus = bytearray(length), bytearray(length)
+    for e, c in digits.items():
+        at = size * (e - offset)
+        if c > 0:
+            plus[at : at + size] = c.to_bytes(size, "little")
+        else:
+            minus[at : at + size] = (-c).to_bytes(size, "little")
+    return int.from_bytes(plus, "little") - int.from_bytes(minus, "little")
+
+
 def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
     """Coefficients of x**0 .. x**n_max of num/den, each a polynomial in y.
 
@@ -409,10 +431,14 @@ def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
     whole number of bytes, for ``_read_digits``, and at least 64 bits.
 
     A_n grows with n, and a width fit for the last n would pad every earlier
-    product, so W is chosen once per segment of n (0..7, then doubling:
-    8..15, 16..31, ...) from the largest A_m up to the segment's end.  Where
-    W grows, the values packed so far are read back, and only the d that the
-    next segment multiplies are packed again at the new width.
+    product, so W is chosen once per segment of n from the largest A_m up to
+    the segment's end: 0..7, then doubling (8..15, 16..31, 32..63), then from
+    n = 64 on each segment n .. n + n//8 - 1.  Past 64 a doubling segment
+    would pad its packed values to about 1.4 times the width they need on
+    average, and below it the boundaries of shorter segments cost more than
+    the padding.  Where W grows, the values packed so far are read back, and
+    only the d that the next segment multiplies are packed again at the new
+    width, in linear time by ``_write_digits``.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -452,25 +478,27 @@ def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
         bounds.append(bound)
         lows.append(low or 0)
     coeffs: list[LaurentPoly2] = []
+    digits: list[dict[int, int]] = []
     packed: list[int] = []
 
     def read(width: int) -> None:
         """Read back the values packed since the last read."""
         for n in range(len(coeffs), len(packed)):
             row = _read_digits(packed[n], width, lows[n])
+            digits.append(row)
             coeffs.append(LaurentPoly2._raw({(0, j): c for j, c in row.items()}))
 
     width = top = end = 0
     for n, pn in enumerate(p):
-        if n == end:  # a segment n .. end - 1 starts: 0..7, 8..15, 16..31, ...
-            end = max(8, 2 * n)
+        if n == end:  # a segment n .. end - 1 starts: 0..7, 8..15, ..., 64..71, 72..80, ...
+            end = max(8, 2 * n) if n < 64 else n + n // 8
             top = max(top, *bounds[n:end])
             new_width = _digit_width(top)
             if new_width > width:
                 read(width)
                 width = new_width
                 for m in range(max(0, n - d), n):
-                    packed[m] = _pack(coeffs[m], 0, width, lows[m])
+                    packed[m] = _write_digits(digits[m], width, lows[m])
                 terms = [(i, [(c, width * j) for j, c in t.items()]) for i, _, _, t in qs]
         o = lows[n]
         v = sum(c << width * (j - o) for j, c in pn.items()) if pn else 0

@@ -44,6 +44,19 @@ popcounts of (orbit mask & rows with c closed & not merge).  The merge rows
 alone go through the transition, which labels components with
 ``graphs.union_roots`` on the new components.
 
+The lumped step adds weights as packed integers (Kronecker substitution, as
+in ``algebra.gf_equal``): each orbit's weight is one ``int``, its value at
+y = 2**W with y exponents counted from the least one of the step's weights,
+and, when a weight has x terms, x = 2**(W*S), S the number of y exponents an
+output can have.  A row entry (target, closed, count) then adds
+``(packed * count) << W * closed`` to its target, and each target is read
+back once with ``algebra._read_digits``, so the interpreter loops over a
+weight's terms once to pack it and once to read each target, not once per
+row entry.  W = _digit_width(sum_o ||w_o||_inf * (sum of the counts in o's
+row)), ||.||_inf the largest absolute coefficient: that sum bounds every
+output coefficient (derived in ``_lumped_step``), so every signed digit of
+W bits reads back exactly.
+
 For complete-graph slices the states can be reduced to color classes (colorings
 of the slice up to color permutation and same-size part swaps), giving a small
 linear system whose symbolic solution is the generating function in x and y.
@@ -59,8 +72,17 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
+from typing import NamedTuple
 
-from .algebra import MAX_SYSTEM_DIM, LaurentPoly2, RationalGF, weighted_solution_gf
+from .algebra import (
+    MAX_SYSTEM_DIM,
+    LaurentPoly2,
+    RationalGF,
+    _digit_width,
+    _read_digits,
+    weighted_solution_gf,
+)
 from .combinatorics import partition_count_at_most_k_parts, partitions_at_most_k_parts
 from .errors import CapExceededError, DimensionLimitError
 from .graphs import Graph, union_roots
@@ -71,11 +93,13 @@ DEFAULT_STATE_CAP = 1 << 16
 _MAX_COMPLETE_SLICE = DEFAULT_STATE_CAP.bit_length() - 1
 
 _ONE = LaurentPoly2.one()
+_COUNT = itemgetter(2)
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Boundary state: slice coloring plus cross-slice linkage partition (RGS)."""
+class Profile(NamedTuple):
+    """Boundary state: slice coloring plus cross-slice linkage partition (RGS).
+
+    A tuple: it equals, and hashes as, the plain tuple (colors, linkage)."""
 
     colors: tuple[int, ...]
     linkage: tuple[int, ...]
@@ -90,13 +114,14 @@ def _canonical_rgs(labels) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=32)
-def _slice_table(g: Graph, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """All k^n slice colorings with their monochromatic-component RGS."""
+def _slice_table(g: Graph, k: int) -> tuple[Profile, ...]:
+    """All k^n slice colorings with their monochromatic-component RGS: the
+    first slice's profiles."""
     edges = g.edges()
     table = []
     for colors in itertools.product(range(k), repeat=g.n):
         same = [(u, v) for u, v in edges if colors[u] == colors[v]]
-        table.append((colors, _canonical_rgs(union_roots(g.n, same))))
+        table.append(Profile(colors, _canonical_rgs(union_roots(g.n, same))))
     return tuple(table)
 
 
@@ -114,7 +139,7 @@ def check_slice_caps(vertices: int, k: int, state_cap: int):
 def initial_states(g: Graph, k: int, *, state_cap: int = DEFAULT_STATE_CAP) -> StateWeights:
     """One weight-1 state per coloring of the first slice."""
     check_slice_caps(g.n, k, state_cap)
-    return {Profile(colors, rgs): _ONE for colors, rgs in _slice_table(g, k)}
+    return dict.fromkeys(_slice_table(g, k), _ONE)
 
 
 def _transition(
@@ -240,20 +265,31 @@ class _LumpedOperator:
         self.k = k
         self.edges = g.edges()
         self.generators = _automorphism_generators(g)
-        self.orbit_of: dict[tuple, int] = {}  # (colors, linkage) of every member
+        self.orbit_of: dict[Profile, tuple[int, Profile]] = {}  # member -> (orbit, member)
         self.reps: list[tuple] = []
         self.members: list[list[Profile]] = []
+        self.table_rows: dict[Profile, Profile] = {}  # kept as members when registered
         self.rows: dict[int, list[tuple[int, int, int]]] = {}
-        self.masks: tuple | None = None  # built on the first row
+        self.masks: tuple | None = None  # built on the first step or row
 
-    def orbit(self, colors: tuple[int, ...], linkage: tuple[int, ...]) -> int:
-        """Orbit id of a profile, registered on first sight; ValueError if malformed."""
-        found = self.orbit_of.get((colors, linkage))
-        if found is not None:
-            return found
+    def orbit(self, profile: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+        """Orbit id of a profile, registered on first sight; ValueError if malformed.
+
+        Only the operator's own member objects skip the check.  Tuples compare
+        by value, so (1.0, 1) would find the member (1, 1): any other profile
+        must hold ``int`` colors and labels, and an unknown one must also be
+        well formed."""
+        found = self.orbit_of.get(profile)
+        if found is not None and found[1] is profile:
+            return found[0]
+        colors, linkage = profile
+        well_formed = all(type(label) is int for label in colors + linkage)
+        if well_formed and found is not None:
+            return found[0]
         if not (
-            len(colors) == self.nv == len(linkage)
-            and all(type(c) is int and 0 <= c < self.k for c in colors)
+            well_formed
+            and len(colors) == self.nv == len(linkage)
+            and all(0 <= c < self.k for c in colors)
             and _canonical_rgs(linkage) == linkage
             and len(set(zip(linkage, colors))) == len(set(linkage))
         ):
@@ -275,14 +311,15 @@ class _LumpedOperator:
                     seen.add(image)
                     canonical.append(image)
         used = max(canon[0]) + 1
-        members = [
-            Profile(tuple(relabel[c] for c in colors), linkage)
-            for colors, linkage in canonical
-            for relabel in itertools.permutations(range(self.k), used)
-        ]
+        rows = self.table_rows
+        members = []
+        for colors, linkage in canonical:
+            for relabel in itertools.permutations(range(self.k), used):
+                profile = Profile(tuple(relabel[c] for c in colors), linkage)
+                members.append(rows.get(profile, profile))
         index = len(self.reps)
         for profile in members:
-            self.orbit_of[(profile.colors, profile.linkage)] = index
+            self.orbit_of[profile] = (index, profile)
         self.reps.append(canon)
         self.members.append(members)
         return index
@@ -325,9 +362,10 @@ class _LumpedOperator:
         split = same
         for i in range(nv * nv):
             split[i] ^= full
+        self.table_rows = dict(zip(table, table))
         profiles: dict[int, int] = {}
-        for r, (colors, comp) in enumerate(table):
-            target = self.orbit(colors, comp)
+        for r, profile in enumerate(table):
+            target = self.orbit(profile)
             profiles[target] = profiles.get(target, 0) | 1 << r
         return full, color, split, list(profiles.items())
 
@@ -381,7 +419,7 @@ class _LumpedOperator:
             merge ^= low
             new_colors, new_comp = table[low.bit_length() - 1]
             new_link, closed = _transition(nv, colors, linkage, new_colors, new_comp)
-            key = (self.orbit(new_colors, new_link), closed)
+            key = (self.orbit((new_colors, new_link)), closed)
             multiplicity[key] = multiplicity.get(key, 0) + 1
         row = []
         for (target, closed), m in multiplicity.items():
@@ -402,12 +440,26 @@ def _operator(g: Graph, k: int) -> _LumpedOperator:
 def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeights | None:
     """The step computed on orbits, or None unless the input is symmetric:
     one weight per touched orbit, and as many profiles as those orbits have
-    members.  Each profile is a distinct member, so then none is missing."""
+    members.  Each profile is a distinct member, so then none is missing.
+
+    Each orbit's weight is one packed ``int`` (see the module docstring), and
+    each row entry adds ``(packed * count) << W * closed`` to its target.
+    The bound: target t's coefficient at x^i y^j is the sum over orbits o
+    and entries (t, closed, count) of o's row of count * [x^i y^(j-closed)]
+    w_o, at most sum_o ||w_o||_inf * (sum of o's row counts) in absolute
+    value.  Packing is a ring map, so the packed sums are exact whatever the
+    carries, and signed digits of W = _digit_width(that bound) bits read
+    every coefficient back.  With x terms, an output's y exponents low ..
+    high + |V| (a row entry closes at most |V| classes) take ``span`` digits
+    below each power of x.
+    """
+    if op.masks is None:  # registers the slice table's rows, initial_states' keys
+        op.masks = op._slice_masks(table)
     weights: dict[int, LaurentPoly2] = {}
     size = 0
     symmetric = True
     for profile, weight in states.items():
-        orbit = op.orbit(profile.colors, profile.linkage)  # ValueError if malformed, on either path
+        orbit = op.orbit(profile)  # ValueError if malformed, on either path
         first = weights.get(orbit)
         if first is None:
             symmetric = symmetric and isinstance(weight, LaurentPoly2)
@@ -417,21 +469,52 @@ def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeigh
             symmetric = isinstance(weight, LaurentPoly2) and first == weight
     if not symmetric or size != len(states):
         return None
-    sums: dict[int, dict] = {}
+    # the coefficient bound, the least and largest y exponents, and whether
+    # any weight has x terms, before anything is packed
+    rows = []
+    bound = 0
+    low = high = None
+    has_x = False
     for orbit, weight in weights.items():
         terms = weight._terms
-        for target, closed, count in op.row(orbit, table):
-            acc = sums.get(target)
-            if acc is None:
-                acc = sums[target] = {}
-            for (i, j), c in terms.items():
-                key = (i, j + closed)
-                acc[key] = acc.get(key, 0) + c * count
+        row = op.row(orbit, table)
+        rows.append((terms, row))
+        if not terms:
+            continue
+        bound += max(map(abs, terms.values())) * sum(map(_COUNT, row))
+        least, last = min(terms), max(terms)  # (x, y) exponents, x first
+        if last[0]:
+            has_x = True
+            least, last = min(j for _, j in terms), max(j for _, j in terms)
+        else:
+            least, last = least[1], last[1]
+        if low is None or least < low:
+            low = least
+        if high is None or last > high:
+            high = last
+    if low is None:
+        low = high = 0
+    width = _digit_width(bound)
+    span = high - low + op.nv + 1
+    stride = width * span if has_x else 0
+    sums: dict[int, int] = {}
+    for terms, row in rows:
+        packed = 0
+        for (i, j), c in terms.items():
+            packed += c << stride * i + width * (j - low)
+        for target, closed, count in row:
+            sums[target] = sums.get(target, 0) + ((packed * count) << width * closed)
     out: StateWeights = {}
-    for target, acc in sums.items():
-        poly = LaurentPoly2._raw({key: c for key, c in acc.items() if c})
-        for profile in op.members[target]:
-            out[profile] = poly
+    for target, value in sums.items():
+        terms = {}
+        if has_x:
+            for e, c in _read_digits(value, width, 0).items():
+                i, j = divmod(e, span)
+                terms[(i, j + low)] = c
+        else:
+            for j, c in _read_digits(value, width, low).items():
+                terms[(0, j)] = c
+        out.update(zip(op.members[target], itertools.repeat(LaurentPoly2._raw(terms))))
     return out
 
 
@@ -470,7 +553,7 @@ def orbit_system(
     table = _slice_table(g, k)
     if op.masks is None:
         op.masks = op._slice_masks(table)
-    index = {op.orbit(p.colors, p.linkage): i for i, p in enumerate(profiles)}
+    index = {op.orbit(p): i for i, p in enumerate(profiles)}
     first = {orbit for orbit, _ in op.masks[3]}
     if len(index) != len(profiles) or not first.issubset(index):
         raise ValueError("the profiles must lie in distinct orbits and list every first-slice one")

@@ -15,7 +15,7 @@ from colorblocks.algebra import (
 )
 from colorblocks import algebra
 from colorblocks.algebra import _bareiss_det, _div_exact, solution_defect
-from colorblocks.algebra import _pack, _read_digits, _unpack
+from colorblocks.algebra import _pack, _read_digits, _unpack, _write_digits
 from colorblocks.errors import DimensionLimitError
 from colorblocks.fixtures import fixture_gf, star_system
 from colorblocks.polytext import parse_poly
@@ -169,6 +169,20 @@ class TestSeries:
     @example(fixture_gf("STAR13_matrix"), 40)
     def test_matches_the_term_recurrence(self, gf, n_max):
         assert series_expand(gf, n_max) == _reference_series(gf, n_max)
+
+    # past n = 64 the segments grow by n//8 (64..71, 72..80, ...), and at
+    # each wider segment the values packed so far are written out again
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: km_prism_gf(2, 2),
+            lambda: RationalGF(P("1-y^-1*x"), ONE - 2**62 * Y * X - P("y^2-3") * X**2),
+        ],
+        ids=["km_2_2", "wide-digits"],
+    )
+    def test_matches_the_term_recurrence_past_64(self, make):
+        gf = make()
+        assert series_expand(gf, 150) == _reference_series(gf, 150)
 
     def test_geometric(self):
         assert series_expand(RationalGF(X, ONE - X), 6) == [LaurentPoly2.zero()] + [ONE] * 6
@@ -478,8 +492,8 @@ def _alternating(length: int, size: int) -> dict[int, int]:
 
 
 class TestDigitReader:
-    """_read_digits against _pack and _unpack: short values go through
-    _unpack's loop, values of 16 digits or more through bytes."""
+    """_read_digits and _write_digits against _pack and _unpack: short values
+    go through the shift loops, values of 16 digits or more through bytes."""
 
     @pytest.mark.parametrize("width", [8, 64, 200])
     @pytest.mark.parametrize(
@@ -506,6 +520,7 @@ class TestDigitReader:
         p = LaurentPoly2({(0, e): c for e, c in terms.items()})
         value = _pack(p, 0, width, -2)
         assert _read_digits(value, width, -2) == terms == _unpack(value, width, -2)
+        assert _write_digits(terms, width, -2) == value
 
     @pytest.mark.parametrize("digits", [1, 20])
     def test_a_width_one_byte_narrower_misreads_a_series_at_its_bound(self, monkeypatch, digits):

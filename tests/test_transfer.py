@@ -71,6 +71,19 @@ class TestInitialStates:
             initial_states(path(8), 17)  # 17^8 states blow the default cap
 
 
+class TestProfile:
+    def test_a_hashable_read_only_tuple(self):
+        profile = Profile((0, 1, 1), (0, 1, 1))
+        plain = ((0, 1, 1), (0, 1, 1))
+        assert profile == plain and hash(profile) == hash(plain)
+        assert {plain: 1}[profile] == 1 and {profile: 1}[plain] == 1
+        assert Profile(*plain) == profile and profile != Profile((0, 1, 1), (0, 1, 2))
+        with pytest.raises(AttributeError):
+            profile.colors = (1, 0, 0)
+        with pytest.raises(TypeError):
+            profile[0] = (1, 0, 0)
+
+
 class TestSliceTable:
     @pytest.mark.parametrize(
         "g,k", [(path(4), 3), (cycle(5), 2), (star(3), 3), (complete(4), 2)]
@@ -421,6 +434,13 @@ def slices(draw, max_vertices=5):
     return Graph.from_edges(n, sorted(edges))
 
 
+# orbit weights for the packed step: x terms, negative y exponents, and
+# signed coefficients past 2^64
+packed_weights = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(-4, 4)), st.integers(-(2**80), 2**80), max_size=5
+).map(LaurentPoly2)
+
+
 # the smallest graphs with no automorphism but the identity have six vertices
 ASYMMETRIC6 = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 5)])
 
@@ -473,7 +493,7 @@ def _reference_row(op, source, table):
     multiplicity = Counter()
     for new_colors, new_comp in table:
         new_link, closed = transfer._transition(op.nv, colors, linkage, new_colors, new_comp)
-        multiplicity[op.orbit(new_colors, new_link), closed] += 1
+        multiplicity[op.orbit((new_colors, new_link)), closed] += 1
     row = []
     for (target, closed), m in multiplicity.items():
         count, remainder = divmod(len(op.members[source]) * m, len(op.members[target]))
@@ -593,7 +613,7 @@ class TestLumpedStep:
                     assert color[v * k + c] >> r & 1 == (colors[v] == c)
                 for w in range(g.n):
                     assert split[v * g.n + w] >> r & 1 == (comp[v] != comp[w])
-            assert orbit_rows[op.orbit(colors, comp)] >> r & 1
+            assert orbit_rows[op.orbit((colors, comp))] >> r & 1
         assert sum(mask.bit_count() for mask in orbit_rows.values()) == len(table)
 
     def test_scaled_input_scales_the_output(self):
@@ -628,15 +648,15 @@ class TestLumpedStep:
         table = transfer._slice_table(g, k)
         symmetric = step(g, k, initial_states(g, k))
         profiles = list(symmetric)
-        orbits = list(dict.fromkeys(op.orbit(p.colors, p.linkage) for p in profiles))
+        orbits = list(dict.fromkeys(op.orbit(p) for p in profiles))
         dropped = {orbits[i % len(orbits)] for i in drop_orbits}
         cut = {profiles[i % len(profiles)] for i in drop_profiles}
         states = {
             p: w
             for p, w in symmetric.items()
-            if p not in cut and op.orbit(p.colors, p.linkage) not in dropped
+            if p not in cut and op.orbit(p) not in dropped
         }
-        present = Counter(op.orbit(p.colors, p.linkage) for p in states)
+        present = Counter(op.orbit(p) for p in states)
         partial = any(count != len(op.members[o]) for o, count in present.items())
         got = transfer._lumped_step(op, table, states)
         assert (got is None) == partial
@@ -666,6 +686,76 @@ class TestLumpedStep:
         with pytest.raises(ValueError, match="malformed profile"):
             transfer.orbit_system(g, k, [*symmetric, bad])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [Profile((1.0, 1), (0, 0)), Profile((True, 1), (0, 0)), Profile((1, 1), (0, 0.0))],
+        ids=["float-color", "bool-color", "float-label"],
+    )
+    def test_equal_profiles_with_non_int_labels_raise_in_either_order(self, bad):
+        # each equals, and hashes as, the valid profile ((1, 1), (0, 0))
+        g, k = path(2), 2
+        transfer._operator.cache_clear()
+        with pytest.raises(ValueError, match="malformed profile"):
+            step(g, k, {bad: ONE})  # an unknown profile
+        symmetric = initial_states(g, k)
+        assert step(g, k, symmetric) == _general(g, k, symmetric)
+        assert bad in transfer._operator(g, k).orbit_of
+        with pytest.raises(ValueError, match="malformed profile"):
+            step(g, k, {bad: ONE})  # equal to a registered member
+        swapped = {p: w for p, w in symmetric.items() if p != bad}
+        swapped[bad] = ONE  # symmetric but for the key object
+        with pytest.raises(ValueError, match="malformed profile"):
+            step(g, k, swapped)
+
+    @settings(max_examples=40, deadline=None)
+    @given(slices(4), st.integers(1, 3), st.booleans(), st.lists(packed_weights, min_size=1, max_size=6))
+    # x terms, negative y exponents, negative coefficients and coefficients past 2^64
+    @example(
+        path(3),
+        2,
+        True,
+        [
+            LaurentPoly2({(0, -3): -(2**70), (2, 1): 5, (1, -1): 2**64 + 1}),
+            LaurentPoly2({}),
+            LaurentPoly2({(3, 4): -1, (0, 0): 2**80}),
+        ],
+    )
+    def test_packed_weights_equal_the_general_path(self, g, k, later, pool):
+        op = transfer._operator(g, k)
+        states = initial_states(g, k)
+        if later:
+            states = step(g, k, states)
+        weights: dict[int, LaurentPoly2] = {}
+        drawn = {}
+        for profile in states:
+            orbit = op.orbit(profile)
+            drawn[profile] = weights.setdefault(orbit, pool[len(weights) % len(pool)])
+        got, general_outputs = _step_and_general_outputs(g, k, drawn)
+        assert general_outputs == []
+        assert got == _general(g, k, drawn)
+
+    @pytest.mark.parametrize("digits", [2, 20])
+    def test_a_width_one_byte_narrower_misreads_a_step_at_its_bound(self, monkeypatch, digits):
+        # one vertex at k=2 is one orbit whose row is w -> w + y*w; with
+        # w = 2^454 * (1 + y + ... + y^(digits-1)) every middle coefficient is
+        # the bound 2^454 * (1 + 1) = 2^455, whose bit length 456 is a
+        # multiple of 8, so the width is 464 bits and one byte less holds no +2^455
+        g, k = path(1), 2
+        weight = LaurentPoly2({(0, j): 2**454 for j in range(digits)})
+        states = dict.fromkeys(initial_states(g, k), weight)
+        want = _general(g, k, states)
+        assert max(c for w in want.values() for c in w.terms.values()) == 2**455
+        assert transfer._digit_width(2**455) == 464
+        got, general_outputs = _step_and_general_outputs(g, k, states)
+        assert general_outputs == [] and got == want
+        width = transfer._digit_width
+        monkeypatch.setattr(transfer, "_digit_width", lambda bound: width(bound) - 8)
+        try:
+            narrow = step(g, k, states)
+        except OverflowError:  # a digit past the byte image of the value
+            narrow = None
+        assert narrow != want
+
     def test_output_shares_one_weight_per_orbit(self):
         states = step(star(3), 2, initial_states(star(3), 2))
         assert len({id(w) for w in states.values()}) == 7
@@ -676,7 +766,7 @@ def _reachable_orbit_list(g, k):
     from the first slice until none is new."""
     op = transfer._operator(g, k)
     table = transfer._slice_table(g, k)
-    frontier = list(dict.fromkeys(op.orbit(p.colors, p.linkage) for p in initial_states(g, k)))
+    frontier = list(dict.fromkeys(op.orbit(p) for p in initial_states(g, k)))
     seen = set(frontier)
     for orbit in frontier:
         for target, _, _ in op.row(orbit, table):
@@ -731,7 +821,7 @@ class TestOrbitCounts:
     def test_star_profile_count_counts_valid_states(self, m):
         g = star(m)
         op = transfer._operator(g, 2)
-        valid = {op.orbit(colors, linkage) for colors, linkage in _valid_profiles(g, 2)}
+        valid = {op.orbit((colors, linkage)) for colors, linkage in _valid_profiles(g, 2)}
         assert len(valid) == cf.star_profile_count(m)
         reached = _reachable_orbits(g, 2)
         assert reached <= valid
