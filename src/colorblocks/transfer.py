@@ -179,9 +179,7 @@ def _transition(
 def _general_step(nv: int, table, states: StateWeights) -> StateWeights:
     """The step on arbitrary weights: every (profile, new coloring) pair."""
     out: StateWeights = {}
-    for profile, weight in states.items():
-        old_colors = profile.colors
-        old_link = profile.linkage
+    for (old_colors, old_link), weight in states.items():
         for new_colors, new_comp in table:
             new_link, closed = _transition(nv, old_colors, old_link, new_colors, new_comp)
             key = Profile(new_colors, new_link)
@@ -580,8 +578,8 @@ def finalize(states: StateWeights) -> LaurentPoly2:
     of its profiles.  The at most |V| group sums are shifted and added.
     """
     members: dict[tuple[int, int], list] = {}
-    for profile, weight in states.items():
-        key = (id(weight), max(profile.linkage) + 1)
+    for (_, linkage), weight in states.items():
+        key = (id(weight), max(linkage) + 1)
         entry = members.get(key)
         if entry is None:
             members[key] = [weight, 1]

@@ -83,6 +83,18 @@ class TestProfile:
         with pytest.raises(TypeError):
             profile[0] = (1, 0, 0)
 
+    def test_plain_tuple_keys_step_and_finalize_as_profiles(self):
+        g, k = path(3), 2
+        symmetric = step(g, k, initial_states(g, k))
+        asymmetric = dict(symmetric)
+        first = next(iter(asymmetric))
+        asymmetric[first] = asymmetric[first] * 2
+        for states in (symmetric, asymmetric):  # the lumped and the general path
+            plain = {tuple(p): w for p, w in states.items()}
+            assert {type(p) for p in plain} == {tuple}
+            assert step(g, k, plain) == step(g, k, states)
+            assert finalize(plain) == finalize(states)
+
 
 class TestSliceTable:
     @pytest.mark.parametrize(
