@@ -71,7 +71,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -107,6 +107,9 @@ class Profile(NamedTuple):
 
 StateWeights = dict[Profile, LaurentPoly2]
 
+# Profile((colors, linkage)) without the Python-level __new__ frame
+_new_profile = partial(tuple.__new__, Profile)
+
 
 def _canonical_rgs(labels) -> tuple[int, ...]:
     seen: dict = {}
@@ -121,7 +124,7 @@ def _slice_table(g: Graph, k: int) -> tuple[Profile, ...]:
     table = []
     for colors in itertools.product(range(k), repeat=g.n):
         same = [(u, v) for u, v in edges if colors[u] == colors[v]]
-        table.append(Profile(colors, _canonical_rgs(union_roots(g.n, same))))
+        table.append(_new_profile((colors, _canonical_rgs(union_roots(g.n, same)))))
     return tuple(table)
 
 
@@ -182,7 +185,7 @@ def _general_step(nv: int, table, states: StateWeights) -> StateWeights:
     for (old_colors, old_link), weight in states.items():
         for new_colors, new_comp in table:
             new_link, closed = _transition(nv, old_colors, old_link, new_colors, new_comp)
-            key = Profile(new_colors, new_link)
+            key = _new_profile((new_colors, new_link))
             shifted = weight.shift_y(closed) if closed else weight
             acc = out.get(key)
             out[key] = shifted if acc is None else acc + shifted
@@ -281,18 +284,20 @@ class _LumpedOperator:
         if found is not None and found[1] is profile:
             return found[0]
         colors, linkage = profile
-        well_formed = all(type(label) is int for label in colors + linkage)
-        if well_formed and found is not None:
-            return found[0]
-        if not (
-            well_formed
-            and len(colors) == self.nv == len(linkage)
-            and all(0 <= c < self.k for c in colors)
-            and _canonical_rgs(linkage) == linkage
-            and len(set(zip(linkage, colors))) == len(set(linkage))
-        ):
-            raise ValueError(f"malformed profile {colors}, {linkage} at k={self.k}")
-        return self._register((_canonical_rgs(colors), linkage))
+        for label in colors + linkage:
+            if type(label) is not int:
+                break
+        else:  # int labels: an equal member's orbit, or a new one if well formed
+            if found is not None:
+                return found[0]
+            if (
+                len(colors) == self.nv == len(linkage)
+                and all(0 <= c < self.k for c in colors)
+                and _canonical_rgs(linkage) == linkage
+                and len(set(zip(linkage, colors))) == len(set(linkage))
+            ):
+                return self._register((_canonical_rgs(colors), linkage))
+        raise ValueError(f"malformed profile {colors}, {linkage} at k={self.k}")
 
     def _register(self, canon: tuple) -> int:
         # closure of one S_k-canonical profile under the automorphism
@@ -313,7 +318,7 @@ class _LumpedOperator:
         members = []
         for colors, linkage in canonical:
             for relabel in itertools.permutations(range(self.k), used):
-                profile = Profile(tuple(relabel[c] for c in colors), linkage)
+                profile = _new_profile((tuple(map(relabel.__getitem__, colors)), linkage))
                 members.append(rows.get(profile, profile))
         index = len(self.reps)
         for profile in members:
