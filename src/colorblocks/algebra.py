@@ -379,16 +379,25 @@ def _read_digits(value: int, width: int, offset: int) -> dict[int, int]:
     return out
 
 
+# below this many bits of digits a sum of shifts packs faster than byte images
+# (measured at widths of 64 to 1024 bits)
+_SHIFT_SUM_BITS = 1 << 15
+
+
 def _write_digits(digits: Mapping[int, int], width: int, offset: int) -> int:
     """The value at y = 2**width of sum c * y**(e - offset) over the digits
     e: c, each e >= offset and |c| < 2**(width - 1), in time linear in the
     size of the result, for a width that is a whole number of bytes: the
     inverse of ``_read_digits``.  The positive and the negative digits are
     each written into one byte image, where no field carries into the next,
-    and the two images are subtracted.  Below 16 digits a sum of shifts,
-    quadratic in the digit count, is the faster."""
-    if len(digits) < 16:
-        return sum(c << width * (e - offset) for e, c in digits.items())
+    and the two images are subtracted.  A sum of shifts copies the partial
+    sum at every digit, so its time grows with the digit count times the
+    size of the result; it is the faster below ``_SHIFT_SUM_BITS``."""
+    if len(digits) * width < _SHIFT_SUM_BITS:
+        value = 0
+        for e, c in digits.items():
+            value += c << width * (e - offset)
+        return value
     size = width // 8
     length = size * (max(digits) - offset + 1)
     plus, minus = bytearray(length), bytearray(length)

@@ -77,10 +77,12 @@ from typing import NamedTuple
 
 from .algebra import (
     MAX_SYSTEM_DIM,
+    _SHIFT_SUM_BITS,
     LaurentPoly2,
     RationalGF,
     _digit_width,
     _read_digits,
+    _write_digits,
     weighted_solution_gf,
 )
 from .combinatorics import partition_count_at_most_k_parts, partitions_at_most_k_parts
@@ -499,12 +501,14 @@ def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeigh
         low = high = 0
     width = _digit_width(bound)
     span = high - low + op.nv + 1
-    stride = width * span if has_x else 0
     sums: dict[int, int] = {}
     for terms, row in rows:
-        packed = 0
-        for (i, j), c in terms.items():
-            packed += c << stride * i + width * (j - low)
+        if len(terms) * width < _SHIFT_SUM_BITS:
+            packed = 0
+            for (i, j), c in terms.items():
+                packed += c << width * (span * i + j - low)
+        else:  # long weights: linear time
+            packed = _write_digits({span * i + j - low: c for (i, j), c in terms.items()}, width, 0)
         for target, closed, count in row:
             sums[target] = sums.get(target, 0) + ((packed * count) << width * closed)
     out: StateWeights = {}

@@ -493,9 +493,10 @@ def _alternating(length: int, size: int) -> dict[int, int]:
 
 class TestDigitReader:
     """_read_digits and _write_digits against _pack and _unpack: short values
-    go through the shift loops, values of 16 digits or more through bytes."""
+    go through the shift loops, values of 16 digits (_read_digits) or of
+    _SHIFT_SUM_BITS bits (_write_digits) or more through bytes."""
 
-    @pytest.mark.parametrize("width", [8, 64, 200])
+    @pytest.mark.parametrize("width", [8, 64, 200, 2048])
     @pytest.mark.parametrize(
         "make",
         [

@@ -732,6 +732,8 @@ class TestLumpedStep:
             LaurentPoly2({(3, 4): -1, (0, 0): 2**80}),
         ],
     )
+    # long weights, packed through byte images
+    @example(path(2), 2, False, [LaurentPoly2({(i % 2, i - 30): (-3) ** i << 900 for i in range(60)})])
     def test_packed_weights_equal_the_general_path(self, g, k, later, pool):
         op = transfer._operator(g, k)
         states = initial_states(g, k)
@@ -746,7 +748,7 @@ class TestLumpedStep:
         assert general_outputs == []
         assert got == _general(g, k, drawn)
 
-    @pytest.mark.parametrize("digits", [2, 20])
+    @pytest.mark.parametrize("digits", [2, 20, 80])  # 80 digits of 464 bits pack through bytes
     def test_a_width_one_byte_narrower_misreads_a_step_at_its_bound(self, monkeypatch, digits):
         # one vertex at k=2 is one orbit whose row is w -> w + y*w; with
         # w = 2^454 * (1 + y + ... + y^(digits-1)) every middle coefficient is
