@@ -15,7 +15,10 @@ denominator pairs), power-series coefficient extraction, cross-multiplication
 equality, and a division-free solver for systems ``t = b + x*M*t`` whose
 entries are polynomials in y: Berkowitz's characteristic polynomial gives the
 denominator and Krylov vectors the numerators, so ``x`` never enters the
-arithmetic.  The solver, ``gf_equal`` and ``series_expand`` run on packed
+arithmetic.  The solver returns r . t for each integer row r it is given
+(the unit rows by default): a generating function x * (w . t), as
+``weighted_solution_gf`` forms it, costs one numerator, not n numerators
+and their sum.  The solver, ``gf_equal`` and ``series_expand`` run on packed
 integers (Kronecker substitution): each polynomial in y is one ``int``, its
 value at y = 2**W (and x = 2**(W*S) in ``gf_equal``), so a polynomial product
 is one big-integer product, and ``series_expand``'s product with a
@@ -39,7 +42,7 @@ Key = tuple[int, int]
 
 # largest system bareiss_solve takes: Berkowitz's algorithm costs O(n^4)
 # products of polynomials in y whose degrees grow with n
-MAX_SYSTEM_DIM = 12
+MAX_SYSTEM_DIM = 16
 
 
 def _coerce(value: int) -> int:
@@ -247,9 +250,6 @@ class LaurentPoly2:
 
     def max_y_exponent(self) -> int | None:
         return max((j for _, j in self._terms), default=None)
-
-    def has_x(self) -> bool:
-        return any(i for i, _ in self._terms)
 
 
 _ZERO = LaurentPoly2._raw({})
@@ -555,21 +555,27 @@ def _charpoly(m: list[list[int]]) -> list[int]:
 def bareiss_solve(
     matrix: Sequence[Sequence[LaurentPoly2]],
     rhs: Sequence[LaurentPoly2],
+    rows: Sequence[Sequence[int]] | None = None,
 ) -> list[RationalGF]:
-    """Solve t = b + x*M*t exactly, i.e. (I - x*M) t = b.
+    """Solve t = b + x*M*t exactly, i.e. (I - x*M) t = b, and return r . t
+    for each functional row r of ``rows``: integer vectors of length n, by
+    default the n unit rows, which give t_1 .. t_n themselves.
 
     M's entries and b must be polynomials in y alone.  Row i of [I - x*M | b]
     is first cleared of negative y exponents by y**s_i, as a fraction-free
     elimination would; with shift = sum s_i, every Cramer determinant is
     y**shift times the unshifted one.  The result is exactly those
     determinants: each t_i is num_i / den with the common denominator
-    den = y**shift * det(I - x*M).
+    den = y**shift * det(I - x*M), and r . t is (sum r_i num_i) / den.
 
     No division is needed, and the arithmetic runs in y alone.
     det(I - x*M) = sum_k c_k x^k is the reversed characteristic polynomial of
     M (``_charpoly``, Berkowitz), whose c_0 = 1 makes the system never
     singular.  With the Krylov vectors v_0 = b, v_k = M v_(k-1), the adjugate
-    gives num_i = y**shift * sum_{k<n} x^k sum_{j<=k} c_j (v_(k-j))_i.
+    gives num_i = y**shift * sum_{k<n} x^k sum_{j<=k} c_j (v_(k-j))_i, so a
+    row r needs only the n scalars u_t = r . v_t: the x**k coefficient of its
+    numerator is y**shift * sum_{j<=k} c_j u_(k-j), one unpacked polynomial
+    per k however many unknowns r combines.
 
     Every polynomial in y is one packed ``int`` (Kronecker substitution).
     With h and g the largest negative y exponents of M and of b, y**h * M and
@@ -579,52 +585,77 @@ def bareiss_solve(
     coefficients of den shifted by y**(-h*k) and those of num by
     y**(-h*k-g).  Unpacking reads signed digits of W bits, exact while every
     output coefficient has absolute value below 2**(W-1).  With L the
-    largest L1 norm of an entry of M (at least 1) and L_b that of b:
+    largest L1 norm of an entry of M (at least 1), L_b that of b and R the
+    largest ||r||_1 = sum |r_i| of a row (each at least 1):
     c_k sums the C(n, k) principal k x k minors, each at most k! products of
     k entries, so ||c_k||_1 <= C(n, k) k! L^k <= (nL)^k; each entry of M^t b
     sums n^t products of t entries of M and one of b, so
-    ||(M^t b)_i||_1 <= (nL)^t L_b; and the x**k coefficient of num_i sums
-    k + 1 <= n products c_j (v_(k-j))_i, each of L1 norm at most
-    (nL)^k L_b.  Every output coefficient is therefore at most
-    bound = n * (nL)^n * max(1, L_b), and W = bound.bit_length() + 2 leaves
-    2**(W-1) >= 2 * bound.  ``solution_defect`` checks the output exactly.
-    The name is kept for API compatibility and because profilers and tracers
-    hook it.
+    ||(M^t b)_i||_1 <= (nL)^t L_b and ||u_t||_1 <= ||r||_1 (nL)^t L_b; and
+    the x**k coefficient of a numerator sums k + 1 <= n products
+    c_j u_(k-j), each of L1 norm at most (nL)^k L_b R.  Every output
+    coefficient, den's too, is therefore at most
+    bound = n * (nL)^n * L_b * R, and W = bound.bit_length() + 2 leaves
+    2**(W-1) >= 2 * bound.  Unit rows have R = 1.  ``solution_defect``
+    checks the output of a unit-row solve exactly.  The name is kept for API
+    compatibility and because profilers and tracers hook it.
     """
     n = len(matrix)
-    if n == 0:
-        return []
     if n > MAX_SYSTEM_DIM:
         raise DimensionLimitError(f"system dimension {n} exceeds limit {MAX_SYSTEM_DIM}")
     if len(rhs) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square and match the rhs length")
-    if any(entry.has_x() for row in (*matrix, rhs) for entry in row):
-        raise ValueError("matrix and rhs entries must be polynomials in y alone")
+    if rows is None:
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    else:
+        rows = [[_coerce(c) for c in row] for row in rows]
+        if any(len(row) != n for row in rows):
+            raise ValueError(f"each functional row must have {n} entries")
+    # one pass over the entries of [M | b]: no x terms, the row shifts s_i,
+    # and, for M and for b, the least y exponent (at most 0: -h and -g) and
+    # the largest L1 norm (at least 1: L and L_b)
     shift = 0
-    for row, b in zip(matrix, rhs):
-        low = min((p.min_y_exponent() for p in (*row, b) if p), default=0)
-        shift += max(0, -low)
-    entries = [p for row in matrix for p in row if p]
-    h = max(0, -min((p.min_y_exponent() for p in entries), default=0))
-    g = max(0, -min((p.min_y_exponent() for p in rhs if p), default=0))
-    norm = max(1, max(map(_l1, entries), default=0))
-    bound = n * (n * norm) ** n * max(1, max(map(_l1, rhs)))
-    width = bound.bit_length() + 2
-    m = [[_pack(p, 0, width, -h) for p in row] for row in matrix]
+    lows, norms = [0, 0], [1, 1]
+    for line, b in zip(matrix, rhs):
+        row_low = 0
+        for col, p in enumerate((*line, b)):
+            terms = p._terms
+            if terms:
+                # with every x exponent 0, the least key is (0, least y exponent)
+                if max(terms)[0]:
+                    raise ValueError("matrix and rhs entries must be polynomials in y alone")
+                j = min(terms)[1]
+                if j < row_low:
+                    row_low = j
+                side = col == n
+                if j < lows[side]:
+                    lows[side] = j
+                l1 = sum(map(abs, terms.values()))
+                if l1 > norms[side]:
+                    norms[side] = l1
+        shift -= row_low
+    (low_m, low_b), (norm, norm_b) = lows, norms
+    row_norm = max(1, max((sum(map(abs, row)) for row in rows), default=0))
+    width = (n * (n * norm) ** n * norm_b * row_norm).bit_length() + 2
+    m = [[_pack(p, 0, width, low_m) for p in line] for line in matrix]
     c = _charpoly(m)
-    krylov = [[_pack(p, 0, width, -g) for p in rhs]]
+    krylov = [[_pack(p, 0, width, low_b) for p in rhs]]
     for _ in range(n - 1):
         v = krylov[-1]
         krylov.append([sum(map(mul, line, v)) for line in m])
     den = LaurentPoly2._raw(
-        {(k, j): cj for k, ck in enumerate(c) for j, cj in _unpack(ck, width, shift - h * k).items()}
+        {
+            (k, j): cj
+            for k, ck in enumerate(c)
+            for j, cj in _unpack(ck, width, shift + low_m * k).items()
+        }
     )
     solutions = []
-    for i in range(n):
+    for row in rows:
+        u = [sum(map(mul, row, v)) for v in krylov]
         num: dict[Key, int] = {}
         for k in range(n):
-            packed = sum(c[j] * krylov[k - j][i] for j in range(k + 1))
-            for j, cj in _unpack(packed, width, shift - h * k - g).items():
+            packed = sum(map(mul, c[: k + 1], u[k::-1]))
+            for j, cj in _unpack(packed, width, shift + low_m * k + low_b).items():
                 num[(k, j)] = cj
         solutions.append(RationalGF(LaurentPoly2._raw(num), den))
     return solutions
@@ -633,12 +664,9 @@ def bareiss_solve(
 def weighted_solution_gf(matrix, rhs, weights: Sequence[int]) -> RationalGF:
     """x * sum(w_i * t_i) for the solution t of bareiss_solve(matrix, rhs): the
     generating function of a transfer system whose unknowns start with weights
-    w_i.  All t_i share one denominator, so only the numerators are summed."""
-    solutions = bareiss_solve(matrix, rhs)
-    num = _ZERO
-    for weight, sol in zip(weights, solutions):
-        num = num + weight * sol.num
-    return RationalGF(_X * num, solutions[0].den)
+    w_i, solved as the one functional row w.  An empty system gives 0."""
+    (gf,) = bareiss_solve(matrix, rhs, [weights])
+    return RationalGF(_X * gf.num, gf.den)
 
 
 # -- checking a solve exactly ---------------------------------------------------

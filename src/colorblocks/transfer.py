@@ -676,22 +676,18 @@ def _class_row(parts: tuple[int, ...], k: int) -> dict[tuple[tuple[int, ...], in
         for _ in range(size):
             after: dict[tuple, int] = {}
             for (own, others, closed, met), count in states.items():
-                moves = [
-                    ((*own[:c], own[c] + 1, *own[c + 1 :]), others, met or c == i, count)
-                    for c in range(u)
-                ]
+                for c in range(u):
+                    key = ((*own[:c], own[c] + 1, *own[c + 1 :]), others, closed, met or c == i)
+                    after[key] = after.get(key, 0) + count
                 for at, x in enumerate(others):
                     if at and others[at - 1] == x:
                         continue
-                    same = others.count(x)
-                    grown = (*others[:at], x + 1, *others[at + 1 :])
-                    moves.append((own, grown, met, count * same))
+                    key = (own, (*others[:at], x + 1, *others[at + 1 :]), closed, met)
+                    after[key] = after.get(key, 0) + count * others.count(x)
                 fresh = k - u - len(others)
                 if fresh:
-                    moves.append((own, (*others, 1), met, count * fresh))
-                for new_own, new_others, new_met, ways in moves:
-                    key = (new_own, new_others, closed, new_met)
-                    after[key] = after.get(key, 0) + ways
+                    key = (own, (*others, 1), closed, met)
+                    after[key] = after.get(key, 0) + count * fresh
             states = after
         closing: dict[tuple, int] = {}
         for (own, others, closed, met), count in states.items():

@@ -19,7 +19,7 @@ from colorblocks.algebra import _pack, _read_digits, _unpack, _write_digits
 from colorblocks.errors import DimensionLimitError
 from colorblocks.fixtures import fixture_gf, star_system
 from colorblocks.polytext import parse_poly
-from colorblocks.transfer import km_prism_gf
+from colorblocks.transfer import km_prism_gf, km_transfer_system
 
 ONE = LaurentPoly2.one()
 X = LaurentPoly2.x()
@@ -249,9 +249,24 @@ class TestBareissSolve:
         assert gf_equal(sol, RationalGF(Y, ONE - X))
 
     def test_dimension_limit(self):
-        m = [[ONE] * 13 for _ in range(13)]
-        with pytest.raises(DimensionLimitError):
-            bareiss_solve(m, [Y] * 13)
+        m = [[ONE] * 17 for _ in range(17)]
+        with pytest.raises(DimensionLimitError, match="dimension 17 exceeds limit 16"):
+            bareiss_solve(m, [Y] * 17)
+
+    def test_solves_at_the_limit(self):
+        # a dense system of the largest dimension, Laurent entries with signed
+        # coefficients, checked by substitution and integer determinants
+        n = algebra.MAX_SYSTEM_DIM
+        assert n == 16
+        m = [
+            [
+                LaurentPoly2({(0, (i * j) % 6 - 2): (i + 2 * j) % 7 - 3, (0, (i + j) % 3): 1 + i % 2})
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        b = [LaurentPoly2({(0, i % 4 - 1): i - 8}) for i in range(n)]
+        assert solution_defect(m, b, bareiss_solve(m, b)) is None
 
     def test_rejects_x_entries(self):
         with pytest.raises(ValueError):
@@ -276,20 +291,6 @@ class TestBareissSolve:
         m = [[Y, ONE], [ONE, Y]]
         sols = bareiss_solve(m, [Y, LaurentPoly2.zero()])
         assert sols[0].den == sols[1].den
-
-
-class TestWeightedSolutionGf:
-    def test_geometric_system(self):
-        gf = weighted_solution_gf([[ONE]], [Y], [3])
-        assert gf_equal(gf, RationalGF(3 * X * Y, ONE - X))
-
-    def test_combines_the_solutions_term_for_term(self):
-        m = [[Y, ONE], [ONE, P("y^2+1")]]
-        b, weights = [Y, P("2*y")], [2, 5]
-        sols = bareiss_solve(m, b)
-        gf = weighted_solution_gf(m, b, weights)
-        assert gf.den.terms == sols[0].den.terms
-        assert gf.num == X * (2 * sols[0].num + 5 * sols[1].num)
 
 
 def _assert_matches_cramer(matrix, rhs):
@@ -333,6 +334,115 @@ def larger_y_systems(draw):
     matrix = [[draw(sparse_y_polys) for _ in range(n)] for _ in range(n)]
     rhs = [draw(sparse_y_polys) for _ in range(n)]
     return matrix, rhs
+
+
+row_entries = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([2**100, -(2**100), 2**100 - 1, -(2**100) + 7]),
+)
+
+
+@st.composite
+def functional_systems(draw):
+    """A larger_y_systems system and 1-3 functional rows with zero, negative
+    and 2^100-sized entries."""
+    matrix, rhs = draw(larger_y_systems())
+    n = len(matrix)
+    rows = draw(st.lists(st.lists(row_entries, min_size=n, max_size=n), min_size=1, max_size=3))
+    return matrix, rhs, rows
+
+
+def _reference_weighted_gf(matrix, rhs, weights) -> RationalGF:
+    """x * sum(w_i * t_i) summed as polynomials over the unit-row solve."""
+    solutions = bareiss_solve(matrix, rhs)
+    num = LaurentPoly2.zero()
+    for weight, sol in zip(weights, solutions):
+        num = num + weight * sol.num
+    return RationalGF(X * num, solutions[0].den)
+
+
+class TestFunctionalRows:
+    """bareiss_solve(m, b, rows) against sums of the unit-row solutions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(functional_systems())
+    @example(([[P("-y^-2")]], [P("3*y^-1")], [[0], [-(2**100)], [2**100 - 1]]))
+    def test_rows_are_sums_of_the_unit_solutions(self, system):
+        matrix, rhs, rows = system
+        solutions = bareiss_solve(matrix, rhs)
+        got = bareiss_solve(matrix, rhs, rows)
+        assert len(got) == len(rows)
+        for row, gf in zip(rows, got):
+            want = LaurentPoly2.zero()
+            for r, sol in zip(row, solutions):
+                want = want + r * sol.num
+            assert gf.num.terms == want.terms
+            assert gf.den.terms == solutions[0].den.terms
+
+    def test_unit_rows_are_the_default(self):
+        matrix, rhs, _ = star_system()
+        n = len(matrix)
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        for a, b in zip(bareiss_solve(matrix, rhs), bareiss_solve(matrix, rhs, unit)):
+            assert a.num.terms == b.num.terms and a.den.terms == b.den.terms
+
+
+class TestWeightedSolutionGf:
+    def test_geometric_system(self):
+        gf = weighted_solution_gf([[ONE]], [Y], [3])
+        assert gf_equal(gf, RationalGF(3 * X * Y, ONE - X))
+
+    def test_combines_the_solutions_term_for_term(self):
+        m = [[Y, ONE], [ONE, P("y^2+1")]]
+        b, weights = [Y, P("2*y")], [2, 5]
+        sols = bareiss_solve(m, b)
+        gf = weighted_solution_gf(m, b, weights)
+        assert gf.den.terms == sols[0].den.terms
+        assert gf.num == X * (2 * sols[0].num + 5 * sols[1].num)
+
+    @settings(max_examples=40, deadline=None)
+    @given(functional_systems())
+    def test_is_the_polynomial_sum(self, system):
+        matrix, rhs, rows = system
+        gf = weighted_solution_gf(matrix, rhs, rows[0])
+        want = _reference_weighted_gf(matrix, rhs, rows[0])
+        assert gf.num.terms == want.num.terms and gf.den.terms == want.den.terms
+
+    def test_weights_near_2_200_widen_the_digits(self):
+        # the outputs are about 2^200 times those of the class-size weights:
+        # a width without the ||w||_1 factor (18 bits here) misreads them
+        matrix, rhs, _ = km_transfer_system(4, 2)
+        weights = [2**200 - 1, -(2**200) + 3, 2**199 + 5]
+        gf = weighted_solution_gf(matrix, rhs, weights)
+        want = _reference_weighted_gf(matrix, rhs, weights)
+        assert gf.num.terms == want.num.terms and gf.den.terms == want.den.terms
+        assert max(map(abs, gf.num.terms.values())) > 2**200
+
+    def test_weight_count_must_match_the_system(self):
+        # zip would silently drop the third class of K4 x path at k = 2
+        matrix, rhs, weights = km_transfer_system(4, 2)
+        assert len(weights) == 3
+        with pytest.raises(ValueError, match="3 entries"):
+            weighted_solution_gf(matrix, rhs, weights[:2])
+        with pytest.raises(ValueError, match="3 entries"):
+            bareiss_solve(matrix, rhs, [weights, weights + [1]])
+
+    def test_empty_system_is_zero(self):
+        gf = weighted_solution_gf([], [], [])
+        assert gf.num.terms == {} and gf.den.terms == {(0, 0): 1}
+        assert bareiss_solve([], []) == []
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2, 1), 0.5, ONE], ids=str)
+    def test_non_int_entries_are_a_type_error_before_packing(self, monkeypatch, bad):
+        def no_packing(*args):
+            raise AssertionError("packed before the rows were checked")
+
+        monkeypatch.setattr(algebra, "_pack", no_packing)
+        m, b = [[Y, ONE], [ONE, Y]], [Y, ONE]
+        with pytest.raises(TypeError):
+            weighted_solution_gf(m, b, [1, bad])
+        with pytest.raises(TypeError):
+            bareiss_solve(m, b, [[1, 0], [bad, 2]])
 
 
 def _gf_digest(gf: RationalGF) -> str:

@@ -445,9 +445,9 @@ class TestGf:
         assert code == 2
 
     def test_dimension_limit_exits_3(self, capsys):
-        code, out, err = run(capsys, "gf", "--m", "7", "--k", "7")
+        code, out, err = run(capsys, "gf", "--m", "9", "--k", "9")
         assert code == 3 and out == ""
-        assert "15" in err and "12" in err
+        assert "system dimension 30 exceeds limit 16" in err
 
     def test_dimension_limit_precedes_enumeration(self, capsys, monkeypatch):
         def no_enumeration(m, k):
@@ -455,11 +455,11 @@ class TestGf:
 
         monkeypatch.setattr(transfer, "km_transfer_system", no_enumeration)
         for argv in (
-            ["gf", "--m", "7", "--k", "7"],
+            ["gf", "--m", "9", "--k", "9"],
             ["dist", "--graph", "product(complete:9,path:2)", "--k", "9", "--method", "closed"],
         ):
             code, _, err = run(capsys, *argv)
-            assert code == 3 and "exceeds limit 12" in err, argv
+            assert code == 3 and "exceeds limit 16" in err, argv
 
     def test_large_slice_rejected_before_listing_classes(self, capsys, monkeypatch):
         def no_listing(m, k):
