@@ -662,43 +662,47 @@ def _class_row(parts: tuple[int, ...], k: int) -> dict[tuple[tuple[int, ...], in
     have those color-class parts and close that many parts of one coloring
     of the class ``parts``: part i, colored i, is the next parts[i] vertices.
 
-    A DP over that coloring's vertices, part by part.  A state holds the
-    counts on the u own colors 0..u-1, the weakly decreasing counts on the
-    other colors used so far, the parts closed so far, and whether the
-    current part has met its own color.  A vertex takes an own color, an
-    other color in use (one choice per distinct count, times the number of
-    other colors with that count), or a new other color (k - u - others in
-    use choices), so the cost does not depend on k.
+    A DP over that coloring's vertices, part by part.  While part i is
+    colored, a state holds the counts on colors i..u-1 (color i decides
+    whether part i is met, and each later color j will decide it for part
+    j), the weakly decreasing nonzero counts on the pool of all other
+    colors, the parts closed so far, and whether part i has met its color.
+    The pool is the k - u colors no part owns and the colors of the parts
+    done: no later part can meet one of them, so they are interchangeable.
+    A vertex takes a color i..u-1, a pool color in use (one choice per
+    distinct count, times the number of pool colors with that count), or an
+    unused pool color; when part i is done, color i's count joins the pool.
+    At the end the pool's counts are the target parts.  The cost does not
+    depend on k.
     """
     u = len(parts)
     states = {((0,) * u, (), 0, False): 1}
     for i, size in enumerate(parts):
+        free = k - u + i  # pool colors while part i is colored
         for _ in range(size):
             after: dict[tuple, int] = {}
-            for (own, others, closed, met), count in states.items():
-                for c in range(u):
-                    key = ((*own[:c], own[c] + 1, *own[c + 1 :]), others, closed, met or c == i)
+            for (own, pool, closed, met), count in states.items():
+                for c in range(len(own)):
+                    key = ((*own[:c], own[c] + 1, *own[c + 1 :]), pool, closed, met or not c)
                     after[key] = after.get(key, 0) + count
-                for at, x in enumerate(others):
-                    if at and others[at - 1] == x:
+                for at, x in enumerate(pool):
+                    if at and pool[at - 1] == x:
                         continue
-                    key = (own, (*others[:at], x + 1, *others[at + 1 :]), closed, met)
-                    after[key] = after.get(key, 0) + count * others.count(x)
-                fresh = k - u - len(others)
+                    key = (own, (*pool[:at], x + 1, *pool[at + 1 :]), closed, met)
+                    after[key] = after.get(key, 0) + count * pool.count(x)
+                fresh = free - len(pool)
                 if fresh:
-                    key = (own, (*others, 1), closed, met)
+                    key = (own, (*pool, 1), closed, met)
                     after[key] = after.get(key, 0) + count * fresh
             states = after
         closing: dict[tuple, int] = {}
-        for (own, others, closed, met), count in states.items():
-            key = (own, others, closed + (not met), False)
+        for (own, pool, closed, met), count in states.items():
+            if own[0]:
+                pool = tuple(sorted((*pool, own[0]), reverse=True))
+            key = (own[1:], pool, closed + (not met), False)
             closing[key] = closing.get(key, 0) + count
         states = closing
-    row: dict[tuple[tuple[int, ...], int], int] = {}
-    for (own, others, closed, _), count in states.items():
-        key = (tuple(sorted((c for c in own + others if c), reverse=True)), closed)
-        row[key] = row.get(key, 0) + count
-    return row
+    return {(pool, closed): count for (_, pool, closed, _), count in states.items()}
 
 
 def km_transfer_system(
