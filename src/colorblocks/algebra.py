@@ -1,10 +1,11 @@
 """Exact sparse arithmetic in two variables over the integers.
 
 A polynomial is a dict mapping exponent pairs ``(i, j)`` -- the powers of
-``x`` and ``y`` -- to nonzero coefficients.  Every block count is an integer,
-so the coefficient ring is Z[x, y, 1/y]: coefficients are plain Python
-``int``s, and any other coefficient (a ``Fraction``, even an integral one, or
-a float) is a ``TypeError``.  Only ``evaluate`` leaves the ring: it takes
+``x`` and ``y``, plain ``int``s like the coefficients -- to nonzero
+coefficients.  Every block count is an integer, so the coefficient ring is
+Z[x, y, 1/y]: coefficients are plain Python ``int``s, and any other
+coefficient or exponent (a ``Fraction``, even an integral one, or a float) is
+a ``TypeError``.  Only ``evaluate`` leaves the ring: it takes
 ``int`` or ``Fraction`` points and returns an exact ``Fraction``.
 ``x`` exponents are always >= 0; ``y`` exponents may be negative
 (several transfer-matrix entries need ``1/y`` and ``1/y**2``).  The zero
@@ -22,8 +23,11 @@ and their sum.  The solver, ``gf_equal`` and ``series_expand`` run on packed
 integers (Kronecker substitution): each polynomial in y is one ``int``, its
 value at y = 2**W (and x = 2**(W*S) in ``gf_equal``), so a polynomial product
 is one big-integer product, and ``series_expand``'s product with a
-denominator coefficient is a few shifted small multiples; W comes from a
-proven bound on the coefficients, and only the outputs are unpacked.
+denominator coefficient is a few shifted small multiples.  ``_pack`` and
+``_unpack`` are the one codec between term maps and packed integers, here and
+in ``transfer``'s lumped step; each caller proves its own bound on the output
+coefficients, which fixes W through ``_digit_width``, and chooses the stride
+S, and only the outputs are unpacked.
 ``solution_defect`` checks a solve exactly, by substitution into its system
 and by comparing the denominator with integer (Bareiss) determinants on a
 grid of points.
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -45,13 +50,14 @@ Key = tuple[int, int]
 MAX_SYSTEM_DIM = 16
 
 
-def _coerce(value: int) -> int:
-    """The coefficient as a plain ``int``; any non-``int`` is a TypeError."""
+def _coerce(value: int, what: str = "coefficient") -> int:
+    """The coefficient (or exponent) as a plain ``int``; any non-``int`` is a
+    TypeError."""
     if type(value) is int:
         return value
     if isinstance(value, int):
         return int(value)
-    raise TypeError(f"expected an int coefficient, got {type(value).__name__}")
+    raise TypeError(f"expected an int {what}, got {type(value).__name__}")
 
 
 class LaurentPoly2:
@@ -63,11 +69,13 @@ class LaurentPoly2:
         clean: dict[Key, int] = {}
         if terms:
             for (i, j), c in terms.items():
+                if type(i) is not int or type(j) is not int:
+                    i, j = _coerce(i, "exponent"), _coerce(j, "exponent")
                 if i < 0:
                     raise ValueError(f"x exponent must be >= 0, got {i}")
                 c = _coerce(c)
                 if c:
-                    clean[(int(i), int(j))] = c
+                    clean[(i, j)] = c
         self._terms = clean
 
     @classmethod
@@ -99,6 +107,7 @@ class LaurentPoly2:
 
     @classmethod
     def monomial(cls, i: int, j: int, c: int = 1) -> "LaurentPoly2":
+        i, j = _coerce(i, "exponent"), _coerce(j, "exponent")
         if i < 0:
             raise ValueError(f"x exponent must be >= 0, got {i}")
         c = _coerce(c)
@@ -212,6 +221,8 @@ class LaurentPoly2:
 
     def shift_y(self, d: int) -> "LaurentPoly2":
         """Multiply by y**d (d may be negative)."""
+        if type(d) is not int:
+            d = _coerce(d, "exponent")
         if d == 0:
             return self
         return LaurentPoly2._raw({(i, j + d): c for (i, j), c in self._terms.items()})
@@ -281,102 +292,10 @@ def _l1(p: LaurentPoly2) -> int:
     return sum(map(abs, p._terms.values()))
 
 
-def _pack(p: LaurentPoly2, row: int, width: int, low: int) -> int:
-    """p at x = 2**row, y = 2**width, with its y exponents counted from low
-    (y**(-low) * p must be a polynomial)."""
-    return sum(c << row * i + width * (j - low) for (i, j), c in p._terms.items())
-
-
-def _unpack(value: int, width: int, offset: int) -> dict[int, int]:
-    """The polynomial whose value at y = 2**width is ``value``, read as signed
-    digits of ``width`` bits, each coefficient of absolute value below
-    2**(width - 1); the exponent of digit e is e + offset.
-
-    Each step copies the rest of the value, so the time is quadratic in the
-    digit count.  ``bareiss_solve`` reads its outputs here: they are a few
-    hundred bits, where this loop is faster than building the byte image
-    that ``_read_digits`` reads in linear time.  ``series_expand`` reads its
-    long outputs there."""
-    mask, half, base = (1 << width) - 1, 1 << (width - 1), 1 << width
-    out = {}
-    e = offset
-    while value:
-        digit = value & mask
-        if digit >= half:
-            digit -= base
-        if digit:
-            out[e] = digit
-            value -= digit
-        value >>= width
-        e += 1
-    return out
-
-
-def gf_equal(a: RationalGF, b: RationalGF) -> bool:
-    """Equality by cross-multiplication: a.num*b.den == b.num*a.den.
-
-    Both products are compared as packed integers: each factor is taken at
-    x = 2**(W*S), y = 2**W (Kronecker substitution), its y exponents counted
-    from its own least one, and each product is shifted to the least y
-    exponent of the two.  S is the y span of both products, so every term of
-    either product, and of their difference, has a digit of its own; the
-    difference's coefficients are below
-    ||a.num||_1 ||b.den||_1 + ||b.num||_1 ||a.den||_1 < 2**(W-2) in
-    absolute value, so its packed value is 0 only when every digit is.
-    """
-    if not a.num or not b.num:
-        return not a.num and not b.num
-    products = ((a.num, b.den), (b.num, a.den))
-    lows = [p.min_y_exponent() + q.min_y_exponent() for p, q in products]
-    top = max(p.max_y_exponent() + q.max_y_exponent() for p, q in products)
-    low = min(lows)
-    width = (_l1(a.num) * _l1(b.den) + _l1(b.num) * _l1(a.den)).bit_length() + 2
-    row = width * (top - low + 1)
-    packed = []
-    for (p, q), first in zip(products, lows):
-        pq = _pack(p, row, width, p.min_y_exponent()) * _pack(q, row, width, q.min_y_exponent())
-        packed.append(pq << width * (first - low))
-    return packed[0] == packed[1]
-
-
-# -- power series on packed integers --------------------------------------------
-
-
 def _digit_width(bound: int) -> int:
     """The least W, a whole number of bytes and at least 64 bits, with
     2**(W - 1) > bound: signed digits of W bits hold every |c| <= bound."""
     return max(64, 8 * ((bound.bit_length() + 8) // 8))
-
-
-def _read_digits(value: int, width: int, offset: int) -> dict[int, int]:
-    """``_unpack(value, width, offset)`` in time linear in the size of
-    ``value``, for a width that is a whole number of bytes.
-
-    ``_unpack``'s shift loop copies the rest of the value at every digit, so
-    it is quadratic in the digit count; it is the faster of the two below 16
-    digits, where it is used.  Here ``value`` is written out once in two's
-    complement, and each field of ``width`` bits is read as a signed integer.
-    With b_e = 1 when the digits below e sum to a negative number, else 0,
-    field e holds d_e - b_e, which lies in -2**(width-1) .. 2**(width-1) - 1
-    and so reads back exactly; b_(e+1) = b_e when d_e = 0, and otherwise
-    whether d_e < 0.  With E digits up to the last nonzero one,
-    |value| < 2**(width*E - 1), and |value| > 2**(width*(E-1) - 1), so
-    ``count`` below is at least E and the fields past E read 0.
-    """
-    count = abs(value).bit_length() // width + 1
-    if count < 16:
-        return _unpack(value, width, offset)
-    size = width // 8
-    data = value.to_bytes(size * count, "little", signed=True)
-    from_bytes = int.from_bytes
-    out = {}
-    borrow = 0
-    for e, k in enumerate(range(0, len(data), size), offset):
-        digit = from_bytes(data[k : k + size], "little", signed=True) + borrow
-        if digit:
-            out[e] = digit
-            borrow = digit < 0
-    return out
 
 
 # below this many bits of digits a sum of shifts packs faster than byte images
@@ -384,30 +303,111 @@ def _read_digits(value: int, width: int, offset: int) -> dict[int, int]:
 _SHIFT_SUM_BITS = 1 << 15
 
 
-def _write_digits(digits: Mapping[int, int], width: int, offset: int) -> int:
-    """The value at y = 2**width of sum c * y**(e - offset) over the digits
-    e: c, each e >= offset and |c| < 2**(width - 1), in time linear in the
-    size of the result, for a width that is a whole number of bytes: the
-    inverse of ``_read_digits``.  The positive and the negative digits are
-    each written into one byte image, where no field carries into the next,
-    and the two images are subtracted.  A sum of shifts copies the partial
-    sum at every digit, so its time grows with the digit count times the
-    size of the result; it is the faster below ``_SHIFT_SUM_BITS``."""
-    if len(digits) * width < _SHIFT_SUM_BITS:
+def _pack(terms: Mapping[Key, int], width: int, low: int, stride: int = 0) -> int:
+    """The packed integer of a term map: the coefficient c of x**i * y**j on
+    digit e = stride*i + j - low, i.e. the value of y**(-low) * sum c x**i y**j
+    at y = 2**width, x = 2**(width*stride).
+
+    Every e must be >= 0, and, for the result to read back through
+    ``_unpack``, the digits distinct and each |c| < 2**(width - 1), with a
+    width that is a whole number of bytes (``_digit_width``).  Below
+    ``_SHIFT_SUM_BITS`` bits of digits the value is a sum of shifts, which
+    copies the partial sum at every term; above, the positive and the
+    negative coefficients are each written into one byte image, where no
+    field carries into the next, and the two images are subtracted, in time
+    linear in the size of the result."""
+    if len(terms) * width < _SHIFT_SUM_BITS:
         value = 0
-        for e, c in digits.items():
-            value += c << width * (e - offset)
+        for (i, j), c in terms.items():
+            value += c << width * (stride * i + j - low)
         return value
     size = width // 8
-    length = size * (max(digits) - offset + 1)
+    at = [(size * (stride * i + j - low), c) for (i, j), c in terms.items()]
+    length = max(at)[0] + size
     plus, minus = bytearray(length), bytearray(length)
-    for e, c in digits.items():
-        at = size * (e - offset)
+    for a, c in at:
         if c > 0:
-            plus[at : at + size] = c.to_bytes(size, "little")
+            plus[a : a + size] = c.to_bytes(size, "little")
         else:
-            minus[at : at + size] = (-c).to_bytes(size, "little")
+            minus[a : a + size] = (-c).to_bytes(size, "little")
     return int.from_bytes(plus, "little") - int.from_bytes(minus, "little")
+
+
+def _unpack(value: int, width: int, low: int, stride: int = 0) -> dict[Key, int]:
+    """The inverse of ``_pack``: the term map whose packed integer is
+    ``value``, digit e read as the signed coefficient of x**(e // stride) *
+    y**(e % stride + low), or of y**(e + low) when stride is 0.
+
+    With E digits up to the last nonzero one, |value| < 2**(width*E - 1)
+    and |value| > 2**(width*(E-1) - 1), so ``count`` below is at least E.
+    Below 16 digits a shift loop peels one digit at a time, copying the rest
+    of the value at each.  Above, where that is quadratic, ``value`` is
+    written out once in two's complement, for a width that is a whole number
+    of bytes, and each field of ``width`` bits is read as a signed integer.
+    With b_e = 1 when the digits below e sum to a negative number, else 0,
+    field e holds d_e - b_e, which lies in -2**(width-1) .. 2**(width-1) - 1
+    and so reads back exactly; b_(e+1) = b_e when d_e = 0, and otherwise
+    whether d_e < 0.  The fields past E read 0."""
+    count = abs(value).bit_length() // width + 1
+    # the key of each digit e < count in turn; stride 0 keeps x**0 throughout
+    stride = stride or count
+    keys = product(range(-(-count // stride)), range(low, low + stride))
+    out = {}
+    if count < 16:
+        mask, half, base = (1 << width) - 1, 1 << (width - 1), 1 << width
+        for key in keys:
+            if not value:
+                break
+            digit = value & mask
+            if digit >= half:
+                digit -= base
+            if digit:
+                out[key] = digit
+                value -= digit
+            value >>= width
+        return out
+    size = width // 8
+    data = value.to_bytes(size * count, "little", signed=True)
+    from_bytes = int.from_bytes
+    borrow = 0
+    for key, k in zip(keys, range(0, len(data), size)):
+        digit = from_bytes(data[k : k + size], "little", signed=True) + borrow
+        if digit:
+            out[key] = digit
+            borrow = digit < 0
+    return out
+
+
+def gf_equal(a: RationalGF, b: RationalGF) -> bool:
+    """Equality by cross-multiplication: a.num*b.den == b.num*a.den.
+
+    Both products are compared as packed integers (``_pack``): each factor
+    is taken at x = 2**(W*S), y = 2**W (Kronecker substitution), its y
+    exponents counted from its own least one, and each product is shifted to
+    the least y exponent of the two.  S is the y span of both products, so
+    every term of either product, and of their difference, has a digit of
+    its own; the difference's coefficients are at most
+    bound = ||a.num||_1 ||b.den||_1 + ||b.num||_1 ||a.den||_1 in absolute
+    value, and W = _digit_width(bound) gives 2**(W-1) > bound, so its packed
+    value is 0 only when every digit is.
+    """
+    if not a.num or not b.num:
+        return not a.num and not b.num
+    products = ((a.num, b.den), (b.num, a.den))
+    lows = [p.min_y_exponent() + q.min_y_exponent() for p, q in products]
+    top = max(p.max_y_exponent() + q.max_y_exponent() for p, q in products)
+    low = min(lows)
+    width = _digit_width(_l1(a.num) * _l1(b.den) + _l1(b.num) * _l1(a.den))
+    span = top - low + 1
+    packed = []
+    for (p, q), first in zip(products, lows):
+        pq = _pack(p._terms, width, p.min_y_exponent(), span)
+        pq *= _pack(q._terms, width, q.min_y_exponent(), span)
+        packed.append(pq << width * (first - low))
+    return packed[0] == packed[1]
+
+
+# -- power series on packed integers --------------------------------------------
 
 
 def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
@@ -436,8 +436,8 @@ def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
     coefficient of q_i * c_(n-i) is at most ||q_i||_1 * ||c_(n-i)||_inf, so
     by induction on n every coefficient of c_n is at most A_n in absolute
     value.  The bounds are computed before any packing.  Output digits are
-    read as signed digits of W bits, exact while 2**(W-1) > A_n; W is a
-    whole number of bytes, for ``_read_digits``, and at least 64 bits.
+    read as signed digits of W bits (``_unpack``), exact while
+    2**(W-1) > A_n, and W = _digit_width(A_n).
 
     A_n grows with n, and a width fit for the last n would pad every earlier
     product, so W is chosen once per segment of n from the largest A_m up to
@@ -447,7 +447,7 @@ def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
     average, and below it the boundaries of shorter segments cost more than
     the padding.  Where W grows, the values packed so far are read back, and
     only the d that the next segment multiplies are packed again at the new
-    width, in linear time by ``_write_digits``.
+    width (``_pack``, in linear time for long values).
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -465,15 +465,15 @@ def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
             neg_q.setdefault(i, {})[j] = -c
     # (i, ||q_i||_1, low(q_i), -q_i) for each nonzero q_i, i ascending
     qs = [(i, sum(map(abs, t.values())), min(t), t) for i, t in sorted(neg_q.items())]
-    p: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
+    p: list[dict[Key, int]] = [{} for _ in range(n_max + 1)]
     for (i, j), c in num._terms.items():
         if i <= n_max:
-            p[i][j] = c
+            p[i][(0, j)] = c
     bounds: list[int] = []
     lows: list[int] = []
     for n, pn in enumerate(p):
         if pn:
-            bound, low = max(map(abs, pn.values())), min(pn)
+            bound, low = max(map(abs, pn.values())), min(pn)[1]
         else:
             bound, low = 0, None
         for i, norm, q_low, _ in qs:
@@ -487,15 +487,12 @@ def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
         bounds.append(bound)
         lows.append(low or 0)
     coeffs: list[LaurentPoly2] = []
-    digits: list[dict[int, int]] = []
     packed: list[int] = []
 
     def read(width: int) -> None:
         """Read back the values packed since the last read."""
         for n in range(len(coeffs), len(packed)):
-            row = _read_digits(packed[n], width, lows[n])
-            digits.append(row)
-            coeffs.append(LaurentPoly2._raw({(0, j): c for j, c in row.items()}))
+            coeffs.append(LaurentPoly2._raw(_unpack(packed[n], width, lows[n])))
 
     width = top = end = 0
     for n, pn in enumerate(p):
@@ -507,10 +504,10 @@ def series_expand(gf: RationalGF, n_max: int) -> list[LaurentPoly2]:
                 read(width)
                 width = new_width
                 for m in range(max(0, n - d), n):
-                    packed[m] = _write_digits(digits[m], width, lows[m])
+                    packed[m] = _pack(coeffs[m]._terms, width, lows[m])
                 terms = [(i, [(c, width * j) for j, c in t.items()]) for i, _, _, t in qs]
         o = lows[n]
-        v = sum(c << width * (j - o) for j, c in pn.items()) if pn else 0
+        v = _pack(pn, width, o)
         for i, q in terms:
             if i > n:
                 break
@@ -577,14 +574,16 @@ def bareiss_solve(
     numerator is y**shift * sum_{j<=k} c_j u_(k-j), one unpacked polynomial
     per k however many unknowns r combines.
 
-    Every polynomial in y is one packed ``int`` (Kronecker substitution).
+    Every polynomial in y is one packed ``int`` (Kronecker substitution,
+    ``_pack``).
     With h and g the largest negative y exponents of M and of b, y**h * M and
     y**g * b are polynomials; c_k is homogeneous of degree k in M's entries
     and (v_t)_i of degree t in them and 1 in b's, so the products run on their
     values at y = 2**W, and only the outputs are unpacked, the x**k
     coefficients of den shifted by y**(-h*k) and those of num by
-    y**(-h*k-g).  Unpacking reads signed digits of W bits, exact while every
-    output coefficient has absolute value below 2**(W-1).  With L the
+    y**(-h*k-g).  Unpacking (``_unpack``) reads signed digits of W bits,
+    exact while every output coefficient has absolute value below
+    2**(W-1).  With L the
     largest L1 norm of an entry of M (at least 1), L_b that of b and R the
     largest ||r||_1 = sum |r_i| of a row (each at least 1):
     c_k sums the C(n, k) principal k x k minors, each at most k! products of
@@ -594,8 +593,8 @@ def bareiss_solve(
     the x**k coefficient of a numerator sums k + 1 <= n products
     c_j u_(k-j), each of L1 norm at most (nL)^k L_b R.  Every output
     coefficient, den's too, is therefore at most
-    bound = n * (nL)^n * L_b * R, and W = bound.bit_length() + 2 leaves
-    2**(W-1) >= 2 * bound.  Unit rows have R = 1.  ``solution_defect``
+    bound = n * (nL)^n * L_b * R, and W = _digit_width(bound) gives
+    2**(W-1) > bound.  Unit rows have R = 1.  ``solution_defect``
     checks the output of a unit-row solve exactly.  The name is kept for API
     compatibility and because profilers and tracers hook it.
     """
@@ -635,10 +634,10 @@ def bareiss_solve(
         shift -= row_low
     (low_m, low_b), (norm, norm_b) = lows, norms
     row_norm = max(1, max((sum(map(abs, row)) for row in rows), default=0))
-    width = (n * (n * norm) ** n * norm_b * row_norm).bit_length() + 2
-    m = [[_pack(p, 0, width, low_m) for p in line] for line in matrix]
+    width = _digit_width(n * (n * norm) ** n * norm_b * row_norm)
+    m = [[_pack(p._terms, width, low_m) for p in line] for line in matrix]
     c = _charpoly(m)
-    krylov = [[_pack(p, 0, width, low_b) for p in rhs]]
+    krylov = [[_pack(p._terms, width, low_b) for p in rhs]]
     for _ in range(n - 1):
         v = krylov[-1]
         krylov.append([sum(map(mul, line, v)) for line in m])
@@ -646,7 +645,7 @@ def bareiss_solve(
         {
             (k, j): cj
             for k, ck in enumerate(c)
-            for j, cj in _unpack(ck, width, shift + low_m * k).items()
+            for (_, j), cj in _unpack(ck, width, shift + low_m * k).items()
         }
     )
     solutions = []
@@ -655,7 +654,7 @@ def bareiss_solve(
         num: dict[Key, int] = {}
         for k in range(n):
             packed = sum(map(mul, c[: k + 1], u[k::-1]))
-            for j, cj in _unpack(packed, width, shift + low_m * k + low_b).items():
+            for (_, j), cj in _unpack(packed, width, shift + low_m * k + low_b).items():
                 num[(k, j)] = cj
         solutions.append(RationalGF(LaurentPoly2._raw(num), den))
     return solutions

@@ -9,7 +9,8 @@ separate tokens, as ``format_poly`` writes it; there is no implicit
 multiplication, so ``2 3`` and ``x y`` are errors.
 
 JSON form: an object mapping ``"i,j"`` exponent keys to decimal integer
-coefficient strings, exact and locale-independent.
+coefficient strings, exact and locale-independent.  Every integer in it is
+read only in the form ``poly_to_json`` writes, ``[+-]?[0-9]+``.
 """
 
 from __future__ import annotations
@@ -37,16 +38,18 @@ def format_rational(c: int | Fraction) -> str:
 
 
 def _decimal_int(text: str) -> int:
-    """``int(text)`` for a decimal integer of any length.
+    """The integer written ``[+-]?[0-9]+``, of any length; any other text
+    (spaces, ``_`` separators, non-ASCII digits, which ``int`` accepts) is a
+    ValueError.
 
     Past the interpreter's str -> int digit limit the digits are read through
     ``Decimal``, which parses and converts them without consulting that limit.
     """
+    if not _DECIMAL_INT.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
     try:
         return int(text)
     except ValueError:
-        if not _DECIMAL_INT.fullmatch(text):
-            raise
         return int(Decimal(text))
 
 
@@ -200,7 +203,7 @@ def poly_from_json(data: dict[str, str]) -> LaurentPoly2:
     for key, value in data.items():
         i_str, _, j_str = key.partition(",")
         try:
-            exps = (int(i_str), int(j_str))
+            exps = (_decimal_int(i_str), _decimal_int(j_str))
         except ValueError as exc:
             raise ValueError(f"bad exponent key {key!r}") from exc
         terms[exps] = _decimal_int(value)

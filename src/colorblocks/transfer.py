@@ -44,18 +44,18 @@ popcounts of (orbit mask & rows with c closed & not merge).  The merge rows
 alone go through the transition, which labels components with
 ``graphs.union_roots`` on the new components.
 
-The lumped step adds weights as packed integers (Kronecker substitution, as
-in ``algebra.gf_equal``): each orbit's weight is one ``int``, its value at
-y = 2**W with y exponents counted from the least one of the step's weights,
-and, when a weight has x terms, x = 2**(W*S), S the number of y exponents an
-output can have.  A row entry (target, closed, count) then adds
+The lumped step adds weights as packed integers (Kronecker substitution,
+``algebra._pack``, whose docstring gives the bit layout): each orbit's weight
+is one ``int``, its value at y = 2**W with y exponents counted from the least
+one of the step's weights, and x = 2**(W*S), S the number of y exponents an
+output can have (the stride).  A row entry (target, closed, count) then adds
 ``(packed * count) << W * closed`` to its target, and each target is read
-back once with ``algebra._read_digits``, so the interpreter loops over a
-weight's terms once to pack it and once to read each target, not once per
-row entry.  W = _digit_width(sum_o ||w_o||_inf * (sum of the counts in o's
-row)), ||.||_inf the largest absolute coefficient: that sum bounds every
-output coefficient (derived in ``_lumped_step``), so every signed digit of
-W bits reads back exactly.
+back once with ``algebra._unpack``, so the interpreter loops over a weight's
+terms once to pack it and once to read each target, not once per row entry.
+The bound and the stride are this module's: W = _digit_width(sum_o
+||w_o||_inf * (sum of the counts in o's row)), ||.||_inf the largest absolute
+coefficient, bounds every output coefficient (derived in ``_lumped_step``),
+so every signed digit of W bits reads back exactly.
 
 For complete-graph slices the states can be reduced to color classes (colorings
 of the slice up to color permutation and same-size part swaps), giving a small
@@ -77,12 +77,11 @@ from typing import NamedTuple
 
 from .algebra import (
     MAX_SYSTEM_DIM,
-    _SHIFT_SUM_BITS,
     LaurentPoly2,
     RationalGF,
     _digit_width,
-    _read_digits,
-    _write_digits,
+    _pack,
+    _unpack,
     weighted_solution_gf,
 )
 from .combinatorics import partition_count_at_most_k_parts, partitions_at_most_k_parts
@@ -447,16 +446,18 @@ def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeigh
     one weight per touched orbit, and as many profiles as those orbits have
     members.  Each profile is a distinct member, so then none is missing.
 
-    Each orbit's weight is one packed ``int`` (see the module docstring), and
-    each row entry adds ``(packed * count) << W * closed`` to its target.
-    The bound: target t's coefficient at x^i y^j is the sum over orbits o
-    and entries (t, closed, count) of o's row of count * [x^i y^(j-closed)]
-    w_o, at most sum_o ||w_o||_inf * (sum of o's row counts) in absolute
-    value.  Packing is a ring map, so the packed sums are exact whatever the
+    Each orbit's weight is one ``_pack(terms, W, low, span)``, and each row
+    entry adds ``(packed * count) << W * closed`` to its target, which one
+    ``_unpack(value, W, low, span)`` reads back.  The bound: target t's
+    coefficient at x^i y^j is the sum over orbits o and entries
+    (t, closed, count) of o's row of count * [x^i y^(j-closed)] w_o, at
+    most sum_o ||w_o||_inf * (sum of o's row counts) in absolute value.
+    Packing is a ring map, so the packed sums are exact whatever the
     carries, and signed digits of W = _digit_width(that bound) bits read
-    every coefficient back.  With x terms, an output's y exponents low ..
-    high + |V| (a row entry closes at most |V| classes) take ``span`` digits
-    below each power of x.
+    every coefficient back.  The stride: an output's y exponents low ..
+    high + |V| (a row entry closes at most |V| classes) take ``span``
+    digits below each power of x, so an output without x terms has every
+    digit below ``span`` and reads back with x exponent 0.
     """
     if op.masks is None:  # registers the slice table's rows, initial_states' keys
         op.masks = op._slice_masks(table)
@@ -474,12 +475,11 @@ def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeigh
             symmetric = isinstance(weight, LaurentPoly2) and first == weight
     if not symmetric or size != len(states):
         return None
-    # the coefficient bound, the least and largest y exponents, and whether
-    # any weight has x terms, before anything is packed
+    # the coefficient bound and the least and largest y exponents, before
+    # anything is packed
     rows = []
     bound = 0
     low = high = None
-    has_x = False
     for orbit, weight in weights.items():
         terms = weight._terms
         row = op.row(orbit, table)
@@ -489,7 +489,6 @@ def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeigh
         bound += max(map(abs, terms.values())) * sum(map(_COUNT, row))
         least, last = min(terms), max(terms)  # (x, y) exponents, x first
         if last[0]:
-            has_x = True
             least, last = min(j for _, j in terms), max(j for _, j in terms)
         else:
             least, last = least[1], last[1]
@@ -503,25 +502,13 @@ def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeigh
     span = high - low + op.nv + 1
     sums: dict[int, int] = {}
     for terms, row in rows:
-        if len(terms) * width < _SHIFT_SUM_BITS:
-            packed = 0
-            for (i, j), c in terms.items():
-                packed += c << width * (span * i + j - low)
-        else:  # long weights: linear time
-            packed = _write_digits({span * i + j - low: c for (i, j), c in terms.items()}, width, 0)
+        packed = _pack(terms, width, low, span)
         for target, closed, count in row:
             sums[target] = sums.get(target, 0) + ((packed * count) << width * closed)
     out: StateWeights = {}
     for target, value in sums.items():
-        terms = {}
-        if has_x:
-            for e, c in _read_digits(value, width, 0).items():
-                i, j = divmod(e, span)
-                terms[(i, j + low)] = c
-        else:
-            for j, c in _read_digits(value, width, low).items():
-                terms[(0, j)] = c
-        out.update(zip(op.members[target], itertools.repeat(LaurentPoly2._raw(terms))))
+        weight = LaurentPoly2._raw(_unpack(value, width, low, span))
+        out.update(zip(op.members[target], itertools.repeat(weight)))
     return out
 
 

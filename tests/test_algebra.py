@@ -15,7 +15,7 @@ from colorblocks.algebra import (
 )
 from colorblocks import algebra
 from colorblocks.algebra import _bareiss_det, _div_exact, solution_defect
-from colorblocks.algebra import _pack, _read_digits, _unpack, _write_digits
+from colorblocks.algebra import _SHIFT_SUM_BITS, _pack, _unpack
 from colorblocks.errors import DimensionLimitError
 from colorblocks.fixtures import fixture_gf, star_system
 from colorblocks.polytext import parse_poly
@@ -509,6 +509,27 @@ class TestCoefficientTypes:
         with pytest.raises(TypeError):
             make()
 
+    # rejected, not truncated by int() nor stored as float keys
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LaurentPoly2({(1.5, 0.7): 3}),
+            lambda: LaurentPoly2({(1, Fraction(2, 1)): 3}),
+            lambda: LaurentPoly2.monomial(0, 0.5),
+            lambda: LaurentPoly2.monomial(1.0, 0),
+            lambda: Y.shift_y(0.5),
+        ],
+        ids=["init", "init-fraction", "monomial", "monomial-x", "shift-y"],
+    )
+    def test_non_int_exponents_are_a_type_error(self, make):
+        with pytest.raises(TypeError, match="int exponent"):
+            make()
+
+    def test_int_subclass_exponents_become_int(self):
+        p = LaurentPoly2({(True, False): 3})
+        assert p == 3 * X and all(type(e) is int for key in p.terms for e in key)
+        assert type(next(iter(LaurentPoly2.monomial(True, 2).terms))[0]) is int
+
 
 big_y_polys = st.dictionaries(
     st.tuples(st.just(0), st.integers(min_value=-3, max_value=5)),
@@ -601,10 +622,37 @@ def _alternating(length: int, size: int) -> dict[int, int]:
     return {e: -size if e % 2 else size for e in range(length)}
 
 
+def _shift_sum(terms, width, low, stride=0) -> int:
+    """The packed value by its definition, one shifted term at a time."""
+    return sum(c << width * (stride * i + j - low) for (i, j), c in terms.items())
+
+
+@st.composite
+def packed_term_maps(draw):
+    # x and y exponents on a stride of at least the y span, from a negative
+    # low; up to 54 terms and 71 digits, so both the shift loops (below 16
+    # digits, below _SHIFT_SUM_BITS bits) and the byte images are reached
+    width = draw(st.sampled_from([8, 64, 1024, 2048]))
+    low = draw(st.integers(min_value=-4, max_value=0))
+    span = draw(st.integers(min_value=1, max_value=6))
+    x_degree = draw(st.sampled_from([0, 8]))
+    stride = 0 if not x_degree and draw(st.booleans()) else span + draw(st.integers(0, 2))
+    half = 1 << (width - 1)
+    coefficients = st.one_of(
+        st.integers(min_value=1 - half, max_value=half - 1),
+        st.sampled_from([1 - half, half - 1, 1, -1]),
+    ).filter(bool)
+    keys = st.tuples(
+        st.integers(min_value=0, max_value=x_degree),
+        st.integers(min_value=low, max_value=low + span - 1),
+    )
+    return draw(st.dictionaries(keys, coefficients, max_size=54)), width, low, stride
+
+
 class TestDigitReader:
-    """_read_digits and _write_digits against _pack and _unpack: short values
-    go through the shift loops, values of 16 digits (_read_digits) or of
-    _SHIFT_SUM_BITS bits (_write_digits) or more through bytes."""
+    """_pack and _unpack against the shift sum of their definition: short
+    values go through the shift loops, values of 16 digits (_unpack) or of
+    _SHIFT_SUM_BITS bits (_pack) or more through byte images."""
 
     @pytest.mark.parametrize("width", [8, 64, 200, 2048])
     @pytest.mark.parametrize(
@@ -627,11 +675,51 @@ class TestDigitReader:
         ],
     )
     def test_reads_what_pack_wrote(self, width, make):
-        terms = {e - 2: c for e, c in make(1 << (width - 1)).items()}
-        p = LaurentPoly2({(0, e): c for e, c in terms.items()})
-        value = _pack(p, 0, width, -2)
-        assert _read_digits(value, width, -2) == terms == _unpack(value, width, -2)
-        assert _write_digits(terms, width, -2) == value
+        # digit e holds y^(e-2), or x^(e//5) y^(e%5-2) on a stride of 5
+        digits = make(1 << (width - 1))
+        value = _shift_sum({(0, e - 2): c for e, c in digits.items()}, width, -2)
+        for stride in (0, 5):
+            terms = {
+                (e // stride, e % stride - 2) if stride else (0, e - 2): c
+                for e, c in digits.items()
+            }
+            assert _pack(terms, width, -2, stride) == value
+            assert _unpack(value, width, -2, stride) == terms
+
+    @settings(max_examples=150, deadline=None)
+    @given(packed_term_maps())
+    # byte images on both sides: 17 * 2048 and 600 * 64 bits >= _SHIFT_SUM_BITS
+    @example(({(0, e - 3): (-1) ** e << 2046 for e in range(17)}, 2048, -3, 0))
+    @example(({(e // 4, e % 4 - 1): 1 - (1 << 63) for e in range(600)}, 64, -1, 4))
+    def test_round_trip(self, drawn):
+        terms, width, low, stride = drawn
+        value = _pack(terms, width, low, stride)
+        assert value == _shift_sum(terms, width, low, stride)
+        assert _unpack(value, width, low, stride) == terms
+
+    def test_gf_equal_with_long_factors(self):
+        # 600 terms of digits of at least 64 bits pack through byte images
+        num = LaurentPoly2({(i % 3, i // 3 - 50): (-1) ** i * (i + 1) ** 9 for i in range(600)})
+        assert len(num) * 64 >= _SHIFT_SUM_BITS
+        den = P("1-x*y^-1+3*x^2*y^2")
+        factor = P("2*y^-2-x*y+5")
+        a, b = RationalGF(num, den), RationalGF(num * factor, den * factor)
+        assert gf_equal(a, b) and gf_equal(b, a)
+        for key in ((1, 0), (0, -50), (2, 149)):
+            moved = RationalGF(num + LaurentPoly2.monomial(*key, 1), den)
+            assert not gf_equal(a, moved)
+            assert gf_equal(moved, b) == (moved.num * b.den == b.num * moved.den)
+
+    def test_solve_with_long_entries(self):
+        # a dim-2 system whose right-hand side packs, and whose numerators
+        # unpack, through byte images, checked by substitution and integer
+        # determinants (long entries of M would make the determinant grid slow)
+        long = LaurentPoly2({(0, j - 5): (-1) ** j * (j % 7 + 1) for j in range(600)})
+        assert len(long) * 64 >= _SHIFT_SUM_BITS
+        m, b = [[P("2*y-3"), Y], [P("y^-1-2"), ONE]], [long, -long.shift_y(3)]
+        solutions = bareiss_solve(m, b)
+        assert max(len(sol.num) for sol in solutions) >= 16
+        assert solution_defect(m, b, solutions) is None
 
     @pytest.mark.parametrize("digits", [1, 20])
     def test_a_width_one_byte_narrower_misreads_a_series_at_its_bound(self, monkeypatch, digits):

@@ -103,6 +103,31 @@ def test_json_rejects_fraction_coefficients():
         poly_from_json({"0,0": "1/2"})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("1_0,0", "1"),
+        (" 1,0", "1"),
+        ("1,0 ", "1"),
+        ("1,\u0661", "1"),
+        ("1,0,0", "1"),
+        ("1,", "1"),
+        ("0,0", "1_0"),
+        ("0,0", " 1"),
+        ("0,0", "\u0661"),
+        ("0,0", "1" * 5000 + "_1"),
+    ],
+)
+def test_json_reads_only_what_poly_to_json_writes(key, value):
+    # int() accepts "_" separators, surrounding spaces and non-ASCII digits
+    with pytest.raises(ValueError):
+        poly_from_json({key: value})
+
+
+def test_json_reads_signed_decimal_integers():
+    assert poly_from_json({"+1,-2": "+3", "0,0": "-0"}) == LaurentPoly2({(1, -2): 3})
+
+
 def test_round_trip_beyond_the_int_str_limit():
     limit = sys.get_int_max_str_digits()
     p = LaurentPoly2({(0, 1): 7**6000, (2, -1): -(3**9100), (1, 0): 5})
