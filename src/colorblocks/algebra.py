@@ -697,6 +697,22 @@ def _bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1] if m else 1
 
 
+def _horner_steps(terms: Mapping[int, int]) -> list[tuple[int, int]]:
+    """(c, gap) pairs, largest exponent first, for ``_horner``: with the
+    exponents e_1 > .. > e_m, gap_i = e_i - e_(i+1) and gap_m = e_m."""
+    exponents = sorted(terms, reverse=True)
+    return [(terms[e], e - after) for e, after in zip(exponents, [*exponents[1:], 0])]
+
+
+def _horner(steps: list[tuple[int, int]], t: int) -> int:
+    """sum c * t**e by Horner's rule, one product per term: the nested form
+    (..(c_1 * t**gap_1 + c_2) * t**gap_2 ..) of ``_horner_steps``."""
+    value = 0
+    for c, gap in steps:
+        value = (value + c) * t**gap
+    return value
+
+
 def solution_defect(matrix, rhs, solutions: Sequence[RationalGF]) -> str | None:
     """None when ``solutions`` is exactly what bareiss_solve(matrix, rhs) must
     return, else the first mismatch.  Every t_i must share one den and satisfy
@@ -705,7 +721,9 @@ def solution_defect(matrix, rhs, solutions: Sequence[RationalGF]) -> str | None:
     s_i = max(0, -min y exponent of row i of [M | b]), and top is the sum of
     the shifted rows' largest y exponents.  den must have x-degree <= n and
     y exponents in 0..top, and equal the shifted det(I - x*M) on the grid
-    x0 in 0..n, y0 in 1..top+1, which pins a polynomial within those bounds."""
+    x0 in 0..n, y0 in 1..top+1, which pins a polynomial within those bounds.
+    The shifted entries and den are evaluated by Horner's rule, den's y
+    coefficients once per y0."""
     n = len(matrix)
     if len(solutions) != n:
         return f"{len(solutions)} solutions for {n} unknowns"
@@ -720,17 +738,22 @@ def solution_defect(matrix, rhs, solutions: Sequence[RationalGF]) -> str | None:
     top = sum(s + max([0] + [p.max_y_exponent() for p in r if p]) for s, r in zip(shifts, matrix))
     if any(i > n or not 0 <= j <= top for i, j in den._terms):
         return f"den has a term outside x^0..x^{n}, y^0..y^{top}"
+    entries = [
+        [_horner_steps({e + s: c for (_, e), c in p._terms.items()}) for p in row]
+        for s, row in zip(shifts, matrix)
+    ]
+    den_y: dict[int, dict[int, int]] = {}  # x exponent -> {y exponent: c}
+    for (i, j), c in den._terms.items():
+        den_y.setdefault(i, {})[j] = c
+    den_y_steps = {i: _horner_steps(terms) for i, terms in den_y.items()}
     for y0 in range(1, top + 2):
-        at_y = [
-            [sum(c * y0 ** (e + s) for (_, e), c in p._terms.items()) for p in row]
-            for s, row in zip(shifts, matrix)
-        ]
+        at_y = [[_horner(steps, y0) for steps in row] for row in entries]
+        den_x = _horner_steps({i: _horner(steps, y0) for i, steps in den_y_steps.items()})
         for x0 in range(n + 1):
             rows = [
                 [(i == j) * y0**s - x0 * v for j, v in enumerate(line)]
                 for i, (s, line) in enumerate(zip(shifts, at_y))
             ]
-            value = sum(c * x0**i * y0**j for (i, j), c in den._terms.items())
-            if value != _bareiss_det(rows):
+            if _horner(den_x, x0) != _bareiss_det(rows):
                 return f"den at x={x0}, y={y0} is not the shifted det(I - x*M) there"
     return None

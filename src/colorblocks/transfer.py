@@ -23,11 +23,13 @@ lumpable (Kemeny & Snell, *Finite Markov Chains*, 1960).  One integer row per
 orbit the DP reaches is built from a representative the first time it is
 needed; its entries |O|*m/|O'| count the (profile, coloring) pairs of the
 source orbit O that land on any one profile of the target orbit O'.  The
-summed weight is then written back to every member profile, so step returns
-exactly the keys and values of the general path.  Any other input (one
-profile, unequal weights, a partly present orbit) takes the general path, one
-transition per (profile, coloring).  The operator of the last 32 (slice, k)
-pairs is kept, so later steps reuse its rows.
+public step writes the summed weight back to every member profile, so it
+returns exactly the keys and values of the general path;
+``prism_distribution`` keeps one weight per orbit from the first slice to the
+final sum.  Any other input to step (one profile, unequal weights, a partly
+present orbit) takes the general path, one transition per (profile,
+coloring).  The operator of the last 32 (slice, k) pairs is kept, so later
+steps reuse its rows.
 
 A row is one bit-sliced pass over the k^|V| rows of the slice table, bit r of
 a Python int standing for table row r (as in Biham's bitslice DES, FSE 1997,
@@ -44,18 +46,25 @@ popcounts of (orbit mask & rows with c closed & not merge).  The merge rows
 alone go through the transition, which labels components with
 ``graphs.union_roots`` on the new components.
 
-The lumped step adds weights as packed integers (Kronecker substitution,
-``algebra._pack``, whose docstring gives the bit layout): each orbit's weight
-is one ``int``, its value at y = 2**W with y exponents counted from the least
-one of the step's weights, and x = 2**(W*S), S the number of y exponents an
-output can have (the stride).  A row entry (target, closed, count) then adds
-``(packed * count) << W * closed`` to its target, and each target is read
-back once with ``algebra._unpack``, so the interpreter loops over a weight's
-terms once to pack it and once to read each target, not once per row entry.
-The bound and the stride are this module's: W = _digit_width(sum_o
-||w_o||_inf * (sum of the counts in o's row)), ||.||_inf the largest absolute
-coefficient, bounds every output coefficient (derived in ``_lumped_step``),
-so every signed digit of W bits reads back exactly.
+Orbit weights are added as packed integers (Kronecker substitution; von zur
+Gathen and Gerhard, *Modern Computer Algebra*, ch. 8; ``algebra._pack``'s
+docstring gives the bit layout): a weight is one ``int``, its value at
+y = 2**W, and a row entry (target, closed, count) adds
+``(packed * count) << W * closed`` to its target.  ``_apply_rows`` is that
+loop, and both routes run it.  ``prism_distribution`` carries one such
+``int`` per orbit (``_Carried``), packed once from the first-slice orbits at
+weight 1 each, with y exponents counted from 0; no step unpacks anything or
+writes a member profile, and ``finalize`` sums packed_o * |O| per open-class
+count and reads each group back once with ``algebra._unpack``.  Its one
+width W = _digit_width(k^(|V|*n)) holds for the whole run, because every
+digit counts colorings (derived in ``prism_distribution``).  The public dict
+route (``initial_states``, ``step``, ``finalize``) takes any weights, x
+terms and negative coefficients included, so each of its lumped steps packs
+the input with y exponents counted from the least one, x = 2**(W*S) for S
+the number of y exponents an output can have, and
+W = _digit_width(sum_o ||w_o||_inf * (sum of the counts in o's row)), the
+bound ``_lumped_step`` derives; each target is read back once, as signed
+digits.
 
 For complete-graph slices the states can be reduced to color classes (colorings
 of the slice up to color permutation and same-size part swaps), giving a small
@@ -272,7 +281,7 @@ class _LumpedOperator:
         self.members: list[list[Profile]] = []
         self.table_rows: dict[Profile, Profile] = {}  # kept as members when registered
         self.rows: dict[int, list[tuple[int, int, int]]] = {}
-        self.masks: tuple | None = None  # built on the first step or row
+        self.masks: tuple | None = None  # built by the first _slice_masks call
 
     def orbit(self, profile: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
         """Orbit id of a profile, registered on first sight; ValueError if malformed.
@@ -333,7 +342,8 @@ class _LumpedOperator:
         color, split, profiles): ``color[v*k + c]`` the rows that give v
         color c, ``split[v*n + w]`` the rows where v and w lie in different
         components, and (orbit, rows) for each first-slice orbit, the rows
-        whose own profile (colors, component RGS) lies in it.
+        whose own profile (colors, component RGS) lies in it.  Built, and
+        the table's rows registered as members, on the first call.
 
         The table lists the colorings in mixed radix, vertex 0 most
         significant, so vertex v has color c on one run of k^(n-1-v) rows in
@@ -341,6 +351,8 @@ class _LumpedOperator:
         the rows where a path of monochromatic edges joins them: Warshall's
         transitive closure (J. ACM 9, 1962), on every row at once.
         """
+        if self.masks is not None:
+            return self.masks
         nv, k, rows = self.nv, self.k, len(table)
         full = (1 << rows) - 1
         color = []
@@ -371,7 +383,8 @@ class _LumpedOperator:
         for r, profile in enumerate(table):
             target = self.orbit(profile)
             profiles[target] = profiles.get(target, 0) | 1 << r
-        return full, color, split, list(profiles.items())
+        self.masks = full, color, split, list(profiles.items())
+        return self.masks
 
     def row(self, source: int, table) -> list[tuple[int, int, int]]:
         """(target orbit, y shift, count): the count is the number of
@@ -389,9 +402,7 @@ class _LumpedOperator:
         row = self.rows.get(source)
         if row is not None:
             return row
-        if self.masks is None:
-            self.masks = self._slice_masks(table)
-        full, color, split, profiles = self.masks
+        full, color, split, profiles = self._slice_masks(table)
         nv, k = self.nv, self.k
         colors, linkage = self.reps[source]
         classes: list[list[int]] = []  # linkage is an RGS
@@ -441,26 +452,36 @@ def _operator(g: Graph, k: int) -> _LumpedOperator:
     return _LumpedOperator(g, k)
 
 
+def _apply_rows(op: _LumpedOperator, table, packed: dict[int, int], width: int) -> dict[int, int]:
+    """One step on packed orbit weights (y = 2**width): each row entry
+    (target, closed, count) of orbit o adds ``(packed[o] * count) << width *
+    closed`` to its target.  The caller's width must hold every output
+    coefficient."""
+    sums: dict[int, int] = {}
+    for orbit, value in packed.items():
+        for target, closed, count in op.row(orbit, table):
+            sums[target] = sums.get(target, 0) + ((value * count) << width * closed)
+    return sums
+
+
 def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeights | None:
     """The step computed on orbits, or None unless the input is symmetric:
     one weight per touched orbit, and as many profiles as those orbits have
     members.  Each profile is a distinct member, so then none is missing.
 
-    Each orbit's weight is one ``_pack(terms, W, low, span)``, and each row
-    entry adds ``(packed * count) << W * closed`` to its target, which one
-    ``_unpack(value, W, low, span)`` reads back.  The bound: target t's
-    coefficient at x^i y^j is the sum over orbits o and entries
-    (t, closed, count) of o's row of count * [x^i y^(j-closed)] w_o, at
-    most sum_o ||w_o||_inf * (sum of o's row counts) in absolute value.
-    Packing is a ring map, so the packed sums are exact whatever the
-    carries, and signed digits of W = _digit_width(that bound) bits read
-    every coefficient back.  The stride: an output's y exponents low ..
-    high + |V| (a row entry closes at most |V| classes) take ``span``
-    digits below each power of x, so an output without x terms has every
-    digit below ``span`` and reads back with x exponent 0.
+    Each orbit's weight is one ``_pack(terms, W, low, span)``, ``_apply_rows``
+    steps them, and one ``_unpack(value, W, low, span)`` reads each target
+    back.  The bound: target t's coefficient at x^i y^j is the sum over
+    orbits o and entries (t, closed, count) of o's row of count *
+    [x^i y^(j-closed)] w_o, at most sum_o ||w_o||_inf * (sum of o's row
+    counts) in absolute value.  Packing is a ring map, so the packed sums are
+    exact whatever the carries, and signed digits of W = _digit_width(that
+    bound) bits read every coefficient back.  The stride: an output's y
+    exponents low .. high + |V| (a row entry closes at most |V| classes)
+    take ``span`` digits below each power of x, so an output without x terms
+    has every digit below ``span`` and reads back with x exponent 0.
     """
-    if op.masks is None:  # registers the slice table's rows, initial_states' keys
-        op.masks = op._slice_masks(table)
+    op._slice_masks(table)  # registers the slice table's rows, initial_states' keys
     weights: dict[int, LaurentPoly2] = {}
     size = 0
     symmetric = True
@@ -477,16 +498,13 @@ def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeigh
         return None
     # the coefficient bound and the least and largest y exponents, before
     # anything is packed
-    rows = []
     bound = 0
     low = high = None
     for orbit, weight in weights.items():
         terms = weight._terms
-        row = op.row(orbit, table)
-        rows.append((terms, row))
         if not terms:
             continue
-        bound += max(map(abs, terms.values())) * sum(map(_COUNT, row))
+        bound += max(map(abs, terms.values())) * sum(map(_COUNT, op.row(orbit, table)))
         least, last = min(terms), max(terms)  # (x, y) exponents, x first
         if last[0]:
             least, last = min(j for _, j in terms), max(j for _, j in terms)
@@ -500,16 +518,32 @@ def _lumped_step(op: _LumpedOperator, table, states: StateWeights) -> StateWeigh
         low = high = 0
     width = _digit_width(bound)
     span = high - low + op.nv + 1
-    sums: dict[int, int] = {}
-    for terms, row in rows:
-        packed = _pack(terms, width, low, span)
-        for target, closed, count in row:
-            sums[target] = sums.get(target, 0) + ((packed * count) << width * closed)
+    packed = {orbit: _pack(weight._terms, width, low, span) for orbit, weight in weights.items()}
     out: StateWeights = {}
-    for target, value in sums.items():
+    for target, value in _apply_rows(op, table, packed, width).items():
         weight = LaurentPoly2._raw(_unpack(value, width, low, span))
         out.update(zip(op.members[target], itertools.repeat(weight)))
     return out
+
+
+class _Carried:
+    """``prism_distribution``'s state: one packed ``int`` per orbit the DP
+    has reached, the weight of each one of its member profiles at y = 2**width
+    with y exponents counted from 0, at one width for the whole run.
+
+    Its ``len`` is the number of profiles it stands for, sum_o |O|: the
+    profile count of the same step on dicts."""
+
+    __slots__ = ("op", "width", "packed")
+
+    def __init__(self, op: _LumpedOperator, width: int, packed: dict[int, int]):
+        self.op = op
+        self.width = width
+        self.packed = packed
+
+    def __len__(self) -> int:
+        members = self.op.members
+        return sum([len(members[orbit]) for orbit in self.packed])
 
 
 def step(
@@ -521,10 +555,14 @@ def step(
     vertices merge old linkage classes with the new slice's components; old
     classes with no surviving connection close and pay y each; the new
     profile keeps only what the new slice can see.  Symmetric input (one
-    weight per orbit, see the module docstring) is computed on orbits.
+    weight per orbit, see the module docstring) is computed on orbits, and
+    ``prism_distribution``'s packed state stays packed.
     """
     check_slice_caps(g.n, k, state_cap)
     table = _slice_table(g, k)
+    if type(states) is _Carried:
+        op, width = states.op, states.width
+        return _Carried(op, width, _apply_rows(op, table, states.packed, width))
     out = _lumped_step(_operator(g, k), table, states)
     return _general_step(g.n, table, states) if out is None else out
 
@@ -545,10 +583,8 @@ def orbit_system(
     check_slice_caps(g.n, k, DEFAULT_STATE_CAP)
     op = _operator(g, k)
     table = _slice_table(g, k)
-    if op.masks is None:
-        op.masks = op._slice_masks(table)
+    first = {orbit for orbit, _ in op._slice_masks(table)[3]}
     index = {op.orbit(p): i for i, p in enumerate(profiles)}
-    first = {orbit for orbit, _ in op.masks[3]}
     if len(index) != len(profiles) or not first.issubset(index):
         raise ValueError("the profiles must lie in distinct orbits and list every first-slice one")
     opened = [max(op.reps[orbit][1]) + 1 for orbit in index]
@@ -572,7 +608,19 @@ def finalize(states: StateWeights) -> LaurentPoly2:
     a lumped step every member of an orbit holds one weight object -- and
     each distinct weight's terms are added once per count, times the number
     of its profiles.  The at most |V| group sums are shifted and added.
+    ``prism_distribution``'s packed state sums packed_o * |O| per open-class
+    count instead, and reads each group back once.
     """
+    if type(states) is _Carried:
+        op, width = states.op, states.width
+        sums: dict[int, int] = {}  # open-class count -> sum of packed_o * |O|
+        for orbit, value in states.packed.items():
+            open_classes = max(op.reps[orbit][1]) + 1
+            sums[open_classes] = sums.get(open_classes, 0) + value * len(op.members[orbit])
+        total = LaurentPoly2.zero()
+        for open_classes, value in sums.items():
+            total = total + LaurentPoly2._raw(_unpack(value, width, open_classes))
+        return total
     members: dict[tuple[int, int], list] = {}
     for (_, linkage), weight in states.items():
         key = (id(weight), max(linkage) + 1)
@@ -596,10 +644,32 @@ def finalize(states: StateWeights) -> LaurentPoly2:
 def prism_distribution(
     g: Graph, k: int, n: int, *, state_cap: int = DEFAULT_STATE_CAP
 ) -> BlockDistribution:
-    """Block distribution of g x path(n) via the profile DP."""
+    """Block distribution of g x path(n) via the profile DP.
+
+    One slice is its table, finalized as dicts; no operator is built.  Past
+    it, the state is one packed ``int`` per orbit (``_Carried``), packed once
+    from the first-slice orbits, weight 1 each, stepped by ``step`` and read
+    back only by ``finalize``, at the one width W = _digit_width(k^(|V|*n)).
+    The width holds throughout: after t slices, digit j of orbit o's integer
+    counts the colorings of the first t slices that end on one fixed member
+    profile of o and have closed j blocks, so it is >= 0 and at most
+    k^(|V|*t) <= k^(|V|*n).  A step adds such counts, so every digit it
+    writes is again such a count; and digit j of finalize's group of
+    open-class count a, sum_o |O| * digit j of o over the orbits with a open
+    classes, counts the colorings of the whole prism whose last profile has
+    a open classes and that closed j blocks, again at most k^(|V|*n).
+    Packing is a ring map, so the sums are exact whatever the carries, and
+    ``_unpack`` reads every digit of W bits back, as 2**(W-1) > k^(|V|*n).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    states = initial_states(g, k, state_cap=state_cap)
+    if n == 1:
+        return BlockDistribution(finalize(initial_states(g, k, state_cap=state_cap)), g.n, k)
+    check_slice_caps(g.n, k, state_cap)
+    table = _slice_table(g, k)
+    op = _operator(g, k)
+    first = {orbit: 1 for orbit, _ in op._slice_masks(table)[3]}
+    states = _Carried(op, _digit_width(k ** (g.n * n)), first)
     for _ in range(n - 1):
         states = step(g, k, states, state_cap=state_cap)
     return BlockDistribution(finalize(states), g.n * n, k)

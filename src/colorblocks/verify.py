@@ -54,6 +54,7 @@ from .oracle import (
 from .polytext import format_poly, parse_poly
 from .transfer import (
     color_classes,
+    finalize,
     initial_states,
     km_prism_gf,
     prism_distribution,
@@ -297,7 +298,9 @@ def check_complete_slice_states():
 
 
 def check_lumped_step():
-    """The orbit-lumped step equals the general path on symmetric input."""
+    """The orbit-lumped step equals the general path on symmetric input, and
+    prism_distribution's packed orbit state equals finalize of the general
+    steps for n = 1..4."""
     # two slices of two components: the first has no merge rows (an old
     # class never spans two components), the second has them in its path
     two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -306,7 +309,11 @@ def check_lumped_step():
         table = transfer._slice_table(g, k)
         op = transfer._operator(g, k)
         states = initial_states(g, k)
-        for t in range(1, 4):
+        for t in range(1, 5):
+            carried = prism_distribution(g, k, t).poly
+            _expect_equal(carried, finalize(states), f"prism n={t} vs general steps, {g.n}-vertex slice k={k}")
+            if t == 4:
+                break
             lumped = transfer._lumped_step(op, table, states)
             if lumped is None:
                 raise CheckFailure(f"step {t} on {g.n}-vertex slice k={k}: fast path not taken")

@@ -711,15 +711,20 @@ class TestDigitReader:
             assert gf_equal(moved, b) == (moved.num * b.den == b.num * moved.den)
 
     def test_solve_with_long_entries(self):
-        # a dim-2 system whose right-hand side packs, and whose numerators
-        # unpack, through byte images, checked by substitution and integer
-        # determinants (long entries of M would make the determinant grid slow)
+        # dim-2 systems whose long right-hand side or long entry of M packs,
+        # and whose numerators unpack, through byte images, checked by
+        # substitution and integer determinants; the long entry of M takes
+        # the determinant grid to 600 y points
         long = LaurentPoly2({(0, j - 5): (-1) ** j * (j % 7 + 1) for j in range(600)})
         assert len(long) * 64 >= _SHIFT_SUM_BITS
-        m, b = [[P("2*y-3"), Y], [P("y^-1-2"), ONE]], [long, -long.shift_y(3)]
-        solutions = bareiss_solve(m, b)
-        assert max(len(sol.num) for sol in solutions) >= 16
-        assert solution_defect(m, b, solutions) is None
+        systems = [
+            ([[P("2*y-3"), Y], [P("y^-1-2"), ONE]], [long, -long.shift_y(3)]),
+            ([[long, Y], [P("y^-1-2"), ONE]], [3 * P("y^-2"), long]),
+        ]
+        for m, b in systems:
+            solutions = bareiss_solve(m, b)
+            assert max(len(sol.num) for sol in solutions) >= 16
+            assert solution_defect(m, b, solutions) is None
 
     @pytest.mark.parametrize("digits", [1, 20])
     def test_a_width_one_byte_narrower_misreads_a_series_at_its_bound(self, monkeypatch, digits):

@@ -28,7 +28,12 @@ from colorblocks.graphs import (
     star,
     union_roots,
 )
-from colorblocks.oracle import block_count, distribution_bruteforce, proper_coloring_count
+from colorblocks.oracle import (
+    DEFAULT_ENUMERATION_CAP,
+    block_count,
+    distribution_bruteforce,
+    proper_coloring_count,
+)
 from colorblocks.polytext import parse_poly
 from colorblocks.transfer import (
     Profile,
@@ -773,6 +778,72 @@ class TestLumpedStep:
     def test_output_shares_one_weight_per_orbit(self):
         states = step(star(3), 2, initial_states(star(3), 2))
         assert len({id(w) for w in states.values()}) == 7
+
+
+@st.composite
+def carried_cases(draw):
+    """(slice, k, n): a slice of at most 5 vertices, connected or not, k in
+    1..4 with k^|V| <= 256, and n in 1..4."""
+    k = draw(st.integers(1, 4))
+    return draw(slices(4 if k == 4 else 5)), k, draw(st.integers(1, 4))
+
+
+# the four prism_dp slices of the benchmark, at their k and n
+PRISM_DP_CASES = [(path(4), 3, 3), (cycle(4), 3, 3), (star(3), 2, 8), (complete(4), 2, 8)]
+
+
+class TestCarriedState:
+    def test_one_slice_builds_no_operator(self, monkeypatch):
+        transfer._operator.cache_clear()
+        before = transfer._operator.cache_info()
+
+        def refused(*args):
+            raise AssertionError("an operator was built for one slice")
+
+        monkeypatch.setattr(transfer, "_LumpedOperator", refused)
+        monkeypatch.setattr(transfer, "_automorphism_generators", refused)
+        assert prism_distribution(cycle(4), 3, 1).poly == distribution_bruteforce(cycle(4), 3).poly
+        assert transfer._operator.cache_info() == before
+
+    @settings(max_examples=40, deadline=None)
+    @given(carried_cases())
+    # two components, and the largest slice at k = 4 with brute force at the cap
+    @example((Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]), 2, 4))
+    @example((cycle(4), 4, 3))
+    def test_equals_the_general_iteration_and_bruteforce(self, case):
+        g, k, n = case
+        states = initial_states(g, k)
+        for _ in range(n - 1):
+            states = _general(g, k, states)
+        got = prism_distribution(g, k, n).poly
+        assert got == finalize(states)
+        if k ** (g.n * n) <= DEFAULT_ENUMERATION_CAP:
+            assert got == distribution_bruteforce(cartesian_product(g, path(n)), k).poly
+
+    @pytest.mark.parametrize("g,k,n", PRISM_DP_CASES)
+    def test_lengths_equal_the_dict_profile_counts(self, monkeypatch, g, k, n):
+        # the tracer's transitions and states_peak read len() of step's
+        # input and output
+        carried = []
+
+        def recorded(g, k, states, **kwargs):
+            out = STEP(g, k, states, **kwargs)
+            assert type(states) is type(out) is transfer._Carried
+            carried.append((len(states), len(out)))
+            return out
+
+        monkeypatch.setattr(transfer, "step", recorded)
+        prism_distribution(g, k, n)
+        profiles = []
+        states = initial_states(g, k)
+        for _ in range(n - 1):
+            out = STEP(g, k, states)
+            profiles.append((len(states), len(out)))
+            states = out
+        assert carried == profiles
+
+
+STEP = transfer.step
 
 
 def _reachable_orbit_list(g, k):
